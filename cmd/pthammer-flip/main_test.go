@@ -65,6 +65,32 @@ func TestReportLayout(t *testing.T) {
 	}
 }
 
+// goldenReport is the committed output of
+//
+//	pthammer-flip -seed 1 -iters 2500 -robust-seeds 2
+//
+// generated before the escalation planner's ranking was rewritten
+// around a precomputed jackpot index, so every later refactor of the
+// planner, the hammer or the driver is checked against bytes from an
+// older tree, not only against a rerun of itself. Regenerate it only
+// for a deliberate change of simulated output.
+const goldenReport = "testdata/seed1-iters2500-robust2.tsv"
+
+// TestGoldenReport byte-compares run() against goldenReport.
+func TestGoldenReport(t *testing.T) {
+	want, err := os.ReadFile(goldenReport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-seed", "1", "-iters", "2500", "-robust-seeds", "2"}, &stdout, &stderr); code != exitOK {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
+	}
+	if got := stdout.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("report differs from %s:\n--- got ---\n%s--- want ---\n%s", goldenReport, got, want)
+	}
+}
+
 // TestRunErrorPaths is the CLI hardening contract: every bad
 // invocation returns its designated exit code with a message on
 // stderr, and none of them panics.

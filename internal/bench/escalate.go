@@ -125,17 +125,18 @@ func sameBank(a, b dram.Location) bool {
 // two rows apart, victim row holding leaf tables with a non-empty
 // jackpot surface.
 type pairCand struct {
-	lo, hi       regionCand
-	loLoc, hiLoc dram.Location
-	victimRow    uint64
-	victims      []phys.Addr
-	sprayable    int
+	lo, hi    regionCand
+	victimRow uint64
+	victims   []phys.Addr
+	sprayable int
 }
 
-// regionCand is one touched 2 MiB region and its leaf-PTE address.
+// regionCand is one touched 2 MiB region, its leaf-PTE address, and
+// that PTE's DRAM location, decoded once.
 type regionCand struct {
 	va  phys.Addr
 	pte phys.Addr
+	loc dram.Location
 }
 
 // EscalationPlanner enumerates and ranks every viable aggressor pair on
@@ -154,13 +155,34 @@ type EscalationPlanner struct {
 	ptOf  map[phys.Frame]phys.Addr
 }
 
+// jackpotIndex counts, per 2 MiB region, the single-bit jackpot
+// positions over the region's identity frames: the (page frame f, bit
+// j < frameBits) combinations where f with bit j flipped is a known
+// leaf-PT frame. It inverts that count — every table frame t and bit j
+// credit the region holding t^1<<j — so the cost is O(tables ×
+// frameBits) once, and a region's count is one lookup. Every frame is
+// below 1<<frameBits, so t^1<<j is too, and the slice covers it.
+func jackpotIndex(ptOf map[phys.Frame]phys.Addr, frameBits int) []int {
+	framesPerRegion := pagetable.Span(2) / phys.FrameSize
+	count := make([]int, ((uint64(1)<<frameBits)-1)/framesPerRegion+1)
+	for t := range ptOf {
+		for j := 0; j < frameBits; j++ {
+			count[uint64(t^phys.Frame(1)<<j)/framesPerRegion]++
+		}
+	}
+	return count
+}
+
 // NewEscalationPlanner touches up to escalationSeedRegions regions
 // (demand-allocating their page tables), then collects every same-bank
 // two-rows-apart PTE pair whose victim row holds leaf page tables with
 // at least one single-bit jackpot position, ranked by jackpot-surface
 // size (scan order breaks ties), deduplicated by victim row — two
-// pairs hammering the same row would fail the same way. Only demand
-// loads are issued.
+// pairs hammering the same row would fail the same way. The jackpot
+// surface comes from an index built once per planner in O(tables ×
+// frame bits) (see jackpotIndex), and each candidate's DRAM location
+// is decoded once, so ranking costs one index lookup per victim table
+// on top of the pair scan. Only demand loads are issued.
 func NewEscalationPlanner(m *machine.Machine) (*EscalationPlanner, error) {
 	span := pagetable.Span(2)
 	geom := m.DRAM().Config()
@@ -172,28 +194,11 @@ func NewEscalationPlanner(m *machine.Machine) (*EscalationPlanner, error) {
 		va := phys.Addr(uint64(k) * span)
 		m.Load(va)
 		if pte, ok := m.PTEAddr(va, 1); ok {
-			cands = append(cands, regionCand{va: va, pte: pte})
+			cands = append(cands, regionCand{va: va, pte: pte, loc: geom.Map(pte)})
 		}
 	}
 	ptOf := leafPTs(m)
-	frameBits := bits.Len64(m.Memory().Frames() - 1)
-
-	// sprayableIn counts single-bit jackpot positions over one region's
-	// identity frames: bit j of page frame f flipping onto a known
-	// page-table frame.
-	sprayableIn := func(base phys.Addr) int {
-		n := 0
-		first := phys.FrameOf(base)
-		for p := uint64(0); p < span/phys.FrameSize; p++ {
-			f := first + phys.Frame(p)
-			for j := 0; j < frameBits; j++ {
-				if _, ok := ptOf[f^phys.Frame(1)<<j]; ok {
-					n++
-				}
-			}
-		}
-		return n
-	}
+	jackpots := jackpotIndex(ptOf, bits.Len64(m.Memory().Frames()-1))
 
 	p := &EscalationPlanner{m: m, geom: geom, cands: cands, ptOf: ptOf}
 	type rowKey struct {
@@ -203,25 +208,22 @@ func NewEscalationPlanner(m *machine.Machine) (*EscalationPlanner, error) {
 	seen := make(map[rowKey]bool)
 	for i := range cands {
 		for j := i + 1; j < len(cands); j++ {
-			a, b := geom.Map(cands[i].pte), geom.Map(cands[j].pte)
-			if !sameBank(a, b) {
-				continue
-			}
 			lo, hi := cands[i], cands[j]
-			loLoc, hiLoc := a, b
-			if loLoc.Row > hiLoc.Row {
-				lo, hi = hi, lo
-				loLoc, hiLoc = hiLoc, loLoc
-			}
-			if hiLoc.Row-loLoc.Row != 2 {
+			if !sameBank(lo.loc, hi.loc) {
 				continue
 			}
-			victimRow := loLoc.Row + 1
-			key := rowKey{loLoc.Channel, loLoc.Rank, loLoc.Bank, victimRow}
+			if lo.loc.Row > hi.loc.Row {
+				lo, hi = hi, lo
+			}
+			if hi.loc.Row-lo.loc.Row != 2 {
+				continue
+			}
+			victimRow := lo.loc.Row + 1
+			key := rowKey{lo.loc.Channel, lo.loc.Rank, lo.loc.Bank, victimRow}
 			if seen[key] {
 				continue
 			}
-			start, rowBytes := geom.RowRange(loLoc.Channel, loLoc.Rank, loLoc.Bank, victimRow)
+			start, rowBytes := geom.RowRange(lo.loc.Channel, lo.loc.Rank, lo.loc.Bank, victimRow)
 
 			// Which regions' leaf tables live in the victim row, and is
 			// any of them sprayable?
@@ -230,7 +232,7 @@ func NewEscalationPlanner(m *machine.Machine) (*EscalationPlanner, error) {
 			for f := phys.FrameOf(start); f <= phys.FrameOf(start+phys.Addr(rowBytes-1)); f++ {
 				if base, ok := ptOf[f]; ok {
 					victims = append(victims, base)
-					sprayable += sprayableIn(base)
+					sprayable += jackpots[uint64(base)/span]
 				}
 			}
 			if sprayable == 0 {
@@ -238,8 +240,8 @@ func NewEscalationPlanner(m *machine.Machine) (*EscalationPlanner, error) {
 			}
 			seen[key] = true
 			p.pairs = append(p.pairs, pairCand{
-				lo: lo, hi: hi, loLoc: loLoc, hiLoc: hiLoc,
-				victimRow: victimRow, victims: victims, sprayable: sprayable,
+				lo: lo, hi: hi, victimRow: victimRow,
+				victims: victims, sprayable: sprayable,
 			})
 		}
 	}
@@ -272,7 +274,7 @@ func (p *EscalationPlanner) Next() (*EscalationPlan, error) {
 		Pair: ImplicitPair{
 			VA1: pc.lo.va, VA2: pc.hi.va,
 			PTE1: pc.lo.pte, PTE2: pc.hi.pte,
-			Loc1: pc.loLoc, Loc2: pc.hiLoc,
+			Loc1: pc.lo.loc, Loc2: pc.hi.loc,
 			VictimRow: pc.victimRow,
 		},
 		VictimRegions: pc.victims,
@@ -294,12 +296,11 @@ func (p *EscalationPlanner) Next() (*EscalationPlan, error) {
 	// corrupt (the victim row by design, its neighbours under drift),
 	// and a corrupted stream translation could resolve anywhere.
 	for _, c := range p.cands {
-		loc := p.geom.Map(c.pte)
-		if sameBank(loc, pc.loLoc) && loc.Row+1 >= pc.loLoc.Row && loc.Row <= pc.hiLoc.Row+1 {
+		if sameBank(c.loc, pc.lo.loc) && c.loc.Row+1 >= pc.lo.loc.Row && c.loc.Row <= pc.hi.loc.Row+1 {
 			plan.Exclude = regionPages(c.va, plan.Exclude)
 		}
 	}
-	if err := plan.pickThrash(p.m, p.geom, pc.loLoc, pc.hiLoc); err != nil {
+	if err := plan.pickThrash(p.m, p.geom, pc.lo.loc, pc.hi.loc); err != nil {
 		return nil, err
 	}
 	return plan, nil

@@ -55,6 +55,8 @@ func newMachine() *machine.Machine {
 //	                     rewrite own PTEs through the corrupted mapping
 //	resilient-escalation budgeted driver recovering from a mid-run
 //	                     aggressor-pair invalidation via replanning
+//	escalation-planner   the planner's candidate scan and pair ranking
+//	                     alone, on a fresh demo machine per op
 //	mt-colocated-amplify two co-located attacker cores double the victim
 //	                     row's pressure past a threshold one core cannot reach
 //	mt-noisy-neighbour   a streaming bystander tenant dilutes the attacker's
@@ -215,6 +217,25 @@ func Scenarios() []Scenario {
 					}
 					if !v.Success || v.Replans == 0 {
 						b.Fatalf("driver did not recover via replan: %+v", v)
+					}
+				}
+			},
+		},
+		{
+			// The planner-ranking layer on its own: one
+			// NewEscalationPlanner per op — touching the seed regions,
+			// indexing the jackpot surface and ranking every candidate
+			// pair — on a fresh demo machine built with the timer
+			// stopped. Not steady-state: each op demand-allocates page
+			// tables and builds the ranking.
+			Name: "escalation-planner",
+			Run: func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					m := machine.MustNew(EscalationConfig(flip.MustNewModel(flip.ClassA(), 1)))
+					b.StartTimer()
+					if _, err := NewEscalationPlanner(m); err != nil {
+						b.Fatal(err)
 					}
 				}
 			},
