@@ -19,12 +19,14 @@
 //     rates per 10⁶ tenants across module classes A/B/C and both table
 //     striping layouts.
 //
-// Every core runs in its own goroutine, but the interleaver grants
-// quanta lowest-clock-first with a fixed tiebreak, so the output bytes
-// are a pure function of the flags — in particular independent of
-// -procs (GOMAXPROCS) and of -pool (the population runs' front-end
-// count). CI asserts this by diffing runs at -procs 1, 2 and 4, twice
-// each, and the population table additionally across two -pool sizes.
+// Every core runs as its own coroutine, and the interleaver grants
+// quanta lowest-clock-first with a fixed tiebreak; the population
+// runs' units run in parallel, but share no simulated state. So the
+// output bytes are a pure function of the flags — in particular
+// independent of -procs (GOMAXPROCS) and of -pool (the population
+// runs' front-end count). CI asserts this by diffing runs at -procs 1,
+// 2 and 4, twice each, and the population table additionally across
+// -pool sizes, one of them a single unit.
 //
 // Usage:
 //

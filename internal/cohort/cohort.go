@@ -6,28 +6,36 @@
 // class and per-tenant seed — so simulating 10⁴+ tenants allocates
 // like simulating a handful.
 //
+// Units run concurrently, one goroutine each: unit k of U runs tenants
+// k, k+U, k+2U, … in order, recycling its machine between them. Pool
+// size therefore bounds concurrency and GOMAXPROCS sets the real
+// parallelism; neither may reach the outcomes.
+//
 // Determinism is the package's load-bearing property, and it is
 // layered:
 //
-//   - within a slice, every active unit's two cores run under one
+//   - within a unit, each tenant's two cores run under their own
 //     internal/core interleaver, so the schedule is bit-identical for
 //     any GOMAXPROCS value;
-//   - across pool sizes, tenants are observationally independent —
-//     each runs on a freshly recycled unit whose post-Reset state is
-//     bit-identical to construction (the reset-equivalence difftest in
-//     internal/machine) and units share no simulated state — so
-//     regrouping tenants into wider or narrower slices cannot change
-//     any tenant's outcome;
+//   - across units and pool sizes, tenants are observationally
+//     independent — each runs on a freshly recycled unit whose
+//     post-Reset state is bit-identical to construction (the
+//     reset-equivalence difftest in internal/machine) and units share
+//     no mutable state, simulated or host — so neither regrouping
+//     tenants onto more or fewer units nor the order in which the host
+//     runs the units can change any tenant's outcome;
 //   - per-tenant randomness (the flip model's sampling, the victim's
 //     load jitter) derives from a seed mixed from the population seed
 //     and the tenant index alone.
 //
 // CI pins all three: population tables must be byte-identical across
-// GOMAXPROCS {1,2,4} and across two pool sizes.
+// GOMAXPROCS {1,2,4}, across pool sizes (a single unit among them) and
+// under -race, which makes the no-shared-state rule structural.
 package cohort
 
 import (
 	"fmt"
+	"sync"
 
 	"pthammer/internal/core"
 	"pthammer/internal/flip"
@@ -37,7 +45,7 @@ import (
 )
 
 // Spec describes one population run: how many tenants of one module
-// class to push through the pool, and the per-tenant slice budget.
+// class to push through the pool, and the per-tenant hammer budget.
 type Spec struct {
 	// Profile is the flip-model module class every tenant's DRAM is
 	// drawn from (flip.ClassA/B/C).
@@ -125,7 +133,8 @@ func (p Population) TableFlipsPerM() uint64 { return p.perMillion(p.TableFlips) 
 
 // unit is one slot of the pool: a two-core machine (core 0 the
 // attacker tenant, core 1 the victim tenant) plus its once-constructed
-// flip model, recycled for every tenant scheduled onto it.
+// flip model, recycled for every tenant scheduled onto it. Everything
+// but the read-only geometry belongs to the unit's goroutine alone.
 type unit struct {
 	mm       *machine.MultiMachine
 	model    *flip.Model
@@ -133,15 +142,15 @@ type unit struct {
 	victim   *machine.Machine
 	geo      geometry
 
-	// Per-tenant slice state.
+	// Per-tenant state.
 	out   Outcome
 	jit   uint64
 	level uint64
 }
 
-// Pool is a bounded set of units tenants are time-sliced over. All
-// units are identical, so a population's outcomes are a pure function
-// of the Spec and the pool's layout — never of its size.
+// Pool is a bounded set of units tenants are spread over. All units
+// are identical, so a population's outcomes are a pure function of the
+// Spec and the pool's layout — never of its size.
 type Pool struct {
 	layout machine.TableLayout
 	units  []*unit
@@ -192,7 +201,7 @@ func NewPool(frontEnds int, layout machine.TableLayout) (*Pool, error) {
 	return p, nil
 }
 
-// Units returns how many tenant slots a slice runs concurrently.
+// Units returns how many tenants the pool runs concurrently.
 func (p *Pool) Units() int { return len(p.units) }
 
 // FrontEnds returns how many core front-ends the pool drives.
@@ -249,7 +258,7 @@ func (u *unit) prepare(spec Spec, tenant int) error {
 	return nil
 }
 
-// collect finishes one tenant's slice: count the flips that landed in
+// collect finishes one tenant's run: count the flips that landed in
 // victim table frames, scan the sprayed surface for breached
 // translations (only when a table flip makes one possible), and judge
 // dilution against the hammer threshold.
@@ -283,30 +292,51 @@ func (u *unit) collect() Outcome {
 
 // RunDetailed pushes a population through the pool and returns both
 // the merged statistics and every tenant's outcome, in tenant order.
-// Tenants are scheduled in index order, len(units) per slice; each
-// slice's active cores run under one deterministic interleaver.
+// Units run concurrently, each on its own goroutine: unit k of U runs
+// tenants k, k+U, k+2U, … in order, each tenant's two cores under its
+// own deterministic interleaver. Units share no simulated state, so
+// the outcomes are independent of both the pool size and how the host
+// schedules the units.
+//
+// A panic in any unit is re-raised on the caller's goroutine once
+// every unit has stopped — the lowest unit index's value when several
+// panic. Otherwise a failed tenant set-up returns the lowest failing
+// tenant's error; partial outcomes are never returned.
 func (p *Pool) RunDetailed(spec Spec) (Population, []Outcome, error) {
 	if err := spec.validate(); err != nil {
 		return Population{}, nil, err
 	}
 	budget := timing.Cycles(spec.Windows) * tenantWindow
-	outs := make([]Outcome, 0, spec.Tenants)
-	for base := 0; base < spec.Tenants; base += len(p.units) {
-		active := min(len(p.units), spec.Tenants-base)
-		streams := make([]core.Stream, 0, 2*active)
-		for k := 0; k < active; k++ {
-			u := p.units[k]
-			if err := u.prepare(spec, base+k); err != nil {
-				return Population{}, nil, err
+	outs := make([]Outcome, spec.Tenants)
+	errs := make([]error, spec.Tenants)
+	panics := make([]any, len(p.units))
+	var wg sync.WaitGroup
+	for k, u := range p.units {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[k] = recover() }()
+			for t := k; t < spec.Tenants; t += len(p.units) {
+				if errs[t] = u.prepare(spec, t); errs[t] != nil {
+					return
+				}
+				core.Run([]core.Stream{
+					{Now: u.attacker.Clock().Now, Run: u.attackerBody(budget)},
+					{Now: u.victim.Clock().Now, Run: u.victimBody(budget)},
+				})
+				outs[t] = u.collect()
 			}
-			streams = append(streams,
-				core.Stream{Now: u.attacker.Clock().Now, Run: u.attackerBody(budget)},
-				core.Stream{Now: u.victim.Clock().Now, Run: u.victimBody(budget)},
-			)
+		}()
+	}
+	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
 		}
-		core.Run(streams)
-		for k := 0; k < active; k++ {
-			outs = append(outs, p.units[k].collect())
+	}
+	for _, err := range errs {
+		if err != nil {
+			return Population{}, nil, err
 		}
 	}
 	return merge(spec, p.layout, outs), outs, nil

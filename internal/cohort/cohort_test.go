@@ -1,10 +1,15 @@
 package cohort
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"pthammer/internal/flip"
 	"pthammer/internal/machine"
+	"pthammer/internal/phys"
 )
 
 // TestPoolValidation pins the constructor and spec guards.
@@ -38,7 +43,7 @@ func TestPoolValidation(t *testing.T) {
 
 // TestPoolSizeInvariance is the scheduling half of the determinism
 // contract: tenants are observationally independent, so regrouping the
-// same population into narrower or wider slices — a 2-front-end pool
+// same population onto fewer or more units — a 2-front-end pool
 // against an 8-front-end one, with a tenant count that divides neither
 // evenly — must reproduce every tenant's outcome bit for bit.
 func TestPoolSizeInvariance(t *testing.T) {
@@ -206,6 +211,40 @@ func TestClassMonotonicity(t *testing.T) {
 	if breaches["A"] < breaches["C"] || breaches["A"] == 0 {
 		t.Errorf("breaches not monotone across classes: %v", breaches)
 	}
+}
+
+// TestUnitPanicSurfacesOnCaller: units run on their own goroutines, so
+// a panic inside one must be carried back to RunDetailed's caller
+// rather than crash the process, and only after every unit has stopped
+// — no unit goroutine or stream coroutine may outlive the call. One
+// unit of four gets a hammer ring holding an address past the end of
+// memory (a fresh slice, so the other units keep the shared geometry).
+func TestUnitPanicSurfacesOnCaller(t *testing.T) {
+	p, err := NewPool(8, machine.LayoutInterleaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := p.units[2]
+	ring := append([]phys.Addr(nil), bad.geo.ring...)
+	ring[0] = phys.Addr(tenantMemBytes)
+	bad.geo.ring = ring
+
+	base := runtime.NumGoroutine()
+	defer func() {
+		r := recover()
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "outside") || !strings.Contains(msg, "memory") {
+			t.Fatalf("recovered %v, want the machine's out-of-memory panic", r)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after the panic, baseline %d", runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	p.RunDetailed(Spec{Profile: flip.ClassA(), Tenants: 10, Seed: 1, Windows: 1})
+	t.Fatal("RunDetailed returned instead of panicking")
 }
 
 // TestPerMillionRates pins the integer rate arithmetic the population

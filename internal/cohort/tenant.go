@@ -1,6 +1,6 @@
 // Per-tenant simulation: the micro machine every cohort unit runs, the
 // fixed tenant geometry probed from it, and the attacker/victim stream
-// bodies one tenant's time slice executes.
+// bodies one tenant's run executes.
 //
 // Every tenant is one attacker/victim pair on a two-core, two-tenant
 // machine.Config scaled down ~1000× from the SandyBridge preset, so a
@@ -44,7 +44,7 @@ const (
 
 	// tenantWindow is the micro refresh window: long enough for the
 	// attacker to land ~130 aggressor activations per window, short
-	// enough that a whole tenant slice is a few hundred microseconds.
+	// enough that a whole tenant run is a few hundred microseconds.
 	tenantWindow = timing.Cycles(60_000)
 
 	// tenantThreshold sits inside the attacker's pressure band
@@ -150,7 +150,7 @@ type geometry struct {
 	sandwiched bool
 	victimRow  uint64
 	// spray is every page of the victim's premapped regions, the
-	// surface scanned for breached translations after the slice.
+	// surface scanned for breached translations after the run.
 	spray []phys.Addr
 	// stream is the victim's TLB-resident load set.
 	stream []phys.Addr
@@ -161,7 +161,7 @@ type geometry struct {
 // order (fixing the table pool's allocation order, and with it the
 // pair geometry), the victim premaps its spray and warms its stream
 // pages into the TLB. Must be followed by alignTenant before the
-// measured slice.
+// measured run.
 func setupTenant(mm *machine.MultiMachine) {
 	attacker, victim := mm.Core(0), mm.Core(1)
 	for r := 0; r < attackerRegions; r++ {
@@ -180,7 +180,7 @@ func streamPage(k int) phys.Addr {
 
 // alignTenant advances both cores to the later of the two clocks and
 // opens a fresh refresh window there, so construction skew never leaks
-// into the measured slice.
+// into the measured run.
 func alignTenant(mm *machine.MultiMachine) {
 	a, v := mm.Core(0).Clock(), mm.Core(1).Clock()
 	max := a.Now()
@@ -288,7 +288,7 @@ func probeGeometry(mm *machine.MultiMachine) (geometry, error) {
 
 const linesPerPage = int(phys.FrameSize / 64)
 
-// attackerBody returns the attacker's stream body for one slice: ring
+// attackerBody returns the attacker's stream body for one tenant: ring
 // loads in quanta of attackerQuantum, sampling the sandwiched victim
 // row's live pressure after each quantum.
 func (u *unit) attackerBody(budget timing.Cycles) func(yield func()) {

@@ -1,6 +1,6 @@
 // Package core is the deterministic interleaver underneath the
 // simulator's multi-core mode: it drives N per-core access streams,
-// each in its own goroutine, while granting execution to exactly one
+// each as its own coroutine, while granting execution to exactly one
 // stream at a time — always the runnable stream whose logical clock is
 // lowest, ties broken by lowest core index. The sweep engine already
 // established the repo's concurrency contract (worker count changes
@@ -11,12 +11,15 @@
 // state the streams touch (LLC contents, DRAM activation counters,
 // flip-engine reports) — is bit-identical for any GOMAXPROCS value.
 //
-// The handshake is strictly serial: the scheduler grants one quantum,
-// then blocks until the granted stream reports back (parked at its
-// next yield, or finished) before picking again. Exactly one goroutine
-// executes simulator code at any instant, and every edge is an
-// unbuffered channel operation, so the interleaver is race-clean by
-// construction — the property the CI multicore leg pins under -race.
+// Each stream body runs inside an iter.Pull coroutine. A grant is one
+// call to the coroutine's next: control switches into the body, which
+// runs until its next yield (or until it returns) and switches straight
+// back. The switch is a direct hand-off, not a wake-up through the Go
+// scheduler, so exactly one body executes simulator code at any
+// instant and the caller's goroutine is blocked meanwhile. iter.Pull
+// annotates every switch for the race detector, so the interleaver is
+// race-clean by construction — the property the CI multicore leg pins
+// under -race.
 //
 // Because grants always go to the lowest clock, the sequence of clock
 // values observed at grant time is nondecreasing: shared devices see
@@ -26,7 +29,11 @@
 // from a core that has not caught up yet; see dram.rotateWindow.
 package core
 
-import "pthammer/internal/timing"
+import (
+	"iter"
+
+	"pthammer/internal/timing"
+)
 
 // Stream is one core's access stream under the interleaver.
 type Stream struct {
@@ -37,20 +44,33 @@ type Stream struct {
 
 	// Run is the stream body. It must call yield() between quanta —
 	// every point at which the scheduler may hand execution to another
-	// core — and may simply return when the stream is done. Touching
-	// shared simulator state without an intervening yield is safe (the
-	// quantum is atomic) but delays other cores whose clocks are
-	// behind, so keep quanta small: one hammer iteration, one batch of
-	// loads, one scan.
+	// core — and may simply return when the stream is done. yield
+	// switches control back to the scheduler and returns once the
+	// stream is granted its next quantum. Touching shared simulator
+	// state without an intervening yield is safe (the quantum is
+	// atomic) but delays other cores whose clocks are behind, so keep
+	// quanta small: one hammer iteration, one batch of loads, one scan.
 	Run func(yield func())
 }
 
-// streamAbort is the sentinel a parked stream panics with to unwind
-// itself during teardown after another stream's body panicked. The
-// unwind runs the stream's own deferred cleanup on its own goroutine —
-// exactly what a cooperating body expects — and is recovered at the
-// goroutine top, never escaping to the user.
+// streamAbort is the sentinel a parked stream's yield panics with once
+// its coroutine has been stopped during teardown. The unwind runs the
+// stream's own deferred cleanup, and the sentinel is discarded when the
+// stop returns, never escaping to the user.
 type streamAbort struct{}
+
+// seq adapts the stream body to the coroutine protocol: each yield
+// parks the body until the next grant, and a yield on a stopped
+// coroutine unwinds the body.
+func (s Stream) seq() iter.Seq[struct{}] {
+	return func(y func(struct{}) bool) {
+		s.Run(func() {
+			if !y(struct{}{}) {
+				panic(streamAbort{})
+			}
+		})
+	}
+}
 
 // Run executes the streams to completion under the deterministic
 // schedule and returns the grant log: the core index granted at each
@@ -61,13 +81,15 @@ type streamAbort struct{}
 // Run panics on a stream with a nil Now or Run — a wiring bug, not a
 // runtime condition.
 //
-// A panic inside a stream body does not crash the process from the
-// stream's goroutine: Run aborts the schedule, resumes every other
-// live stream so it unwinds through its deferred cleanup (yield panics
-// a private sentinel after the grant), waits for all goroutines to
-// finish, and then re-panics the original value on the caller's
-// goroutine. The first panicking stream wins; panics raised by cleanup
-// during the unwind are swallowed in favour of the original.
+// A panic inside a stream body surfaces on the caller's goroutine with
+// the original value, after teardown: every other live stream is
+// stopped, so its parked yield panics a private sentinel and the body
+// unwinds through its deferred cleanup. Panics raised by that cleanup
+// are discarded in favour of the original. A body that calls
+// runtime.Goexit (t.Fatal or t.FailNow inside a test's body, say)
+// tears the other streams down the same way and then exits the
+// caller's goroutine too: Run never returns normally in that case.
+// Either way no stream's coroutine outlives Run.
 func Run(streams []Stream) []int {
 	n := len(streams)
 	if n == 0 {
@@ -79,71 +101,35 @@ func Run(streams []Stream) []int {
 		}
 	}
 
-	type report struct {
-		core     int
-		done     bool
-		panicked bool
-		val      any
+	nexts := make([]func() (struct{}, bool), n)
+	stops := make([]func(), n)
+	for i, s := range streams {
+		nexts[i], stops[i] = iter.Pull(s.seq())
 	}
-	grants := make([]chan struct{}, n)
-	status := make(chan report)
-	// abort is written by the scheduler only while every live stream is
-	// parked, and read by a stream only after receiving a grant; the
-	// grant channel's send/receive edge orders the two, so a plain bool
-	// is race-free.
-	abort := false
-	for i := range streams {
-		grants[i] = make(chan struct{})
-		go func(i int, s Stream) {
-			defer func() {
-				switch r := recover(); {
-				case r == nil:
-					// s.Run returned normally; the done report was
-					// already sent below.
-				case r == any(streamAbort{}):
-					status <- report{core: i, done: true}
-				default:
-					status <- report{core: i, done: true, panicked: true, val: r}
-				}
-			}()
-			yield := func() {
-				status <- report{core: i}
-				<-grants[i]
-				if abort {
-					panic(streamAbort{})
-				}
-			}
-			// Wait for the first grant so the stream body never runs
-			// concurrently with another stream's quantum.
-			<-grants[i]
-			if abort {
-				panic(streamAbort{})
-			}
-			s.Run(yield)
-			status <- report{core: i, done: true}
-		}(i, streams[i])
-	}
+	// Teardown: stopping a finished coroutine is a no-op; stopping a
+	// parked one unwinds its body. On a panic or Goexit out of a body
+	// (re-raised here by next), the original value is re-panicked after
+	// the unwind, and a Goexit simply continues once this returns.
+	defer func() {
+		r := recover()
+		for _, stop := range stops {
+			stopDiscarding(stop)
+		}
+		if r != nil {
+			panic(r)
+		}
+	}()
 
-	// Every stream is parked at its initial grant receive; the
-	// scheduler loop below keeps the invariant that all live streams
-	// are parked whenever it picks, because it blocks on the granted
-	// stream's report before picking again.
-	done := make([]bool, n)
-	remaining := n
+	// Every live stream is parked (at its start or at a yield) whenever
+	// the loop picks, because next returns only once the granted body
+	// yields or finishes.
 	var log []int
-	var panicVal any
-	for remaining > 0 {
+	for remaining := n; remaining > 0; {
 		best := -1
 		var bestT timing.Cycles
-		for i := 0; i < n; i++ {
-			if done[i] {
+		for i, next := range nexts {
+			if next == nil {
 				continue
-			}
-			if abort {
-				// Teardown: order no longer matters, clocks may be
-				// mid-update in the panicked body — grant by index.
-				best = i
-				break
 			}
 			t := streams[i].Now()
 			// Strict < implements the fixed tiebreak: equal clocks go
@@ -152,22 +138,19 @@ func Run(streams []Stream) []int {
 				best, bestT = i, t
 			}
 		}
-		if !abort {
-			log = append(log, best)
-		}
-		grants[best] <- struct{}{}
-		r := <-status
-		if r.done {
-			done[r.core] = true
+		log = append(log, best)
+		if _, ok := nexts[best](); !ok {
+			nexts[best] = nil
 			remaining--
 		}
-		if r.panicked && panicVal == nil {
-			panicVal = r.val
-			abort = true
-		}
-	}
-	if panicVal != nil {
-		panic(panicVal)
 	}
 	return log
+}
+
+// stopDiscarding stops one coroutine, discarding whatever its unwind
+// panics with: the streamAbort sentinel, or a panic raised by the
+// body's cleanup.
+func stopDiscarding(stop func()) {
+	defer func() { _ = recover() }()
+	stop()
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"pthammer/internal/core"
 	"pthammer/internal/timing"
@@ -253,5 +254,132 @@ func TestGrantClocksNondecreasing(t *testing.T) {
 		if granted[i] < granted[i-1] {
 			t.Fatalf("grant-time clocks not nondecreasing: %v", granted)
 		}
+	}
+}
+
+// TestGoexitInStreamTearsDown: a body that calls runtime.Goexit — what
+// t.Fatal or t.FailNow inside a MultiMachine.Run body does — must not
+// hang Run. Goexit propagates to the caller's goroutine after every
+// other stream has unwound through its deferred cleanup, so Run neither
+// returns normally nor panics.
+func TestGoexitInStreamTearsDown(t *testing.T) {
+	cleaned := make([]bool, 3)
+	streams := make([]core.Stream, len(cleaned))
+	for i := range streams {
+		streams[i] = ticking(func(q int) {
+			if i == 1 && q == 1 {
+				runtime.Goexit()
+			}
+		}, func() { cleaned[i] = true })
+	}
+	returned := false
+	var recovered any
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		defer func() { recovered = recover() }()
+		core.Run(streams)
+		returned = true
+	}()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run hung after a stream called runtime.Goexit")
+	}
+	if returned {
+		t.Error("Run returned normally after a stream called runtime.Goexit")
+	}
+	if recovered != nil {
+		t.Errorf("Run panicked with %v instead of propagating Goexit", recovered)
+	}
+	for i, c := range cleaned {
+		if !c {
+			t.Errorf("core %d deferred cleanup never ran", i)
+		}
+	}
+}
+
+// TestCleanupPanicKeepsOriginal: a parked stream whose deferred cleanup
+// panics while it unwinds must neither replace the original panic value
+// nor cut the teardown short — core 2, stopped after core 0's cleanup
+// panicked, still unwinds.
+func TestCleanupPanicKeepsOriginal(t *testing.T) {
+	cleaned := false
+	streams := []core.Stream{
+		ticking(func(q int) {}, func() { panic("cleanup in core 0") }),
+		ticking(func(q int) {
+			if q == 2 {
+				panic("boom in core 1")
+			}
+		}, func() {}),
+		ticking(func(q int) {}, func() { cleaned = true }),
+	}
+	defer func() {
+		if r := recover(); r != "boom in core 1" {
+			t.Fatalf("recovered %v, want the original panic value", r)
+		}
+		if !cleaned {
+			t.Error("core 2 deferred cleanup never ran after core 0's cleanup panicked")
+		}
+	}()
+	core.Run(streams)
+	t.Fatal("Run returned instead of panicking")
+}
+
+// ticking returns an endless stream advancing its clock 10 cycles per
+// quantum: quantum(q) runs before the q-th yield and cleanup is
+// deferred over the whole body.
+func ticking(quantum func(q int), cleanup func()) core.Stream {
+	clock := timing.Cycles(0)
+	return core.Stream{
+		Now: func() timing.Cycles { return clock },
+		Run: func(yield func()) {
+			defer cleanup()
+			for q := 0; ; q++ {
+				clock += 10
+				quantum(q)
+				yield()
+			}
+		},
+	}
+}
+
+// TestNoGoroutineLeak: every stream's coroutine is a parked goroutine
+// until it finishes or is stopped, so a teardown that forgets one leaks
+// it for good. After a normal run and after a panicking one, the
+// goroutine count must return to its baseline.
+func TestNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	a := &scripted{steps: []timing.Cycles{3, 5, 3, 5}}
+	b := &scripted{steps: []timing.Cycles{4, 4, 4}}
+	core.Run([]core.Stream{a.stream(), b.stream()})
+	waitForGoroutines(t, base, "normal run")
+
+	func() {
+		defer func() { _ = recover() }()
+		core.Run([]core.Stream{
+			ticking(func(q int) {}, func() {}),
+			ticking(func(q int) {
+				if q == 3 {
+					panic("boom")
+				}
+			}, func() {}),
+			ticking(func(q int) {}, func() {}),
+		})
+	}()
+	waitForGoroutines(t, base, "panicking run")
+}
+
+// waitForGoroutines polls until the goroutine count is back at base:
+// goroutines other tests started may still be exiting, but a parked
+// coroutine never will.
+func waitForGoroutines(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("after a %s: %d goroutines, baseline %d", after, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

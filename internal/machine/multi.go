@@ -304,14 +304,15 @@ func (mm *MultiMachine) Reset() {
 	}
 }
 
-// Run drives every core's body concurrently under the deterministic
-// interleaver: body(i, core i's front-end, yield) runs in its own
-// goroutine, but quanta are serialised lowest-clock-first (ties to the
-// lowest core index), so the interleaving — and everything it does to
-// shared state — is bit-identical for any GOMAXPROCS value. Bodies
-// must call yield between quanta (every few accesses) and must not
-// touch another core's front-end. Returns the interleaver's grant log;
-// see internal/core.
+// Run drives every core's body under the deterministic interleaver:
+// body(i, core i's front-end, yield) runs as its own coroutine, and
+// quanta are serialised lowest-clock-first (ties to the lowest core
+// index), so the interleaving — and everything it does to shared
+// state — is bit-identical for any GOMAXPROCS value. Bodies must call
+// yield between quanta (every few accesses) and must not touch another
+// core's front-end. A panic or runtime.Goexit in a body (t.Fatal
+// included) surfaces from Run after the other bodies unwind. Returns
+// the interleaver's grant log; see internal/core.
 func (mm *MultiMachine) Run(body func(i int, m *Machine, yield func())) []int {
 	streams := make([]core.Stream, len(mm.cores))
 	for i := range mm.cores {
