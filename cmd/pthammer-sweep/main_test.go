@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"runtime"
 	"testing"
 )
@@ -65,5 +66,56 @@ func TestBuildSpecRejectsBadInput(t *testing.T) {
 	}
 	if _, err := buildSpec("evict", 0, 0, 10, 10, 1, 0, 0, 1); err == nil {
 		t.Error("zero targets accepted")
+	}
+	// 513 targets put the last one at 1 GiB, past the preset's memory:
+	// the tables come back as an error in both modes, never a panic.
+	for _, mode := range []string{"evict", "flush"} {
+		spec, err := buildSpec(mode, 513, 0, 10, 10, 1, 0, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := renderTables(spec, mode); err == nil {
+			t.Errorf("%s: target outside memory accepted", mode)
+		}
+	}
+}
+
+// goldenTables are committed outputs of pthammer-sweep, generated by an
+// older tree whose shards replayed compiled payload programs, so every
+// later change to the shard loop is checked against bytes from another
+// engine, not only against a rerun of itself. Never regenerate them to
+// make a refactor pass; only a deliberate change of simulated output
+// may touch them. Flags not listed are the command's defaults (-padmin
+// 0 -padmax 100 -padstep 10 -noise 0.05; -workers never affects the
+// bytes).
+var goldenTables = []struct {
+	file          string
+	mode          string
+	targets, reps int
+	seed          int64
+}{
+	{"testdata/default.tsv", "evict", 2, 20, 1},
+	{"testdata/mode-flush.tsv", "flush", 2, 20, 1},
+	{"testdata/seed7-targets4-reps30.tsv", "evict", 4, 30, 7},
+}
+
+// TestGoldenTables byte-compares renderTables against goldenTables.
+func TestGoldenTables(t *testing.T) {
+	for _, g := range goldenTables {
+		want, err := os.ReadFile(g.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := buildSpec(g.mode, g.targets, 0, 100, 10, g.reps, 0, 0.05, g.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := renderTables(spec, g.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("tables differ from %s:\n--- got ---\n%s--- want ---\n%s", g.file, got, want)
+		}
 	}
 }

@@ -40,10 +40,9 @@ var deterministicSuffixes = []string{
 	// machine's whole determinism story, so a wall-clock read or an
 	// unordered iteration here breaks byte-identical mt-* output.
 	"internal/core",
-	// Compiled payloads must replay bit-identically to the closure
-	// bodies they lower — the differential harness compares them down
-	// to clock deltas and PMC banks, so nondeterminism here is a
-	// correctness bug, not jitter.
+	// The retired payload engine's program format: Encode must stay a
+	// pure function of the program (the fuzzed round trip), until the
+	// package is deleted.
 	"internal/payload",
 	// The cohort scheduler's population tables are byte-diffed across
 	// GOMAXPROCS and pool sizes in CI; per-tenant randomness must come

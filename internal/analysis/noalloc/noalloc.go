@@ -53,11 +53,12 @@ type Fact struct {
 // would silently stop verifying the function's body, so the analyzer
 // turns either into a build failure instead.
 var required = map[string][]string{
-	"internal/payload": {
-		// The op-stream dispatch loop: compiled payloads promise the
-		// same 0 allocs/op steady state as the closure bodies they
-		// lower, and the annotation is how that promise is checked.
-		"Executor.Run",
+	"internal/bench": {
+		// The flush-free hammer iteration: every hammer caller (bench
+		// scenarios, escalation drivers, mt scenarios) runs it in its
+		// steady state, and the annotation is how its 0 allocs/op is
+		// checked.
+		"ImplicitHammer.HammerOnce",
 	},
 }
 

@@ -11,6 +11,6 @@ func TestNoAlloc(t *testing.T) {
 	analyzertest.Run(t, noalloc.Analyzer, "testdata",
 		"lint.test/hotdep",
 		"lint.test/hot",
-		"lint.test/internal/payload",
+		"lint.test/internal/bench",
 	)
 }

@@ -48,14 +48,6 @@ var allowlist = map[string]map[string]bool{
 		// Figure 5/6 comparisons.
 		"Spec.runShard": true,
 	},
-	"internal/payload": {
-		// The op-stream executor dispatches OpInvlpg/OpFlush for compiled
-		// privileged-baseline programs. Whether a *program* is privileged
-		// is tracked by Program.Privileged and asserted by the same
-		// PrivilegedOps counters the closure paths use; the dispatch loop
-		// itself has to be able to reach both worlds.
-		"Executor.Run": true,
-	},
 }
 
 func run(pass *framework.Pass) error {

@@ -14,7 +14,6 @@ import (
 	"pthammer/internal/flip"
 	"pthammer/internal/machine"
 	"pthammer/internal/mem"
-	"pthammer/internal/payload"
 	"pthammer/internal/perf"
 	"pthammer/internal/phys"
 	"pthammer/internal/sweep"
@@ -44,13 +43,10 @@ func newMachine() *machine.Machine {
 //	warm-load            all-hit fast path (dTLB + L1 every iteration)
 //	flush-hammer-loop    clflush two same-bank aggressors, load them back
 //	implicit-hammer-loop flush-free PThammer: eviction-set walks + loads,
-//	                     the walker's PTE fetches do the hammering; runs
-//	                     the compiled payload executor
-//	implicit-hammer-closure the same iteration through the closure path
-//	                     (HammerOnce), kept measured as the reference the
-//	                     difftest harness compares the executor against
-//	implicit-hammer-priv privileged baseline: invlpg + clflush + load,
-//	                     as a compiled payload program
+//	                     the walker's PTE fetches do the hammering
+//	                     (HammerOnce)
+//	implicit-hammer-priv privileged baseline: invlpg + clflush + load
+//	                     (HammerOncePrivileged)
 //	pte-flip-escalation  full attack: hammer until a PTE flips, detect,
 //	                     rewrite own PTEs through the corrupted mapping
 //	resilient-escalation budgeted driver recovering from a mid-run
@@ -127,31 +123,6 @@ func Scenarios() []Scenario {
 				if err != nil {
 					b.Fatal(err)
 				}
-				prog, err := CompileHammer(m, h)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ex := payload.MustExecutor(prog)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ex.Run(m)
-				}
-			},
-		},
-		{
-			// The closure reference for the compiled loop above: the same
-			// iteration dispatched through the eviction-set objects.
-			// Measured so a divergence between the two engines shows up in
-			// the baselines, not just in difftest.
-			Name:        "implicit-hammer-closure",
-			LoadsPerOp:  2,
-			SteadyState: true,
-			Run: func(b *testing.B) {
-				m := newMachine()
-				h, err := NewImplicitHammer(m, 256, evset.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					h.HammerOnce(m)
@@ -170,14 +141,9 @@ func Scenarios() []Scenario {
 				if !ok {
 					b.Fatal("no implicit aggressor pair in geometry")
 				}
-				prog, err := CompilePrivileged(m, pair)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ex := payload.MustExecutor(prog)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					ex.Run(m)
+					pair.HammerOncePrivileged(m)
 				}
 			},
 		},

@@ -1,9 +1,6 @@
 // The payload compiler: an append-only builder that lowers a scenario
-// body into a Program. Scenario-specific lowering lives next to the
-// scenarios (bench.CompileHammer, bench.CompilePrivileged, the sweep
-// engine's replay compiler); this type is the shared substrate they
-// emit through. Loops are expressed structurally (Loop with a body
-// callback), so every compiled program is backward-jumping and
+// body into a Program. Loops are expressed structurally (Loop with a
+// body callback), so every compiled program is backward-jumping and
 // well-nested by construction.
 package payload
 
@@ -66,12 +63,11 @@ func (c *Compiler) TLBThrash(as []phys.Addr) {
 	c.emit(Op{Code: OpTLBThrash, A: start, B: n})
 }
 
-// Probe emits a timed, PMC-decoded load of a; its verdicts fold into
-// the run's Trace.
+// Probe emits a timed, PMC-decoded load of a.
 func (c *Compiler) Probe(a phys.Addr) { c.emit(Op{Code: OpProbe, A: c.addr(a)}) }
 
 // LoadRec emits demand loads over the stream, recording each latency
-// into the executor's record buffer (the sweep histogram feed).
+// (the sweep histogram feed).
 func (c *Compiler) LoadRec(as []phys.Addr) {
 	start, n := c.addrRange(as)
 	c.emit(Op{Code: OpLoadRec, A: start, B: n})

@@ -7,12 +7,10 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
-
-	"pthammer/internal/machine"
 )
 
-// corpusPrograms returns the seed programs both fuzzers start from:
-// the three shapes the engine actually runs (implicit-hammer style,
+// corpusPrograms returns the seed programs the fuzzer starts from: the
+// three shapes the retired engine ran (implicit-hammer style,
 // privileged baseline, sweep replay) plus degenerate edges.
 func corpusPrograms() []*Program {
 	hammer := NewCompiler()
@@ -83,55 +81,6 @@ func FuzzOpRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzExecutor drives the execution contract: any program Validate
-// accepts must run without panicking, report Trace.Cycles exactly equal
-// to the machine clock's delta, and allocate nothing in dispatch. The
-// harness skips programs that store into the machine's page-table pool
-// — the simulator's kernel region, which a user payload cannot write —
-// because corrupting a PTE can legitimately panic a later walk.
-func FuzzExecutor(f *testing.F) {
-	for _, p := range corpusPrograms() {
-		enc, err := p.Encode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(enc)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Decode(data)
-		if err != nil {
-			return
-		}
-		cfg := testConfig()
-		if p.Validate(cfg.MemBytes) != nil {
-			return
-		}
-		m, err := machine.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		poolBase, _ := m.PageTables().Region()
-		kernel := poolBase.Addr()
-		for _, op := range p.Ops {
-			if op.Code == OpStore64 && p.Addrs[op.A] >= kernel {
-				return
-			}
-		}
-		ex, err := NewExecutor(p)
-		if err != nil {
-			t.Fatalf("Validate accepted but NewExecutor rejected: %v", err)
-		}
-		start := m.Clock().Now()
-		tr := ex.Run(m)
-		if delta := m.Clock().Now() - start; delta != tr.Cycles {
-			t.Fatalf("clock advanced %d cycles but trace reports %d", delta, tr.Cycles)
-		}
-		if n := testing.AllocsPerRun(3, func() { ex.Run(m) }); n != 0 {
-			t.Fatalf("dispatch allocates %.1f times per run, want 0", n)
-		}
-	})
-}
-
 // TestRegenFuzzCorpus rewrites the committed seed corpus under
 // testdata/fuzz from corpusPrograms. Run with PTHAMMER_REGEN_CORPUS=1
 // after changing the encoding or the seed set; it is a no-op otherwise.
@@ -140,7 +89,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 		t.Skip("set PTHAMMER_REGEN_CORPUS=1 to rewrite testdata/fuzz")
 	}
 	seeds := corpusPrograms()
-	for _, target := range []string{"FuzzOpRoundTrip", "FuzzExecutor"} {
+	for _, target := range []string{"FuzzOpRoundTrip"} {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
@@ -164,7 +113,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 // so an encoding change that forgets to regenerate the corpus fails
 // here rather than silently fuzzing dead inputs.
 func TestSeedCorpusDecodes(t *testing.T) {
-	for _, target := range []string{"FuzzOpRoundTrip", "FuzzExecutor"} {
+	for _, target := range []string{"FuzzOpRoundTrip"} {
 		files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "seed-*"))
 		if err != nil {
 			t.Fatal(err)

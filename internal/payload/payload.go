@@ -1,22 +1,14 @@
-// Package payload makes hammer scenarios data: a scenario body is
-// compiled once into a flat op-stream Program — dense arrays of
-// opcodes, addresses and values, no per-op interfaces or closures —
-// and then replayed by one tight Executor dispatch loop
-// (//pthammer:noalloc) over a machine front-end. The split mirrors
-// litex-rowhammer-tester's Encoder/OpCode payload executor: the
-// expensive part of a steady-state scenario is the simulated memory
-// system, so the host-side harness around it (method dispatch through
-// eviction-set objects, per-iteration closure plumbing) is lowered to
-// an array walk.
+// Package payload is the program format of the retired compiled hammer
+// engine: a scenario body lowered into a flat op-stream Program —
+// dense arrays of opcodes, addresses and values — that can be
+// validated, fuzzed and serialized. The format mirrors
+// litex-rowhammer-tester's Encoder/OpCode payload executor.
 //
-// Programs are pure data, so they can be validated, fuzzed, serialized
-// and diffed. The contract that makes swapping the execution engine
-// safe under the repo's calibrated tables is differential equivalence:
-// a compiled program must drive the machine through the exact same
-// state transitions as the closure path it replaces — same loads in
-// the same order, same clock charges, same PMC deltas, same privileged
-// operations (none, on the implicit path). internal/payload/difftest
-// pins that bit-for-bit; no engine change merges without it green.
+// Nothing executes programs and no package imports this one: every
+// hammer caller runs the closure bodies (bench.ImplicitHammer,
+// bench.ImplicitPair, the sweep shard loop), which are the one engine.
+// The package stays only until it is deleted (ROADMAP.md, open item
+// 2); add no ops and no callers.
 package payload
 
 import (
@@ -25,7 +17,7 @@ import (
 	"pthammer/internal/phys"
 )
 
-// OpCode selects one executor operation. The zero value is OpNop so a
+// OpCode selects one program operation. The zero value is OpNop so a
 // zeroed Op is harmless.
 type OpCode uint8
 
@@ -39,10 +31,9 @@ type OpCode uint8
 //	             exactly like the closure path's Evict)
 //	OpTLBThrash  individual demand loads over Addrs[A : A+B] (a plain
 //	             page-stride stream: no fault-model Prime hooks)
-//	OpProbe      timed+PMC-decoded load of Addrs[A]; folds into Trace
+//	OpProbe      timed+PMC-decoded load of Addrs[A]
 //	OpLoadRec    demand loads over Addrs[A : A+B], recording each
-//	             latency into the executor's record buffer (the sweep
-//	             engine's histogram feed)
+//	             latency (the sweep engine's histogram feed)
 //	OpAdvance    advance the core clock by Vals[A] cycles (NOP padding)
 //	OpResetWindow discard the DRAM refresh window
 //	OpInvlpg     privileged invlpg of Addrs[A] (baseline programs only)
@@ -136,8 +127,7 @@ func (c OpCode) addrOp() bool {
 
 // Privileged reports whether the program contains a privileged
 // operation (invlpg or clflush). Implicit-hammer programs must not —
-// the paper's attacker has neither — and the difftest harness asserts
-// the machine's PrivilegedOps counters agree.
+// the paper's attacker has neither.
 func (p *Program) Privileged() bool {
 	for _, op := range p.Ops {
 		if op.Code == OpInvlpg || op.Code == OpFlush {
@@ -163,8 +153,8 @@ func (p *Program) loopWeights() ([]uint64, error) {
 			return nil, fmt.Errorf("payload: op %d: loop trip count must be ≥ 1", pc)
 		}
 		// Compare in uint64: on 32-bit platforms int(op.A) wraps
-		// negative for targets >= 2^31 and would slip past this check,
-		// then panic the executor with a negative pc.
+		// negative for targets >= 2^31 and would slip past this check
+		// as a backward jump to a negative pc.
 		if uint64(op.A) > uint64(pc) {
 			return nil, fmt.Errorf("payload: op %d: loop target %d is forward (loops must jump backward)", pc, op.A)
 		}
@@ -198,10 +188,9 @@ func (p *Program) loopWeights() ([]uint64, error) {
 }
 
 // Validate reports the first reason the program is not well-formed for
-// a machine with memBytes of physical memory. A valid program never
-// panics the executor, terminates within a bounded step count, and
-// touches only in-range addresses. This is the contract the fuzzers
-// drive: any program Validate accepts must execute cleanly.
+// a machine with memBytes of physical memory: a valid program indexes
+// only its own tables, terminates within a bounded step count, and
+// touches only in-range addresses.
 func (p *Program) Validate(memBytes uint64) error {
 	for i, a := range p.Addrs {
 		if uint64(a) >= memBytes {
@@ -251,26 +240,6 @@ func (p *Program) Validate(memBytes uint64) error {
 		}
 	}
 	return nil
-}
-
-// recordSlots returns the number of latency records one run produces
-// (OpLoadRec stream lengths times their loop weights). Call only on a
-// program whose loops validated.
-func (p *Program) recordSlots() (uint64, error) {
-	w, err := p.loopWeights()
-	if err != nil {
-		return 0, err
-	}
-	var n uint64
-	for pc, op := range p.Ops {
-		if op.Code == OpLoadRec {
-			n += uint64(op.B) * w[pc]
-		}
-	}
-	if n > maxSteps {
-		return 0, fmt.Errorf("payload: %d latency records exceed the %d-step bound", n, maxSteps)
-	}
-	return n, nil
 }
 
 // The serialized layout (little-endian throughout):

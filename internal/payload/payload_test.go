@@ -37,15 +37,6 @@ func testConfig() machine.Config {
 	}
 }
 
-func testMachine(t *testing.T) *machine.Machine {
-	t.Helper()
-	m, err := machine.New(testConfig())
-	if err != nil {
-		t.Fatalf("machine.New: %v", err)
-	}
-	return m
-}
-
 // pages returns n page-stride addresses starting at page `start`.
 func pages(start, n int) []phys.Addr {
 	out := make([]phys.Addr, n)
@@ -76,7 +67,7 @@ func TestValidateErrors(t *testing.T) {
 		{"loop forward target", Program{Ops: []Op{{Code: OpLoop, A: 5, B: 2}}}, "forward"},
 		// Targets >= 2^31 must fail the backward check on 32-bit hosts
 		// too, where int(op.A) wraps negative — a wrapped target would
-		// validate and then drive the executor's pc negative.
+		// validate as a backward jump to a negative pc.
 		{"loop target wraps 32-bit int", Program{Ops: []Op{{Code: OpNop}, {Code: OpLoop, A: 1 << 31, B: 2}}}, "forward"},
 		{"loops interleave", Program{Ops: []Op{
 			{Code: OpNop},              // 0
@@ -220,135 +211,6 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestRunMatchesHandLoop replays a compiled program and the equivalent
-// hand-written machine calls on identically-configured machines and
-// demands bit-identical clocks, counters and reported cycles.
-func TestRunMatchesHandLoop(t *testing.T) {
-	prime := pages(8, 6)
-	thrash := pages(32, 4)
-	recs := pages(64, 3)
-	target := phys.Addr(0x7008)
-
-	c := NewCompiler()
-	c.Store64(0x4000, 42)
-	c.Loop(5, func(c *Compiler) {
-		c.Prime(prime)
-		c.TLBThrash(thrash)
-		c.Probe(target)
-		c.Advance(13)
-	})
-	c.LoadRec(recs)
-	c.ResetWindow()
-	prog, err := c.Compile(testConfig().MemBytes)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	ex, err := NewExecutor(prog)
-	if err != nil {
-		t.Fatalf("NewExecutor: %v", err)
-	}
-
-	mc := testMachine(t) // compiled
-	mh := testMachine(t) // hand loop
-	tr := ex.Run(mc)
-
-	var want Trace
-	want.Walked, want.LeafFromDRAM = true, true
-	var wantRec []timing.Cycles
-	want.Cycles += mh.Store64(0x4000, 42).Latency
-	for range 5 {
-		want.Cycles += mh.Prime(prime)
-		for _, a := range thrash {
-			want.Cycles += mh.Load(a).Latency
-		}
-		pr := mh.Probe(target)
-		want.Cycles += pr.Latency
-		want.Probes++
-		want.Walked = want.Walked && pr.Walked
-		want.LeafFromDRAM = want.LeafFromDRAM && pr.LeafFromDRAM
-		mh.Clock().Advance(13)
-		want.Cycles += 13
-	}
-	for _, a := range recs {
-		lat := mh.Load(a).Latency
-		want.Cycles += lat
-		wantRec = append(wantRec, lat)
-	}
-	mh.ResetRefreshWindow()
-
-	if tr != want {
-		t.Fatalf("trace mismatch:\n got %+v\nwant %+v", tr, want)
-	}
-	if got, wantNow := mc.Clock().Now(), mh.Clock().Now(); got != wantNow {
-		t.Fatalf("clock mismatch: compiled %d, hand %d", got, wantNow)
-	}
-	if got, wantSnap := mc.Counters().Snapshot(), mh.Counters().Snapshot(); got != wantSnap {
-		t.Fatalf("PMC mismatch:\n got %+v\nwant %+v", got, wantSnap)
-	}
-	if !reflect.DeepEqual(ex.Records(), wantRec) {
-		t.Fatalf("records mismatch:\n got %v\nwant %v", ex.Records(), wantRec)
-	}
-}
-
-// TestRunClockAgreement checks the executor invariant directly: the
-// reported Trace.Cycles equals the machine clock's delta, including on
-// a privileged program (invlpg charges nothing, clflush charges its
-// fixed cost).
-func TestRunClockAgreement(t *testing.T) {
-	c := NewCompiler()
-	c.Invlpg(0x3000)
-	c.Flush(0x3000)
-	c.Load(0x3000)
-	c.Loop(4, func(c *Compiler) {
-		c.Prime(pages(16, 4))
-		c.Probe(0x3000)
-	})
-	prog, err := c.Compile(testConfig().MemBytes)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	m := testMachine(t)
-	ex := MustExecutor(prog)
-	start := m.Clock().Now()
-	tr := ex.Run(m)
-	if delta := m.Clock().Now() - start; delta != tr.Cycles {
-		t.Fatalf("clock advanced %d cycles but trace reports %d", delta, tr.Cycles)
-	}
-	flushes, invlpgs := m.PrivilegedOps()
-	if flushes != 1 || invlpgs != 1 {
-		t.Fatalf("PrivilegedOps = (%d, %d), want (1, 1)", flushes, invlpgs)
-	}
-}
-
-// TestRunTwiceReestablishesState checks that loop counters reset on
-// completion: a second Run executes the full trip count again, and the
-// record buffer is rewritten from the start.
-func TestRunTwiceReestablishesState(t *testing.T) {
-	c := NewCompiler()
-	c.Loop(7, func(c *Compiler) { c.Advance(11) })
-	c.LoadRec(pages(40, 2))
-	prog, err := c.Compile(testConfig().MemBytes)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	m := testMachine(t)
-	ex := MustExecutor(prog)
-	tr1 := ex.Run(m)
-	rec1 := append([]timing.Cycles(nil), ex.Records()...)
-	tr2 := ex.Run(m)
-	if tr1.Cycles < 7*11 || tr2.Cycles < 7*11 {
-		t.Fatalf("loop under-executed: run1 %d, run2 %d cycles (want ≥ %d)", tr1.Cycles, tr2.Cycles, 7*11)
-	}
-	if len(rec1) != 2 || len(ex.Records()) != 2 {
-		t.Fatalf("record counts = %d then %d, want 2 and 2", len(rec1), len(ex.Records()))
-	}
-	// The second run's loads hit the cache, so only the padding cycles
-	// repeat exactly.
-	if tr2.Cycles >= tr1.Cycles {
-		t.Fatalf("second run (%d cycles) not faster than cold first run (%d)", tr2.Cycles, tr1.Cycles)
-	}
-}
-
 func TestCompilerElidesDegenerateLoops(t *testing.T) {
 	c := NewCompiler()
 	c.Loop(0, func(c *Compiler) { c.Load(0x1000) })
@@ -374,9 +236,6 @@ func TestCompiledProgramIsSelfContained(t *testing.T) {
 	if p.Addrs[0] == 0xdead000 {
 		t.Fatal("compiled program aliases the caller's stream slice")
 	}
-	if MustExecutor(p).Program() != p {
-		t.Fatal("Executor.Program does not return the program it was built from")
-	}
 }
 
 func TestOpCodeString(t *testing.T) {
@@ -385,26 +244,5 @@ func TestOpCodeString(t *testing.T) {
 	}
 	if got := OpCode(200).String(); got != "op(200)" {
 		t.Fatalf("out-of-range opcode renders %q", got)
-	}
-}
-
-// TestRunAllocs is the dynamic half of the noalloc contract: steady-state
-// replay allocates nothing.
-func TestRunAllocs(t *testing.T) {
-	c := NewCompiler()
-	c.Loop(3, func(c *Compiler) {
-		c.Prime(pages(8, 4))
-		c.Probe(0x5000)
-	})
-	c.LoadRec(pages(30, 2))
-	prog, err := c.Compile(testConfig().MemBytes)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	m := testMachine(t)
-	ex := MustExecutor(prog)
-	ex.Run(m) // warm demand mappings
-	if n := testing.AllocsPerRun(10, func() { ex.Run(m) }); n != 0 {
-		t.Fatalf("Executor.Run allocates %.1f times per run, want 0", n)
 	}
 }

@@ -10,6 +10,12 @@
 // seed and the shard index, so the merged result is bit-identical for
 // any worker count: parallelism changes wall-clock time, never the
 // histograms.
+//
+// Every rep of a shard is the same plain loop: the between-loads
+// traffic (clflush of each address in FlushBetween mode, a walk of
+// each address's TLB and leaf-PTE LLC eviction sets in EvictBetween
+// mode), the padding NOPs, then one batched LoadN of the address
+// stream whose latencies are the shard's samples.
 package sweep
 
 import (
@@ -23,7 +29,6 @@ import (
 	"pthammer/internal/evset"
 	"pthammer/internal/machine"
 	"pthammer/internal/mem"
-	"pthammer/internal/payload"
 	"pthammer/internal/phys"
 	"pthammer/internal/timing"
 )
@@ -68,14 +73,6 @@ type Spec struct {
 	// EvictBetween is set; the zero value selects evset's defaults.
 	Evict evset.Options
 
-	// ClosureReplay forces the original closure replay loop instead of
-	// the compiled payload program each shard normally lowers its rep
-	// body to. The two paths drive the machine identically — the
-	// payload difftest harness pins their histograms bit-equal — so
-	// this is an escape hatch and the closure path's regression anchor,
-	// not a semantic switch.
-	ClosureReplay bool
-
 	// Workers caps the worker pool; 0 means GOMAXPROCS. The worker
 	// count never affects results, only how shards overlap in time.
 	Workers int
@@ -97,6 +94,11 @@ func (s Spec) validate() error {
 		return fmt.Errorf("sweep: bad padding range [%d, %d]", s.PadMin, s.PadMax)
 	case s.FlushBetween && s.EvictBetween:
 		return fmt.Errorf("sweep: FlushBetween and EvictBetween are mutually exclusive")
+	}
+	for _, a := range s.Addrs {
+		if uint64(a) >= s.Machine.MemBytes {
+			return fmt.Errorf("sweep: address %#x outside %d-byte memory", uint64(a), s.Machine.MemBytes)
+		}
 	}
 	return nil
 }
@@ -323,8 +325,6 @@ func Run(s Spec) (*Result, error) {
 // seeded machine. In EvictBetween mode it first runs Algorithm 1 on
 // that machine — the construction is deterministic for the shard's
 // seed, so the merged sweep stays bit-identical for any worker count.
-// The rep body is normally lowered once into a payload program and
-// replayed by the executor; ClosureReplay keeps the original loop.
 func (s Spec) runShard(shard, pad int) (*Histogram, error) {
 	cfg := s.Machine
 	cfg.NoiseSeed = shardSeed(s.BaseSeed, shard)
@@ -350,38 +350,6 @@ func (s Spec) runShard(shard, pad int) (*Histogram, error) {
 	}
 	h := NewHistogram()
 	nopCost := cfg.Lat.NOP * timing.Cycles(pad)
-	if !s.ClosureReplay {
-		// Lower one rep — the between-loads traffic, the padding NOPs,
-		// the timed stream — to a program and replay it Reps times,
-		// draining the recorded latencies into the histogram.
-		c := payload.NewCompiler()
-		if s.FlushBetween {
-			for _, a := range s.Addrs {
-				c.Flush(a)
-			}
-		}
-		for i := range tlbs {
-			c.Prime(tlbs[i].Pages)
-			c.Prime(llcs[i].Addrs)
-		}
-		c.Advance(nopCost)
-		c.LoadRec(s.Addrs)
-		prog, err := c.Compile(m.Memory().Size())
-		if err != nil {
-			return nil, fmt.Errorf("sweep: shard %d: %w", shard, err)
-		}
-		ex, err := payload.NewExecutor(prog)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: shard %d: %w", shard, err)
-		}
-		for rep := 0; rep < s.Reps; rep++ {
-			ex.Run(m)
-			for _, lat := range ex.Records() {
-				h.Add(lat)
-			}
-		}
-		return h, nil
-	}
 	clock := m.Clock()
 	buf := make([]mem.Result, 0, len(s.Addrs))
 	for rep := 0; rep < s.Reps; rep++ {

@@ -58,6 +58,13 @@ func TestRunValidatesSpec(t *testing.T) {
 		func(s *Spec) { s.PadMax = s.PadMin - 1 },
 		func(s *Spec) { s.Machine.FreqHz = 0 },
 		func(s *Spec) { s.EvictBetween = true }, // both modes at once
+		// An address past the end of memory, in both modes: an error,
+		// never a panic from the shard's first load or Algorithm 1.
+		func(s *Spec) { s.Addrs = append(s.Addrs, phys.Addr(s.Machine.MemBytes)) },
+		func(s *Spec) {
+			s.FlushBetween, s.EvictBetween = false, true
+			s.Addrs = append(s.Addrs, phys.Addr(s.Machine.MemBytes))
+		},
 	}
 	for i, mutate := range bad {
 		s := testSpec()
