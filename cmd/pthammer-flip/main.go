@@ -6,8 +6,9 @@
 // tables, measured eviction sets, flush-free hammer), hammers for a
 // fixed iteration budget, and tabulates time-to-first-flip and
 // flips-per-10⁶-iterations. It then runs the class-A
-// pte-flip-escalation demo end to end and reports the exploit chain,
-// and finally sweeps the budgeted escalation driver across the fault
+// pte-flip-escalation end to end — one attempt of the budgeted
+// escalation driver over the -robust-windows budget — and reports the
+// exploit chain, and finally sweeps the full driver across the fault
 // matrix (internal/fault) to tabulate robustness: success rate and
 // window spend per injected fault class over a seed matrix.
 //
@@ -20,8 +21,8 @@
 //
 // Usage:
 //
-//	pthammer-flip [-seed N] [-iters N] [-escalate-iters N]
-//	              [-robust-seeds N] [-robust-windows N] [-o FILE]
+//	pthammer-flip [-seed N] [-iters N] [-robust-seeds N]
+//	              [-robust-windows N] [-o FILE]
 //
 // Exit codes: 0 success, 1 simulation failure, 2 usage error, 3 output
 // write failure.
@@ -57,10 +58,11 @@ func simMillis(cycles uint64) float64 {
 	return float64(cycles) / float64(machine.SandyBridge().FreqHz) * 1e3
 }
 
-// render runs the per-class flip-rate table, the class-A escalation,
-// and (for robustSeeds > 0) the fault-matrix robustness sweep, and
+// render runs the per-class flip-rate table, the class-A escalation
+// (one driver attempt spanning budget.MaxWindows), and (for
+// robustSeeds > 0) the fault-matrix robustness sweep under budget, and
 // returns the full deterministic report.
-func render(seed int64, iters, escalateIters uint64, robustSeeds int, budget bench.Budget) ([]byte, error) {
+func render(seed int64, iters uint64, robustSeeds int, budget bench.Budget) ([]byte, error) {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "# pthammer-flip preset=SandyBridge(escalation layout) seed=%d iters=%d\n", seed, iters)
 	fmt.Fprintf(&buf, "# table 1: time-to-first-flip and flip rate per DRAM module class\n")
@@ -81,10 +83,15 @@ func render(seed int64, iters, escalateIters uint64, robustSeeds int, budget ben
 		return nil, fmt.Errorf("no module class produced a flip within %d iterations — flip engine broken?", iters)
 	}
 
-	res, err := bench.RunEscalationDemo(flip.ClassA(), seed, escalateIters)
+	w := budget.MaxWindows
+	v, err := bench.RunEscalationResilient(flip.ClassA(), seed, nil, bench.Budget{MaxWindows: w, AttemptWindows: w})
 	if err != nil {
 		return nil, fmt.Errorf("escalation: %w", err)
 	}
+	if !v.Success {
+		return nil, fmt.Errorf("escalation: %s after %d windows (%d flips landed)", v.Reason, v.Windows, v.Flips)
+	}
+	res := v.Result
 	fmt.Fprintf(&buf, "# table 2: pte-flip-escalation (class A): flip -> Translate divergence -> PTE rewrite -> kernel write\n")
 	fmt.Fprintf(&buf, "iterations\twindows\tflips\tfirst_flip_iter\tsim_ms\tcorrupt_va\ttable_frame\trewritten_va\tsecret_frame\n")
 	fmt.Fprintf(&buf, "%d\t%d\t%d\t%d\t%.3f\t%#x\t%#x\t%#x\t%#x\n",
@@ -164,9 +171,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	seed := fs.Int64("seed", 1, "seed for the flip models; the whole report is deterministic per seed")
 	iters := fs.Uint64("iters", 8000, "hammer iterations per module class for the rate table")
-	escalateIters := fs.Uint64("escalate-iters", 500_000, "iteration budget for the class-A escalation demo")
 	robustSeeds := fs.Int("robust-seeds", 3, "seeds per fault class for the robustness table (0 skips it)")
-	robustWindows := fs.Uint64("robust-windows", bench.DefaultBudget().MaxWindows, "window budget per resilient run in the robustness table")
+	robustWindows := fs.Uint64("robust-windows", bench.DefaultBudget().MaxWindows, "window budget per escalation run, in the escalation and robustness tables")
 	out := fs.String("o", "", "output path (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		// The flag set already printed the parse error and usage.
@@ -175,6 +181,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "pthammer-flip: unexpected arguments: %q\n", fs.Args())
 		fs.Usage()
+		return exitUsage
+	}
+	if *iters == 0 {
+		fmt.Fprintln(stderr, "pthammer-flip: -iters must be positive")
 		return exitUsage
 	}
 	if *robustSeeds < 0 {
@@ -188,7 +198,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	report, err := render(*seed, *iters, *escalateIters, *robustSeeds, budget)
+	report, err := render(*seed, *iters, *robustSeeds, budget)
 	if err != nil {
 		fmt.Fprintln(stderr, "pthammer-flip:", err)
 		return exitRuntime

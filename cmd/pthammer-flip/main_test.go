@@ -23,7 +23,7 @@ func smallBudget() bench.Budget {
 // for class A (and usually C) to flip, small enough for CI.
 func smallReport(t *testing.T) []byte {
 	t.Helper()
-	out, err := render(1, 2500, 200_000, 1, smallBudget())
+	out, err := render(1, 2500, 1, smallBudget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,12 @@ func TestRunErrorPaths(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, exitUsage, "flag provided but not defined"},
 		{"malformed value", []string{"-iters", "many"}, exitUsage, "invalid value"},
+		{"zero iterations", []string{"-iters", "0"}, exitUsage, "-iters must be positive"},
 		{"stray arguments", []string{"extra", "args"}, exitUsage, "unexpected arguments"},
 		{"negative robust seeds", []string{"-robust-seeds", "-1"}, exitUsage, "-robust-seeds must be non-negative"},
 		{"degenerate robust budget", []string{"-robust-windows", "10"}, exitUsage, "-robust-windows 10"},
 		{"unwritable output", []string{
-			"-iters", "2500", "-escalate-iters", "200000", "-robust-seeds", "0",
+			"-iters", "2500", "-robust-seeds", "0",
 			"-o", "/nonexistent-dir/report.tsv"}, exitWrite, "no such file or directory"},
 	}
 	for _, tc := range cases {
@@ -130,7 +131,7 @@ func TestRunWritesReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "report.tsv")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
-		"-iters", "2500", "-escalate-iters", "200000", "-robust-seeds", "0",
+		"-iters", "2500", "-robust-seeds", "0",
 		"-o", path}, &stdout, &stderr)
 	if code != exitOK {
 		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())

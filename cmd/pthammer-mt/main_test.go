@@ -65,6 +65,35 @@ func TestReportLayout(t *testing.T) {
 	}
 }
 
+// goldenReport is the committed output of
+//
+//	pthammer-mt -pop-tenants 300
+//
+// (all four tables at the default seeds and windows), generated before
+// the aggressor-pair finders, clock alignment and table-row checks
+// were folded into shared helpers, so every later refactor of the
+// scenarios, the cohort scheduler or the machine is checked against
+// bytes from an older tree, not only against a rerun of itself.
+// testdata/population.tsv, the full-size -scenario population table
+// from the same tree, is what CI's population leg compares against.
+// Regenerate either only for a deliberate change of simulated output.
+const goldenReport = "testdata/pop300.tsv"
+
+// TestGoldenReport byte-compares run() against goldenReport.
+func TestGoldenReport(t *testing.T) {
+	want, err := os.ReadFile(goldenReport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-pop-tenants", "300"}, &stdout, &stderr); code != exitOK {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
+	}
+	if got := stdout.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("report differs from %s:\n--- got ---\n%s--- want ---\n%s", goldenReport, got, want)
+	}
+}
+
 // TestRunSingleScenario: -scenario selects exactly one table.
 func TestRunSingleScenario(t *testing.T) {
 	var stdout, stderr bytes.Buffer

@@ -1,6 +1,7 @@
 // Package determinism flags nondeterminism sources in the packages whose
 // output must be byte-identical per seed: the sweep/flip/evset/fault
-// pipeline and every cmd/ entry point. PThammer's tables are diffed in CI against
+// pipeline, the scenario bodies and machine facade behind the tables,
+// and every cmd/ entry point. PThammer's tables are diffed in CI against
 // golden runs, so a wall-clock read, an unseeded global rand call, or an
 // unordered map iteration is a correctness bug, not a style issue.
 //
@@ -48,6 +49,11 @@ var deterministicSuffixes = []string{
 	// GOMAXPROCS and pool sizes in CI; per-tenant randomness must come
 	// from the mixed tenant seed alone.
 	"internal/cohort",
+	// The scenario bodies and the machine facade produce every
+	// pthammer-flip and pthammer-mt byte: pair finders, planner
+	// ranking, escalation driver and multi-tenant wiring.
+	"internal/bench",
+	"internal/machine",
 }
 
 // randConstructors are the math/rand package-level functions that build

@@ -10,6 +10,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	analyzertest.Run(t, determinism.Analyzer, "testdata",
 		"lint.test/cmd/tool",
+		"lint.test/internal/bench",
 		"lint.test/internal/cohort",
 		"lint.test/internal/core",
 		"lint.test/internal/fault",

@@ -218,7 +218,16 @@ func RunEscalationResilient(profile flip.Profile, seed int64, fcfg *fault.Config
 }
 
 // driveEscalation is the state machine proper, on an already-built
-// machine. Extracted so tests can drive hand-configured machines.
+// machine; tests drive hand-configured machines through it. A budget
+// with AttemptWindows == MaxWindows is one attempt with no backoff and
+// no tiers: the plain pte-flip escalation.
+//
+// Detection is attacker-side and incremental. The attacker schedules
+// one rescan of the sprayed translations per refresh window from the
+// clock and the known tREFW, never from an oracle, so the reported
+// cycles include every scan it pays for; a window in which the model
+// recorded no new flip cannot have changed a translation, so its
+// rescan is skipped. Nothing in the loop is privileged.
 func driveEscalation(m *machine.Machine, budget Budget, window timing.Cycles) (Verdict, error) {
 	model := m.FlipModel()
 	if model == nil {
@@ -284,15 +293,19 @@ func driveEscalation(m *machine.Machine, budget Budget, window timing.Cycles) (V
 		for m.Clock().Now() < deadline {
 			h.HammerOnce(m)
 			v.Iterations++
+			if res.FirstFlipIter == 0 && len(model.Flips()) > flips0 {
+				res.FirstFlipIter = v.Iterations
+				res.FirstFlipCycles = m.Clock().Now() - start
+			}
 			if m.Clock().Now() < nextScan {
 				continue
 			}
 			for nextScan <= m.Clock().Now() {
 				nextScan += window
 			}
-			// Incremental detection, as in RunEscalation: only windows
-			// that produced new flips (or follow a rejected exploit) are
-			// worth the rescan traffic.
+			// Incremental detection: only windows that produced new
+			// flips (or follow a rejected exploit) are worth the rescan
+			// traffic.
 			if len(model.Flips()) == scannedFlips && !rescan {
 				continue
 			}

@@ -174,3 +174,39 @@ func TestResilientDeterministicPerSeed(t *testing.T) {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestDriverRecordsFirstFlip: a successful Verdict's Result locates the
+// run's first flip — a 1-based hammer iteration and a cycle offset
+// inside the driven phase — under the default budget, fault-free and
+// through a replan.
+func TestDriverRecordsFirstFlip(t *testing.T) {
+	cases := []struct {
+		name string
+		seed int64
+		fc   *fault.Config
+	}{
+		{"fault-free-seed1", 1, nil},
+		{"fault-free-seed2", 2, nil},
+		{"fault-free-seed3", 3, nil},
+		{"fault-free-seed4", 4, nil},
+		{"pair-invalidate-seed2", 2, &fault.Config{Class: fault.PairInvalidate}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := RunEscalationResilient(flip.ClassA(), tc.seed, tc.fc, DefaultBudget())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Success {
+				t.Fatalf("run did not escalate: %+v", v)
+			}
+			r := v.Result
+			if r.FirstFlipIter == 0 || r.FirstFlipIter > r.Iterations {
+				t.Fatalf("first flip at iteration %d, want in [1, %d]", r.FirstFlipIter, r.Iterations)
+			}
+			if r.FirstFlipCycles > r.Cycles {
+				t.Fatalf("first flip at cycle %d, after the run's %d cycles", r.FirstFlipCycles, r.Cycles)
+			}
+		})
+	}
+}

@@ -87,9 +87,8 @@ type EscalationPlan struct {
 	Thrash []phys.Addr
 
 	// ptOf maps each known leaf-PT frame to the base VA of the 2 MiB
-	// region it maps; refreshed by RunEscalation after construction so
-	// it also covers tables demand-allocated while building the
-	// eviction sets.
+	// region it maps; refreshed by the driver after every eviction-set
+	// build so it also covers tables demand-allocated meanwhile.
 	ptOf map[phys.Frame]phys.Addr
 }
 
@@ -116,11 +115,6 @@ func leafPTs(m *machine.Machine) map[phys.Frame]phys.Addr {
 	return out
 }
 
-// sameBank reports whether two locations address the same DRAM bank.
-func sameBank(a, b dram.Location) bool {
-	return a.Channel == b.Channel && a.Rank == b.Rank && a.Bank == b.Bank
-}
-
 // pairCand is one viable aggressor pair the planner ranked: same-bank,
 // two rows apart, victim row holding leaf tables with a non-empty
 // jackpot surface.
@@ -129,14 +123,6 @@ type pairCand struct {
 	victimRow uint64
 	victims   []phys.Addr
 	sprayable int
-}
-
-// regionCand is one touched 2 MiB region, its leaf-PTE address, and
-// that PTE's DRAM location, decoded once.
-type regionCand struct {
-	va  phys.Addr
-	pte phys.Addr
-	loc dram.Location
 }
 
 // EscalationPlanner enumerates and ranks every viable aggressor pair on
@@ -148,7 +134,6 @@ type regionCand struct {
 // next pair in rank order.
 type EscalationPlanner struct {
 	m     *machine.Machine
-	geom  dram.Config
 	cands []regionCand
 	pairs []pairCand
 	next  int
@@ -165,7 +150,7 @@ type EscalationPlanner struct {
 func jackpotIndex(ptOf map[phys.Frame]phys.Addr, frameBits int) []int {
 	framesPerRegion := pagetable.Span(2) / phys.FrameSize
 	count := make([]int, ((uint64(1)<<frameBits)-1)/framesPerRegion+1)
-	for t := range ptOf {
+	for t := range ptOf { //pthammer:nondeterministic-ok order-independent integer counts per region
 		for j := 0; j < frameBits; j++ {
 			count[uint64(t^phys.Frame(1)<<j)/framesPerRegion]++
 		}
@@ -186,64 +171,37 @@ func jackpotIndex(ptOf map[phys.Frame]phys.Addr, frameBits int) []int {
 func NewEscalationPlanner(m *machine.Machine) (*EscalationPlanner, error) {
 	span := pagetable.Span(2)
 	geom := m.DRAM().Config()
-	poolBase, _ := m.PageTables().Region()
-	limit := poolBase.Addr()
-
-	cands := make([]regionCand, 0, escalationSeedRegions)
-	for k := 0; k < escalationSeedRegions && phys.Addr(uint64(k)*span) < limit; k++ {
-		va := phys.Addr(uint64(k) * span)
-		m.Load(va)
-		if pte, ok := m.PTEAddr(va, 1); ok {
-			cands = append(cands, regionCand{va: va, pte: pte, loc: geom.Map(pte)})
-		}
-	}
+	cands := touchRegions(m, escalationSeedRegions)
 	ptOf := leafPTs(m)
 	jackpots := jackpotIndex(ptOf, bits.Len64(m.Memory().Frames()-1))
 
-	p := &EscalationPlanner{m: m, geom: geom, cands: cands, ptOf: ptOf}
-	type rowKey struct {
-		channel, rank, bank int
-		row                 uint64
-	}
-	seen := make(map[rowKey]bool)
-	for i := range cands {
-		for j := i + 1; j < len(cands); j++ {
-			lo, hi := cands[i], cands[j]
-			if !sameBank(lo.loc, hi.loc) {
-				continue
-			}
-			if lo.loc.Row > hi.loc.Row {
-				lo, hi = hi, lo
-			}
-			if hi.loc.Row-lo.loc.Row != 2 {
-				continue
-			}
-			victimRow := lo.loc.Row + 1
-			key := rowKey{lo.loc.Channel, lo.loc.Rank, lo.loc.Bank, victimRow}
-			if seen[key] {
-				continue
-			}
-			start, rowBytes := geom.RowRange(lo.loc.Channel, lo.loc.Rank, lo.loc.Bank, victimRow)
-
-			// Which regions' leaf tables live in the victim row, and is
-			// any of them sprayable?
-			var victims []phys.Addr
-			sprayable := 0
-			for f := phys.FrameOf(start); f <= phys.FrameOf(start+phys.Addr(rowBytes-1)); f++ {
-				if base, ok := ptOf[f]; ok {
-					victims = append(victims, base)
-					sprayable += jackpots[uint64(base)/span]
-				}
-			}
-			if sprayable == 0 {
-				continue
-			}
-			seen[key] = true
-			p.pairs = append(p.pairs, pairCand{
-				lo: lo, hi: hi, victimRow: victimRow,
-				victims: victims, sprayable: sprayable,
-			})
+	p := &EscalationPlanner{m: m, cands: cands, ptOf: ptOf}
+	seen := make(map[dram.Location]bool) // victim rows, column 0
+	for lo, hi := range doubleSided(cands) {
+		victim := dram.Location{Channel: lo.loc.Channel, Rank: lo.loc.Rank, Bank: lo.loc.Bank, Row: lo.loc.Row + 1}
+		if seen[victim] {
+			continue
 		}
+		start, rowBytes := geom.RowRange(victim.Channel, victim.Rank, victim.Bank, victim.Row)
+
+		// Which regions' leaf tables live in the victim row, and is any
+		// of them sprayable?
+		var victims []phys.Addr
+		sprayable := 0
+		for f := phys.FrameOf(start); f <= phys.FrameOf(start+phys.Addr(rowBytes-1)); f++ {
+			if base, ok := ptOf[f]; ok {
+				victims = append(victims, base)
+				sprayable += jackpots[uint64(base)/span]
+			}
+		}
+		if sprayable == 0 {
+			continue
+		}
+		seen[victim] = true
+		p.pairs = append(p.pairs, pairCand{
+			lo: lo, hi: hi, victimRow: victim.Row,
+			victims: victims, sprayable: sprayable,
+		})
 	}
 	if len(p.pairs) == 0 {
 		return nil, fmt.Errorf("bench: no sprayable aggressor pair within %d regions", escalationSeedRegions)
@@ -271,12 +229,7 @@ func (p *EscalationPlanner) Next() (*EscalationPlan, error) {
 	p.next++
 
 	plan := &EscalationPlan{
-		Pair: ImplicitPair{
-			VA1: pc.lo.va, VA2: pc.hi.va,
-			PTE1: pc.lo.pte, PTE2: pc.hi.pte,
-			Loc1: pc.lo.loc, Loc2: pc.hi.loc,
-			VictimRow: pc.victimRow,
-		},
+		Pair:          pairOf(pc.lo, pc.hi),
 		VictimRegions: pc.victims,
 		Sprayable:     pc.sprayable,
 		ptOf:          p.ptOf,
@@ -290,32 +243,18 @@ func (p *EscalationPlanner) Next() (*EscalationPlan, error) {
 	for _, va := range plan.Spray {
 		p.m.Load(va)
 	}
-	// Exclude from eviction streams every page whose leaf PT sits in
-	// [aggressor low row - 1, aggressor high row + 1] of the hammered
-	// bank: those tables hold all the entries a flip could conceivably
-	// corrupt (the victim row by design, its neighbours under drift),
-	// and a corrupted stream translation could resolve anywhere.
+	// Exclude from eviction streams every page whose leaf PT sits near
+	// the hammered rows: those tables hold all the entries a flip could
+	// conceivably corrupt.
 	for _, c := range p.cands {
-		if sameBank(c.loc, pc.lo.loc) && c.loc.Row+1 >= pc.lo.loc.Row && c.loc.Row <= pc.hi.loc.Row+1 {
+		if plan.Pair.near(c.loc) {
 			plan.Exclude = regionPages(c.va, plan.Exclude)
 		}
 	}
-	if err := plan.pickThrash(p.m, p.geom, pc.lo.loc, pc.hi.loc); err != nil {
+	if err := plan.pickThrash(p.m); err != nil {
 		return nil, err
 	}
 	return plan, nil
-}
-
-// PlanEscalation lays out the attack on a fresh machine using the
-// top-ranked aggressor pair — the single-shot entry the demo and the
-// flip-rate tables use. The budgeted driver keeps the planner instead,
-// so it can fall back to later-ranked pairs.
-func PlanEscalation(m *machine.Machine) (*EscalationPlan, error) {
-	p, err := NewEscalationPlanner(m)
-	if err != nil {
-		return nil, err
-	}
-	return p.Next()
 }
 
 // pickThrash premaps the TLB-scrub region: one full 2 MiB region (512
@@ -323,7 +262,7 @@ func PlanEscalation(m *machine.Machine) (*EscalationPlan, error) {
 // loading them all evicts every stale translation) whose own leaf PT
 // must sit outside the hammered rows. Regions are probed downward from
 // the top of user space.
-func (plan *EscalationPlan) pickThrash(m *machine.Machine, geom dram.Config, loLoc, hiLoc dram.Location) error {
+func (plan *EscalationPlan) pickThrash(m *machine.Machine) error {
 	span := pagetable.Span(2)
 	poolBase, _ := m.PageTables().Region()
 	limit := poolBase.Addr()
@@ -341,8 +280,7 @@ func (plan *EscalationPlan) pickThrash(m *machine.Machine, geom dram.Config, loL
 		if !ok {
 			continue
 		}
-		loc := geom.Map(pte)
-		if sameBank(loc, loLoc) && loc.Row+1 >= loLoc.Row && loc.Row <= hiLoc.Row+1 {
+		if plan.Pair.near(m.DRAM().Config().Map(pte)) {
 			continue // this region's own PTEs are themselves corruptible
 		}
 		plan.Thrash = regionPages(base, nil)
@@ -456,81 +394,6 @@ type rejection struct {
 	table phys.Frame
 }
 
-// RunEscalation hammers until a model-driven flip lands in one of the
-// victim row's page tables in an exploitable way, then performs the
-// escalation. Detection is purely attacker-side: once per refresh
-// window — the attacker schedules rescans from rdtsc and the known
-// tREFW, not from any oracle — the sprayed translations are rescanned
-// (thrash loads + Translate) for divergence, so the reported cycles
-// include every scan a real attacker pays for. Corrupted-but-useless
-// (page, table) combinations are remembered and skipped. The hammer
-// loop, detection, and exploit use no privileged operation.
-func RunEscalation(m *machine.Machine, h *ImplicitHammer, plan *EscalationPlan, maxIters uint64) (EscalationResult, error) {
-	model := m.FlipModel()
-	if model == nil {
-		return EscalationResult{}, fmt.Errorf("bench: escalation needs a machine with a flip model")
-	}
-	// Refresh the table map: eviction-set construction demand-allocated
-	// more page tables since the plan was laid out, and a flip landing
-	// on any of them is just as exploitable.
-	plan.ptOf = leafPTs(m)
-
-	// Construction already rotated windows (and could in principle have
-	// flipped); everything reported below is the hammer phase's own
-	// delta past these marks.
-	windows0 := model.Windows()
-	flips0 := len(model.Flips())
-
-	var res EscalationResult
-	start := m.Clock().Now()
-	window := timing.Cycles(m.Config().DRAM.RefreshWindow)
-	nextScan := start + window
-	rejected := make(map[rejection]bool)
-	// Incremental detection: a window in which the model recorded no new
-	// flip cannot have changed any translation, so the attacker skips
-	// the rescan entirely. A real attacker gets the same signal for free
-	// — the previous scan's translations are re-checked only after the
-	// timing of a hammer iteration hiccups — and the demo keeps its
-	// budget honest by only paying thrash + Translate traffic for
-	// windows that might have produced damage.
-	scannedFlips := flips0
-	rescan := false // a rejected exploit may have left another divergence
-	for it := uint64(0); it < maxIters; it++ {
-		h.HammerOnce(m)
-		res.Iterations = it + 1
-		if res.FirstFlipIter == 0 && len(model.Flips()) > flips0 {
-			res.FirstFlipIter = it + 1
-			res.FirstFlipCycles = m.Clock().Now() - start
-		}
-		if window == 0 || m.Clock().Now() < nextScan {
-			continue
-		}
-		for nextScan <= m.Clock().Now() {
-			nextScan += window
-		}
-		if len(model.Flips()) == scannedFlips && !rescan {
-			continue
-		}
-		scannedFlips = len(model.Flips())
-		rescan = false
-		va, table, ok := plan.scan(m, rejected)
-		if !ok {
-			continue
-		}
-		if err := plan.exploit(m, va, table, &res); err != nil {
-			rejected[rejection{va, table}] = true
-			rescan = true
-			continue
-		}
-		res.Windows = model.Windows() - windows0
-		res.Cycles = m.Clock().Now() - start
-		res.TotalFlips = len(model.Flips()) - flips0
-		return res, nil
-	}
-	return res, fmt.Errorf("bench: no exploitable flip within %d iterations (%d flips landed)",
-		maxIters, len(model.Flips())-flips0)
-}
-
 // BuildEscalation assembles the whole attack on a fresh machine: flip
 // model, demo machine, plan (spray + exclusions + thrash), and the
 // eviction-driven hammer for the planned pair. The refresh window is
@@ -544,7 +407,11 @@ func BuildEscalation(profile flip.Profile, seed int64) (*machine.Machine, *Escal
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	plan, err := PlanEscalation(m)
+	planner, err := NewEscalationPlanner(m)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	plan, err := planner.Next()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -553,16 +420,6 @@ func BuildEscalation(profile flip.Profile, seed int64) (*machine.Machine, *Escal
 		return nil, nil, nil, err
 	}
 	return m, plan, h, nil
-}
-
-// RunEscalationDemo is the one-call end-to-end demo: build everything
-// for the profile and seed, then escalate within the iteration budget.
-func RunEscalationDemo(profile flip.Profile, seed int64, maxIters uint64) (EscalationResult, error) {
-	m, plan, h, err := BuildEscalation(profile, seed)
-	if err != nil {
-		return EscalationResult{}, err
-	}
-	return RunEscalation(m, h, plan, maxIters)
 }
 
 // FlipRun summarises a fixed-budget hammer run for the per-module-class

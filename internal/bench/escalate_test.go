@@ -42,19 +42,23 @@ func TestImplicitHammerStartsFromZeroPressure(t *testing.T) {
 	}
 }
 
-// TestPlanEscalationLayout checks the attacker's layout invariants:
-// the pair is double-sided over a victim row that holds sprayed leaf
-// page tables, the jackpot surface is non-empty, and the eviction
-// streams exclude every page mapped by a hammered-row table.
+// TestPlanEscalationLayout checks the attacker's layout invariants for
+// the top-ranked pair: it is double-sided over a victim row that holds
+// sprayed leaf page tables, the jackpot surface is non-empty, and the
+// eviction streams exclude every page mapped by a hammered-row table.
 func TestPlanEscalationLayout(t *testing.T) {
 	model := flip.MustNewModel(flip.ClassA(), escalationSeed)
 	m := machine.MustNew(EscalationConfig(model))
-	plan, err := PlanEscalation(m)
+	planner, err := NewEscalationPlanner(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planner.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
 	pair := plan.Pair
-	if pair.Loc1.Bank != pair.Loc2.Bank || pair.Loc2.Row-pair.Loc1.Row != 2 {
+	if !pair.Loc1.SameBank(pair.Loc2) || pair.Loc2.Row-pair.Loc1.Row != 2 || pair.VictimRow != pair.Loc1.Row+1 {
 		t.Fatalf("pair not double-sided same-bank: %+v / %+v", pair.Loc1, pair.Loc2)
 	}
 	if len(plan.VictimRegions) == 0 || plan.Sprayable == 0 {
@@ -88,22 +92,40 @@ func TestPlanEscalationLayout(t *testing.T) {
 	}
 }
 
+// oneAttempt is the plain pte-flip escalation budget: a single driver
+// attempt spanning the whole window budget, no backoff, no tiers.
+func oneAttempt(windows uint64) Budget {
+	return Budget{MaxWindows: windows, AttemptWindows: windows}
+}
+
 // TestEscalationEndToEnd is the PR's acceptance test: eviction-driven
 // hammering with zero privileged operations produces a model-driven
 // flip in a page-table frame, the attacker detects it by Translate
-// divergence, and the demo rewrites a PTE through the corrupted
+// divergence, and the driver rewrites a PTE through the corrupted
 // mapping — ending with an attacker marker in a kernel frame.
 func TestEscalationEndToEnd(t *testing.T) {
-	m, plan, h, err := BuildEscalation(flip.ClassA(), escalationSeed)
+	model := flip.MustNewModel(flip.ClassA(), escalationSeed)
+	cfg := EscalationConfig(model)
+	m := machine.MustNew(cfg)
+	// The top-ranked pair the single attempt hammers, planned on an
+	// identical machine.
+	planner, err := NewEscalationPlanner(machine.MustNew(EscalationConfig(flip.MustNewModel(flip.ClassA(), escalationSeed))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	flushes0, invlpgs0 := m.PrivilegedOps()
+	plan, err := planner.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	res, err := RunEscalation(m, h, plan, 200_000)
+	v, err := driveEscalation(m, oneAttempt(DefaultBudget().MaxWindows), cfg.DRAM.RefreshWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !v.Success || v.Rebuilds != 0 || v.Replans != 0 {
+		t.Fatalf("single attempt did not escalate cleanly: %+v", v)
+	}
+	res := *v.Result
 	if res.TotalFlips == 0 || res.FirstFlipIter == 0 {
 		t.Fatalf("escalated without flips: %+v", res)
 	}
@@ -115,8 +137,7 @@ func TestEscalationEndToEnd(t *testing.T) {
 	geom := m.DRAM().Config()
 	for _, f := range m.Flips() {
 		loc := geom.Map(f.Addr)
-		if loc.Channel != plan.Pair.Loc1.Channel || loc.Rank != plan.Pair.Loc1.Rank ||
-			loc.Bank != plan.Pair.Loc1.Bank || loc.Row != plan.Pair.VictimRow {
+		if !loc.SameBank(plan.Pair.Loc1) || loc.Row != plan.Pair.VictimRow {
 			t.Fatalf("flip outside the victim row: %+v decodes to %+v", f, loc)
 		}
 	}
@@ -147,7 +168,7 @@ func TestEscalationEndToEnd(t *testing.T) {
 
 	// The whole attack — construction, hammering, detection, exploit —
 	// used no privileged operation.
-	if f, inv := m.PrivilegedOps(); f != flushes0 || inv != invlpgs0 || f != 0 || inv != 0 {
+	if f, inv := m.PrivilegedOps(); f != 0 || inv != 0 || v.PrivFlushes != 0 || v.PrivInvlpgs != 0 {
 		t.Fatalf("privileged ops used: flushes=%d invlpg=%d", f, inv)
 	}
 }
@@ -156,22 +177,21 @@ func TestEscalationEndToEnd(t *testing.T) {
 // twice produces an identical result — the property the CI smoke run
 // and the committed tables rely on.
 func TestEscalationDeterministicPerSeed(t *testing.T) {
-	a, err := RunEscalationDemo(flip.ClassA(), escalationSeed, 200_000)
-	if err != nil {
-		t.Fatal(err)
+	run := func(seed int64) EscalationResult {
+		v, err := RunEscalationResilient(flip.ClassA(), seed, nil, oneAttempt(DefaultBudget().MaxWindows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.Success {
+			t.Fatalf("seed %d did not escalate: %+v", seed, v)
+		}
+		return *v.Result
 	}
-	b, err := RunEscalationDemo(flip.ClassA(), escalationSeed, 200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := run(escalationSeed), run(escalationSeed)
 	if a != b {
 		t.Fatalf("same seed diverged:\n%+v\nvs\n%+v", a, b)
 	}
-	c, err := RunEscalationDemo(flip.ClassA(), escalationSeed+1, 200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == c {
+	if c := run(escalationSeed + 1); a == c {
 		t.Fatal("different seeds produced identical escalations")
 	}
 }

@@ -16,6 +16,7 @@ package bench
 
 import (
 	"fmt"
+	"iter"
 
 	"pthammer/internal/dram"
 	"pthammer/internal/evset"
@@ -37,57 +38,92 @@ type ImplicitPair struct {
 	VictimRow uint64
 }
 
-// FindImplicitAggressors demand-allocates page tables by touching up
-// to maxRegions distinct 2 MiB regions, then scans the resulting PT
-// frames for a pair of leaf PTEs in the same bank exactly two rows
-// apart. ok is false when the geometry yields no such pair within the
-// touched regions. The demand-allocation loads are construction
-// traffic, not attack traffic, so the refresh window is reset before
-// returning: the caller's first measured window starts from zero
-// pressure.
-func FindImplicitAggressors(m *machine.Machine, maxRegions int) (ImplicitPair, bool) {
-	defer m.ResetRefreshWindow()
-	span := pagetable.Span(2) // one PT covers a 2 MiB region
-	size := m.Memory().Size()
-	geom := m.DRAM().Config()
+// regionCand is one touched 2 MiB region, its leaf-PTE address, and
+// that PTE's DRAM location, decoded once.
+type regionCand struct {
+	va  phys.Addr
+	pte phys.Addr
+	loc dram.Location
+}
 
-	type cand struct {
-		va  phys.Addr
-		pte phys.Addr
-		loc dram.Location
-	}
-	var cands []cand
-	for k := 0; k < maxRegions && uint64(k)*span < size; k++ {
+// touchRegions demand-loads up to n 2 MiB regions from address 0,
+// stopping below the machine's page-table pool, and decodes each
+// populated region's leaf PTE once: the candidate list every aggressor
+// finder scans.
+func touchRegions(m *machine.Machine, n int) []regionCand {
+	span := pagetable.Span(2) // one PT covers a 2 MiB region
+	geom := m.DRAM().Config()
+	poolBase, _ := m.PageTables().Region()
+	cands := make([]regionCand, 0, n)
+	for k := 0; k < n && uint64(k)*span < uint64(poolBase.Addr()); k++ {
 		va := phys.Addr(uint64(k) * span)
 		m.Load(va) // demand-allocate the region's page-table path
-		pte, ok := m.PTEAddr(va, 1)
-		if !ok {
-			continue
+		if pte, ok := m.PTEAddr(va, 1); ok {
+			cands = append(cands, regionCand{va: va, pte: pte, loc: geom.Map(pte)})
 		}
-		cands = append(cands, cand{va: va, pte: pte, loc: geom.Map(pte)})
 	}
-	for i := range cands {
-		for j := i + 1; j < len(cands); j++ {
-			a, b := cands[i], cands[j]
-			if a.loc.Channel != b.loc.Channel || a.loc.Rank != b.loc.Rank || a.loc.Bank != b.loc.Bank {
-				continue
+	return cands
+}
+
+// doubleSided yields the double-sided aggressor pairs among the
+// candidates — same bank, PTE rows exactly two apart, lower row first —
+// in dram.Pairs scan order.
+func doubleSided(cands []regionCand) iter.Seq2[regionCand, regionCand] {
+	locs := make([]dram.Location, len(cands))
+	for i, c := range cands {
+		locs[i] = c.loc
+	}
+	return func(yield func(lo, hi regionCand) bool) {
+		for i, j := range dram.Pairs(locs) {
+			if locs[j].Row-locs[i].Row == 2 && !yield(cands[i], cands[j]) {
+				return
 			}
-			lo, hi := a, b
-			if lo.loc.Row > hi.loc.Row {
-				lo, hi = hi, lo
-			}
-			if hi.loc.Row-lo.loc.Row != 2 {
-				continue
-			}
-			return ImplicitPair{
-				VA1: lo.va, VA2: hi.va,
-				PTE1: lo.pte, PTE2: hi.pte,
-				Loc1: lo.loc, Loc2: hi.loc,
-				VictimRow: lo.loc.Row + 1,
-			}, true
+		}
+	}
+}
+
+// pairOf is the implicit pair over two candidates, lo on the lower
+// row; the victim row is the one above lo's.
+func pairOf(lo, hi regionCand) ImplicitPair {
+	return ImplicitPair{
+		VA1: lo.va, VA2: hi.va,
+		PTE1: lo.pte, PTE2: hi.pte,
+		Loc1: lo.loc, Loc2: hi.loc,
+		VictimRow: lo.loc.Row + 1,
+	}
+}
+
+// firstPair returns the first double-sided candidate pair keep accepts
+// (nil accepts every pair).
+func firstPair(cands []regionCand, keep func(ImplicitPair) bool) (ImplicitPair, bool) {
+	for lo, hi := range doubleSided(cands) {
+		if p := pairOf(lo, hi); keep == nil || keep(p) {
+			return p, true
 		}
 	}
 	return ImplicitPair{}, false
+}
+
+// near reports whether loc lies in the rows a flip from hammering p can
+// corrupt: the hammered bank, from one row below the low aggressor to
+// one row above the high one (the victim row by design, its neighbours
+// under drift). A page whose leaf PTE sits there must stay out of every
+// eviction stream, since a corrupted stream translation could resolve
+// anywhere.
+func (p ImplicitPair) near(loc dram.Location) bool {
+	return loc.SameBank(p.Loc1) && loc.Row+1 >= p.Loc1.Row && loc.Row <= p.Loc2.Row+1
+}
+
+// FindImplicitAggressors demand-allocates page tables by touching up
+// to maxRegions distinct 2 MiB regions, then takes the first pair of
+// their leaf PTEs in the same bank exactly two rows apart. ok is false
+// when the geometry yields no such pair within the touched regions.
+// The demand-allocation loads are construction traffic, not attack
+// traffic, so the refresh window is reset before returning: the
+// caller's first measured window starts from zero pressure.
+func FindImplicitAggressors(m *machine.Machine, maxRegions int) (ImplicitPair, bool) {
+	defer m.ResetRefreshWindow()
+	return firstPair(touchRegions(m, maxRegions), nil)
 }
 
 // HammerOncePrivileged runs one iteration of the implicit-hammer loop

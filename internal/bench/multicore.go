@@ -24,7 +24,6 @@ package bench
 import (
 	"fmt"
 
-	"pthammer/internal/dram"
 	"pthammer/internal/evset"
 	"pthammer/internal/flip"
 	"pthammer/internal/machine"
@@ -53,38 +52,19 @@ const (
 	crossTenantThreshold = 64
 )
 
-// mtWindow is the refresh window all mt scenarios run at — the
-// EscalationConfig scale, so one window holds tens of hammer
-// iterations instead of tens of thousands.
-const mtWindow = 350_000
-
-// mtConfig is the shared multi-tenant machine base: the SandyBridge
-// preset at escalation scale with the given hammer threshold and flip
-// engine.
-func mtConfig(threshold uint64, model *flip.Model) machine.Config {
-	cfg := machine.SandyBridge()
+// newMTMachine builds an mt scenario's machine and its class-A flip
+// model for seed: EscalationConfig (so one refresh window holds tens of
+// hammer iterations, not tens of thousands) at the scenario's hammer
+// threshold.
+func newMTMachine(seed int64, threshold uint64, cores int, tenants []int) (*machine.MultiMachine, *flip.Model, error) {
+	model, err := flip.NewModel(flip.ClassA(), seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := EscalationConfig(model)
 	cfg.DRAM.HammerThreshold = threshold
-	cfg.DRAM.RefreshWindow = mtWindow
-	cfg.FlipModel = model
-	return cfg
-}
-
-// alignClocks advances every core's clock to the maximum across cores
-// — construction work is never evenly distributed — so the measured
-// phase starts with all tenants at the same simulated instant, then
-// opens a fresh refresh window at it.
-func alignClocks(mm *machine.MultiMachine) {
-	var max timing.Cycles
-	for i := 0; i < mm.NumCores(); i++ {
-		if now := mm.Core(i).Clock().Now(); now > max {
-			max = now
-		}
-	}
-	for i := 0; i < mm.NumCores(); i++ {
-		c := mm.Core(i).Clock()
-		c.Advance(max - c.Now())
-	}
-	mm.Core(0).ResetRefreshWindow()
+	mm, err := machine.NewMulti(machine.MultiConfig{Config: cfg, Cores: cores, Tenants: tenants})
+	return mm, model, err
 }
 
 // pairPressure reads the current window's combined activation count of
@@ -116,14 +96,7 @@ type ColocatedAmplifyResult struct {
 // windows. It returns the peak per-window pressure, flip count and
 // total iterations.
 func amplifyArm(seed int64, cores, windows int) (pressure uint64, flips int, iters uint64, err error) {
-	model, err := flip.NewModel(flip.ClassA(), seed)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	mm, err := machine.NewMulti(machine.MultiConfig{
-		Config: mtConfig(amplifyThreshold, model),
-		Cores:  cores,
-	})
+	mm, model, err := newMTMachine(seed, amplifyThreshold, cores, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -137,11 +110,11 @@ func amplifyArm(seed int64, cores, windows int) (pressure uint64, flips int, ite
 			return 0, 0, 0, err
 		}
 	}
-	alignClocks(mm)
+	mm.AlignClocks()
 
 	var itersN uint64
 	var peak uint64
-	budget := timing.Cycles(windows) * mtWindow
+	budget := timing.Cycles(windows) * mm.Config().DRAM.RefreshWindow
 	mm.Run(func(i int, m *machine.Machine, yield func()) {
 		start := m.Clock().Now()
 		for m.Clock().Now()-start < budget {
@@ -204,15 +177,7 @@ const bystanderBase = phys.Addr(256 << 20)
 // noisyArm runs the attacker for the given number of refresh windows
 // next to a bystander that is either streaming (noisy) or idle.
 func noisyArm(seed int64, noisy bool, windows int) (pressure uint64, flips int, iters, loads uint64, err error) {
-	model, err := flip.NewModel(flip.ClassA(), seed)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	mm, err := machine.NewMulti(machine.MultiConfig{
-		Config:  mtConfig(noisyThreshold, model),
-		Cores:   2,
-		Tenants: []int{0, 1},
-	})
+	mm, model, err := newMTMachine(seed, noisyThreshold, 2, []int{0, 1})
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -233,11 +198,11 @@ func noisyArm(seed int64, noisy bool, windows int) (pressure uint64, flips int, 
 	waySpan := llc.Sets() * llc.LineBytes
 	ring := llc.Ways + 1
 	mm.Core(1).Premap(bystanderBase, uint64(ring)*waySpan)
-	alignClocks(mm)
+	mm.AlignClocks()
 
 	var itersN, loadsN uint64
 	var peak uint64
-	budget := timing.Cycles(windows) * mtWindow
+	budget := timing.Cycles(windows) * mm.Config().DRAM.RefreshWindow
 	done := false
 	mm.Run(func(i int, m *machine.Machine, yield func()) {
 		if i == 0 {
@@ -326,56 +291,17 @@ type CrossTenantResult struct {
 	Breached bool
 }
 
-// xtFindPair picks the attacker's aggressor pair: two of its own
-// leaf-PTE lines in the same bank exactly two rows apart. With striped
-// tenant pools the row between them belongs to the victim tenant by
-// construction; the pair is accepted once that row actually holds at
-// least one allocated victim table frame.
-func xtFindPair(mm *machine.MultiMachine, attacker *machine.Machine, regions []phys.Addr) (ImplicitPair, bool) {
-	geom := mm.DRAM().Config()
-	victimFrames := mm.Tables(1).Frames()
-	victimHolds := func(loc dram.Location, row uint64) bool {
-		for _, f := range victimFrames {
-			l := geom.Map(f.Addr())
-			if sameBank(l, loc) && l.Row == row {
-				return true
-			}
-		}
-		return false
-	}
-	type cand struct {
-		va  phys.Addr
-		pte phys.Addr
-		loc dram.Location
-	}
-	var cands []cand
-	for _, va := range regions {
-		if pte, ok := attacker.PTEAddr(va, 1); ok {
-			cands = append(cands, cand{va: va, pte: pte, loc: geom.Map(pte)})
-		}
-	}
-	for i := range cands {
-		for j := i + 1; j < len(cands); j++ {
-			lo, hi := cands[i], cands[j]
-			if lo.loc.Row > hi.loc.Row {
-				lo, hi = hi, lo
-			}
-			if !sameBank(lo.loc, hi.loc) || hi.loc.Row-lo.loc.Row != 2 {
-				continue
-			}
-			victimRow := lo.loc.Row + 1
-			if !victimHolds(lo.loc, victimRow) {
-				continue
-			}
-			return ImplicitPair{
-				VA1: lo.va, VA2: hi.va,
-				PTE1: lo.pte, PTE2: hi.pte,
-				Loc1: lo.loc, Loc2: hi.loc,
-				VictimRow: victimRow,
-			}, true
-		}
-	}
-	return ImplicitPair{}, false
+// xtFindPair picks the attacker's aggressor pair: the first two of its
+// own leaf-PTE lines in the same bank exactly two rows apart whose
+// middle row holds at least one allocated table frame of the victim
+// tenant. With striped tenant pools that row belongs to the victim by
+// construction; the check is that it is actually populated.
+func xtFindPair(mm *machine.MultiMachine, cands []regionCand) (ImplicitPair, bool) {
+	return firstPair(cands, func(p ImplicitPair) bool {
+		row := p.Loc1
+		row.Row = p.VictimRow
+		return mm.TablesInRow(1, row)
+	})
 }
 
 // RunCrossTenantEscalation is the full cross-tenant chain on a
@@ -391,15 +317,7 @@ func xtFindPair(mm *machine.MultiMachine, attacker *machine.Machine, regions []p
 // Deterministic per seed.
 func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, error) {
 	var res CrossTenantResult
-	model, err := flip.NewModel(flip.ClassA(), seed)
-	if err != nil {
-		return res, err
-	}
-	mm, err := machine.NewMulti(machine.MultiConfig{
-		Config:  mtConfig(crossTenantThreshold, model),
-		Cores:   2,
-		Tenants: []int{0, 1},
-	})
+	mm, model, err := newMTMachine(seed, crossTenantThreshold, 2, []int{0, 1})
 	if err != nil {
 		return res, err
 	}
@@ -408,12 +326,7 @@ func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, er
 
 	// Attacker surface: touch its regions so their leaf tables populate
 	// the attacker pool's striped rows.
-	regions := make([]phys.Addr, 0, xtAttackerRegions)
-	for k := 0; k < xtAttackerRegions; k++ {
-		va := phys.Addr(uint64(k) * span)
-		attacker.Load(va)
-		regions = append(regions, va)
-	}
+	cands := touchRegions(attacker, xtAttackerRegions)
 	// Victim surface: premap the spray (tables fill with present PTEs,
 	// nothing enters the victim's TLBs) and the private buffer.
 	spray := make([]phys.Addr, 0, xtVictimRegions*int(span/phys.FrameSize))
@@ -424,7 +337,7 @@ func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, er
 	}
 	victim.Premap(xtVictimBufBase, xtVictimBufBytes)
 
-	pair, ok := xtFindPair(mm, attacker, regions)
+	pair, ok := xtFindPair(mm, cands)
 	if !ok {
 		return res, fmt.Errorf("bench: no cross-tenant sandwich pair among %d attacker regions", xtAttackerRegions)
 	}
@@ -433,25 +346,22 @@ func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, er
 	// Keep eviction streams away from pages whose leaf PTs share the
 	// hammered bank's row neighbourhood, as the single-core escalation
 	// does.
-	geom := mm.DRAM().Config()
 	var exclude []phys.Addr
-	for _, va := range regions {
-		if pte, ok := attacker.PTEAddr(va, 1); ok {
-			loc := geom.Map(pte)
-			if sameBank(loc, pair.Loc1) && loc.Row+1 >= pair.Loc1.Row && loc.Row <= pair.Loc2.Row+1 {
-				exclude = regionPages(va, exclude)
-			}
+	for _, c := range cands {
+		if pair.near(c.loc) {
+			exclude = regionPages(c.va, exclude)
 		}
 	}
 	h, err := NewImplicitHammerForPair(attacker, pair, exclude, evset.Options{})
 	if err != nil {
 		return res, err
 	}
-	alignClocks(mm)
+	mm.AlignClocks()
 
 	windows0 := model.Windows()
 	flips0 := len(model.Flips())
-	budget := timing.Cycles(maxWindows) * mtWindow
+	window := mm.Config().DRAM.RefreshWindow
+	budget := timing.Cycles(maxWindows) * window
 	attackerLimit := phys.Addr(uint64(xtAttackerRegions) * span)
 
 	done, found := false, false
@@ -474,7 +384,7 @@ func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, er
 		// timed confirmation below is what a real victim's fault
 		// handler would observe).
 		var off uint64
-		nextScan := m.Clock().Now() + mtWindow
+		nextScan := m.Clock().Now() + window
 		for !done {
 			for k := 0; k < 16; k++ {
 				m.Load(xtVictimBufBase + phys.Addr(off))
@@ -485,7 +395,7 @@ func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, er
 			}
 			if m.Clock().Now() >= nextScan {
 				for m.Clock().Now() >= nextScan {
-					nextScan += mtWindow
+					nextScan += window
 				}
 				for _, s := range spray {
 					f, ok := mm.Tables(1).Resolve(s)

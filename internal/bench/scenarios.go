@@ -148,20 +148,26 @@ func Scenarios() []Scenario {
 			},
 		},
 		{
-			// The paper's end-to-end payoff, measured as one op: build
-			// the spray layout and eviction sets on a fresh machine,
-			// hammer across refresh windows (rescanning the sprayed
-			// translations once per window) until the class-A flip
-			// model corrupts a sprayed PTE exploitably, detect the
-			// corruption from user space, and rewrite a PTE through it.
-			// Not steady-state (each op constructs a whole attack) and
-			// not load-shaped; the figure of merit is wall-clock per
-			// escalation.
+			// The paper's end-to-end payoff, measured as one op: one
+			// attempt of the budgeted driver (no backoff, no tiers)
+			// builds the spray layout and eviction sets on a recycled
+			// demo machine, hammers across refresh windows (rescanning
+			// the sprayed translations once per window) until the
+			// class-A flip model corrupts a sprayed PTE exploitably,
+			// detects the corruption from user space, and rewrites a
+			// PTE through it. Not steady-state (each op constructs a
+			// whole attack) and not load-shaped; the figure of merit is
+			// wall-clock per escalation.
 			Name: "pte-flip-escalation",
 			Run: func(b *testing.B) {
+				w := DefaultBudget().MaxWindows
 				for i := 0; i < b.N; i++ {
-					if _, err := RunEscalationDemo(flip.ClassA(), 1, 500_000); err != nil {
+					v, err := RunEscalationResilient(flip.ClassA(), 1, nil, Budget{MaxWindows: w, AttemptWindows: w})
+					if err != nil {
 						b.Fatal(err)
+					}
+					if !v.Success {
+						b.Fatalf("escalation failed: %+v", v)
 					}
 				}
 			},

@@ -249,7 +249,7 @@ func (u *unit) prepare(spec Spec, tenant int) error {
 		return err
 	}
 	setupTenant(u.mm)
-	alignTenant(u.mm)
+	u.mm.AlignClocks()
 	u.out = Outcome{Tenant: tenant, Seed: seed}
 	u.jit = uint64(seed)
 	// The tenant's victim-intensity level is the jitter stream's first

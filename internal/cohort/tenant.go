@@ -160,8 +160,8 @@ type geometry struct {
 // freshly reset unit: the attacker touches its regions in a fixed
 // order (fixing the table pool's allocation order, and with it the
 // pair geometry), the victim premaps its spray and warms its stream
-// pages into the TLB. Must be followed by alignTenant before the
-// measured run.
+// pages into the TLB. Must be followed by MultiMachine.AlignClocks
+// before the measured run.
 func setupTenant(mm *machine.MultiMachine) {
 	attacker, victim := mm.Core(0), mm.Core(1)
 	for r := 0; r < attackerRegions; r++ {
@@ -178,25 +178,6 @@ func streamPage(k int) phys.Addr {
 	return regionBase(victimStreamRegion) + phys.Addr(uint64(k)*victimStreamPageStride*phys.FrameSize)
 }
 
-// alignTenant advances both cores to the later of the two clocks and
-// opens a fresh refresh window there, so construction skew never leaks
-// into the measured run.
-func alignTenant(mm *machine.MultiMachine) {
-	a, v := mm.Core(0).Clock(), mm.Core(1).Clock()
-	max := a.Now()
-	if v.Now() > max {
-		max = v.Now()
-	}
-	a.Advance(max - a.Now())
-	v.Advance(max - v.Now())
-	mm.Core(0).ResetRefreshWindow()
-}
-
-// sameBank reports whether two locations name the same physical bank.
-func sameBank(a, b dram.Location) bool {
-	return a.Channel == b.Channel && a.Rank == b.Rank && a.Bank == b.Bank
-}
-
 // probeGeometry derives the tenant geometry from a set-up scratch
 // tenant. It searches the attacker's leaf-PT bank-rows for the
 // closest same-bank pair, preferring one exactly two rows apart with a
@@ -206,62 +187,34 @@ func sameBank(a, b dram.Location) bool {
 func probeGeometry(mm *machine.MultiMachine) (geometry, error) {
 	var g geometry
 	geom := mm.DRAM().Config()
-	attacker := mm.Core(0)
-
-	type ptCand struct {
-		region int
-		loc    dram.Location
-	}
-	cands := make([]ptCand, 0, attackerRegions)
-	for r := 0; r < attackerRegions; r++ {
-		pte, ok := attacker.PTEAddr(regionBase(r), 1)
+	locs := make([]dram.Location, attackerRegions)
+	for r := range locs {
+		pte, ok := mm.Core(0).PTEAddr(regionBase(r), 1)
 		if !ok {
 			return g, fmt.Errorf("cohort: attacker region %d has no leaf PTE after setup", r)
 		}
-		cands = append(cands, ptCand{region: r, loc: geom.Map(pte)})
-	}
-	victimHolds := func(bank dram.Location, row uint64) bool {
-		for _, f := range mm.Tables(1).Frames() {
-			l := geom.Map(f.Addr())
-			if sameBank(l, bank) && l.Row == row {
-				return true
-			}
-		}
-		return false
+		locs[r] = geom.Map(pte)
 	}
 
 	// Best pair: sandwiching a victim row beats everything; then the
-	// smallest same-bank row distance; ties resolve to the first
-	// candidate pair in region order, keeping the probe deterministic.
-	best := -1
-	var bestA, bestB ptCand
-	bestSandwich := false
-	for i := range cands {
-		for j := i + 1; j < len(cands); j++ {
-			lo, hi := cands[i], cands[j]
-			if lo.loc.Row > hi.loc.Row {
-				lo, hi = hi, lo
-			}
-			if !sameBank(lo.loc, hi.loc) || lo.loc.Row == hi.loc.Row {
-				continue
-			}
-			dist := int(hi.loc.Row - lo.loc.Row)
-			sandwich := dist == 2 && victimHolds(lo.loc, lo.loc.Row+1)
-			better := best < 0 ||
-				(sandwich && !bestSandwich) ||
-				(sandwich == bestSandwich && dist < best)
-			if better {
-				best, bestA, bestB, bestSandwich = dist, lo, hi, sandwich
-			}
+	// smallest same-bank row distance; ties resolve to the first pair
+	// in dram.Pairs scan order, keeping the probe deterministic.
+	a, b, best := -1, -1, uint64(0)
+	for lo, hi := range dram.Pairs(locs) {
+		dist := locs[hi].Row - locs[lo].Row
+		mid := locs[lo]
+		mid.Row++
+		sandwich := dist == 2 && mm.TablesInRow(1, mid)
+		if a < 0 || (sandwich && !g.sandwiched) || (sandwich == g.sandwiched && dist < best) {
+			a, b, best, g.sandwiched = lo, hi, dist, sandwich
 		}
 	}
-	if best < 0 {
+	if a < 0 {
 		return g, fmt.Errorf("cohort: no same-bank attacker PT pair among %d regions", attackerRegions)
 	}
-	g.locA, g.locB = bestA.loc, bestB.loc
-	g.sandwiched = bestSandwich
-	if bestSandwich {
-		g.victimRow = bestA.loc.Row + 1
+	g.locA, g.locB = locs[a], locs[b]
+	if g.sandwiched {
+		g.victimRow = g.locA.Row + 1
 	}
 
 	// The hammer ring: pages of the two pair regions interleaved, PTE
@@ -269,7 +222,7 @@ func probeGeometry(mm *machine.MultiMachine) (geometry, error) {
 	g.ring = make([]phys.Addr, 0, 2*ringPagesPerRegion)
 	for i := 0; i < ringPagesPerRegion; i++ {
 		off := phys.Addr(uint64(i) * ringPageStride * phys.FrameSize)
-		g.ring = append(g.ring, regionBase(bestA.region)+off, regionBase(bestB.region)+off)
+		g.ring = append(g.ring, regionBase(a)+off, regionBase(b)+off)
 	}
 
 	pages := int(victimSprayRegions * pagetable.Span(2) / phys.FrameSize)

@@ -16,6 +16,7 @@ package dram
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"sort"
 
@@ -83,6 +84,36 @@ type Location struct {
 	Bank    int // bank index within the rank
 	Row     uint64
 	Col     uint64 // byte offset within the row
+}
+
+// SameBank reports whether l and o name the same bank: channel, rank
+// and bank index all equal.
+func (l Location) SameBank(o Location) bool {
+	return l.Channel == o.Channel && l.Rank == o.Rank && l.Bank == o.Bank
+}
+
+// Pairs yields every pair of locations in the same bank on different
+// rows, as indices into locs with the lower row first. Pairs come in
+// scan order — (i, j) for i < j, i-major — which is the deterministic
+// tie-break every aggressor-pair finder builds its policy on.
+func Pairs(locs []Location) iter.Seq2[int, int] {
+	return func(yield func(lo, hi int) bool) {
+		for i := range locs {
+			for j := i + 1; j < len(locs); j++ {
+				a, b := locs[i], locs[j]
+				if !a.SameBank(b) || a.Row == b.Row {
+					continue
+				}
+				lo, hi := i, j
+				if a.Row > b.Row {
+					lo, hi = j, i
+				}
+				if !yield(lo, hi) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // globalBank flattens (channel, rank, bank) into one index.

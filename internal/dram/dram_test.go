@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pthammer/internal/mem"
@@ -609,5 +610,82 @@ func TestPortAccessors(t *testing.T) {
 	}
 	if _, err := d.NewPort(0, nil, counters); err == nil {
 		t.Fatal("NewPort accepted a nil clock")
+	}
+}
+
+// TestSameBank: two locations share a bank only when channel, rank and
+// bank index all match; row and column never matter.
+func TestSameBank(t *testing.T) {
+	base := Location{Channel: 1, Rank: 1, Bank: 2, Row: 5, Col: 64}
+	cases := []struct {
+		name string
+		o    Location
+		want bool
+	}{
+		{"identical", base, true},
+		{"other row and column", Location{Channel: 1, Rank: 1, Bank: 2, Row: 9, Col: 0}, true},
+		{"other channel", Location{Channel: 0, Rank: 1, Bank: 2, Row: 5, Col: 64}, false},
+		{"other rank", Location{Channel: 1, Rank: 0, Bank: 2, Row: 5, Col: 64}, false},
+		{"other bank", Location{Channel: 1, Rank: 1, Bank: 3, Row: 5, Col: 64}, false},
+	}
+	for _, tc := range cases {
+		if got := base.SameBank(tc.o); got != tc.want {
+			t.Errorf("%s: SameBank = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := tc.o.SameBank(base); got != tc.want {
+			t.Errorf("%s: SameBank not symmetric", tc.name)
+		}
+	}
+}
+
+// TestPairs pins the shared pair enumeration every aggressor finder
+// builds on: same-bank pairs only, never two locations on one row,
+// lower row first, in scan order (i < j, i-major), and a break stops
+// the scan.
+func TestPairs(t *testing.T) {
+	bank := func(b int, row uint64) Location { return Location{Bank: b, Row: row} }
+	type pair struct{ lo, hi int }
+	cases := []struct {
+		name string
+		locs []Location
+		want []pair
+	}{
+		{"empty", nil, nil},
+		{"single", []Location{bank(0, 1)}, nil},
+		{"lower row first", []Location{bank(0, 7), bank(0, 5)}, []pair{{1, 0}}},
+		{"same row skipped", []Location{bank(0, 3), {Bank: 0, Row: 3, Col: 64}}, nil},
+		{"cross-bank skipped", []Location{bank(0, 3), bank(1, 5)}, nil},
+		{"cross-channel skipped", []Location{{Channel: 0, Row: 3}, {Channel: 1, Row: 5}}, nil},
+		{"cross-rank skipped", []Location{{Rank: 0, Row: 3}, {Rank: 1, Row: 5}}, nil},
+		{
+			"scan order",
+			[]Location{bank(0, 4), bank(1, 2), bank(0, 2), bank(1, 4), bank(0, 6), bank(0, 4)},
+			[]pair{{2, 0}, {0, 4}, {1, 3}, {2, 4}, {2, 5}, {5, 4}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []pair
+			for lo, hi := range Pairs(tc.locs) {
+				got = append(got, pair{lo, hi})
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("Pairs = %v, want %v", got, tc.want)
+			}
+		})
+	}
+
+	// A break ends the enumeration: the yield contract of a range
+	// iterator, which first-match finders rely on.
+	locs := []Location{bank(0, 1), bank(0, 3), bank(0, 5)}
+	n := 0
+	for range Pairs(locs) {
+		n++
+		if n == 2 {
+			break
+		}
+	}
+	if n != 2 {
+		t.Fatalf("loop body ran %d times after a break at 2", n)
 	}
 }

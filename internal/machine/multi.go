@@ -276,6 +276,34 @@ func (mm *MultiMachine) DRAM() *dram.DRAM { return mm.dram }
 // Config returns the configuration the machine was built with.
 func (mm *MultiMachine) Config() MultiConfig { return mm.cfg }
 
+// TablesInRow reports whether any page-table frame tenant t has
+// allocated so far sits in loc's DRAM row (loc.Col is ignored): the
+// row a disturbance error must land in to corrupt t's translations.
+func (mm *MultiMachine) TablesInRow(t int, loc dram.Location) bool {
+	geom := mm.dram.Config()
+	for _, f := range mm.tables[t].Frames() {
+		if l := geom.Map(f.Addr()); l.SameBank(loc) && l.Row == loc.Row {
+			return true
+		}
+	}
+	return false
+}
+
+// AlignClocks advances every core's clock to the latest one's — set-up
+// work is never spread evenly across cores — and opens a fresh refresh
+// window there, so a measured phase starts with every core at the same
+// simulated instant and zero activation pressure.
+func (mm *MultiMachine) AlignClocks() {
+	var latest timing.Cycles
+	for _, c := range mm.cores {
+		latest = max(latest, c.clock.Now())
+	}
+	for _, c := range mm.cores {
+		c.clock.Advance(latest - c.clock.Now())
+	}
+	mm.cores[0].ResetRefreshWindow()
+}
+
 // Reset recycles the whole multi-tenant machine under the
 // Reset/Recycle contract: every front-end rewinds (clock, PMC, noise,
 // TLB, walker, private caches, privileged-op counters), the shared LLC

@@ -352,3 +352,54 @@ func TestMultiFlipMislandInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestAlignClocks: after construction-style skew (one core loads, the
+// other loads more), AlignClocks brings every core to the former
+// maximum and opens a fresh refresh window there, so the measured
+// phase starts from zero activation pressure.
+func TestAlignClocks(t *testing.T) {
+	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 3, Tenants: []int{0, 1, 1}})
+	mm.Core(0).Load(0)
+	for k := 0; k < 8; k++ {
+		mm.Core(1).Load(phys.Addr(k) << 21)
+	}
+	var latest timing.Cycles
+	for i := 0; i < mm.NumCores(); i++ {
+		latest = max(latest, mm.Core(i).Clock().Now())
+	}
+	if mm.Core(0).HammerStats().Activations == 0 || mm.Core(0).Clock().Now() == latest {
+		t.Fatal("set-up produced no skew or no activations; the test proves nothing")
+	}
+	mm.AlignClocks()
+	for i := 0; i < mm.NumCores(); i++ {
+		if now := mm.Core(i).Clock().Now(); now != latest {
+			t.Fatalf("core %d clock = %d after AlignClocks, want %d", i, now, latest)
+		}
+	}
+	if s := mm.Core(0).HammerStats(); s.Activations != 0 || len(s.Victims) != 0 {
+		t.Fatalf("pressure after AlignClocks: %+v, want zero", s)
+	}
+}
+
+// TestTablesInRow: under interleaved striping a row holding one of
+// tenant 1's table frames reports tenant 1's tables, and tenant 0's
+// table row — one row index away — does not.
+func TestTablesInRow(t *testing.T) {
+	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 2, Tenants: []int{0, 1}})
+	mm.Core(1).Load(0)
+	geom := mm.DRAM().Config()
+	own := geom.Map(mm.Tables(1).Frames()[0].Addr())
+	other := geom.Map(mm.Tables(0).Frames()[0].Addr())
+	if !own.SameBank(other) || own.Row == other.Row {
+		t.Fatalf("first table frames not in one bank on different rows: %+v vs %+v", own, other)
+	}
+	if !mm.TablesInRow(1, own) {
+		t.Fatalf("row %+v holds tenant 1's root table, TablesInRow says no", own)
+	}
+	if mm.TablesInRow(1, other) {
+		t.Fatalf("tenant 0's table row %+v reported as holding tenant 1's tables", other)
+	}
+	if !mm.TablesInRow(0, other) {
+		t.Fatalf("row %+v holds tenant 0's root table, TablesInRow says no", other)
+	}
+}
