@@ -44,6 +44,14 @@ func buildSpec(mode string, targets, padMin, padMax, padStep, reps, workers int,
 	if targets <= 0 {
 		return sweep.Spec{}, fmt.Errorf("targets must be positive (got %d)", targets)
 	}
+	// The negated form rejects NaN too, the same test timing.NewNoise
+	// applies once a machine is built.
+	if !(noise >= 0 && noise < 1) {
+		return sweep.Spec{}, fmt.Errorf("noise %v outside [0,1)", noise)
+	}
+	if workers < 0 {
+		return sweep.Spec{}, fmt.Errorf("workers must be non-negative (got %d)", workers)
+	}
 	cfg := machine.SandyBridge()
 	if noise > 0 {
 		cfg.NoiseProb = noise

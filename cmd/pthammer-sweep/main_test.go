@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -66,6 +67,14 @@ func TestBuildSpecRejectsBadInput(t *testing.T) {
 	}
 	if _, err := buildSpec("evict", 0, 0, 10, 10, 1, 0, 0, 1); err == nil {
 		t.Error("zero targets accepted")
+	}
+	for _, noise := range []float64{-1, 1, 2, math.NaN()} {
+		if _, err := buildSpec("evict", 2, 0, 10, 10, 1, 0, noise, 1); err == nil {
+			t.Errorf("noise %v accepted", noise)
+		}
+	}
+	if _, err := buildSpec("evict", 2, 0, 10, 10, 1, -1, 0, 1); err == nil {
+		t.Error("negative workers accepted")
 	}
 	// 513 targets put the last one at 1 GiB, past the preset's memory:
 	// the tables come back as an error in both modes, never a panic.

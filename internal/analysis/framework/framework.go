@@ -1,10 +1,10 @@
 // Package framework is a minimal, dependency-free stand-in for the parts
 // of golang.org/x/tools/go/analysis that pthammer-lint needs. The build
 // environment vendors nothing, so the Analyzer/Pass/Diagnostic shapes are
-// re-derived here on top of go/ast and go/types alone. Drivers (the
-// standalone walker in internal/analysis/driver and the go vet unitchecker
-// shim in internal/analysis/unitcheck) construct a Pass per package and
-// hand it to each Analyzer's Run.
+// re-derived here on top of go/ast and go/types alone. The driver (the
+// go vet unitchecker shim in internal/analysis/unitcheck) and the
+// analyzertest fixture harness construct a Pass per package and hand it
+// to each Analyzer's Run.
 package framework
 
 import (
@@ -110,8 +110,8 @@ func (p *Pass) PkgPath() string {
 }
 
 // CanonicalPkgPath strips the " [pkg.test]" suffix go vet appends to
-// test-variant import paths, so suffix matching and fact lookup behave
-// identically in standalone and vettool runs.
+// test-variant import paths, so suffix matching and fact lookup treat a
+// test variant exactly like its package.
 func CanonicalPkgPath(path string) string {
 	if i := strings.Index(path, " ["); i >= 0 {
 		return path[:i]

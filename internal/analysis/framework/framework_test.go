@@ -132,6 +132,28 @@ func TestAnnotations(t *testing.T) {
 	}
 }
 
+func TestIsTestFile(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, tc := range []struct {
+		name string
+		want bool
+	}{
+		{"p.go", false},
+		{"p_test.go", true},
+		{"dir/p_test.go", true},
+		{"test.go", false},
+		{"p_test.go.orig", false},
+	} {
+		f, err := parser.ParseFile(fset, tc.name, "package p\n", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := IsTestFile(fset, f); got != tc.want {
+			t.Errorf("IsTestFile(%q) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestPassFactsAndReport(t *testing.T) {
 	fset, f, pkg, info := parseAndCheck(t, "p.go", frameworkSrc)
 

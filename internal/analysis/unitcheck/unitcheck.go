@@ -5,7 +5,9 @@
 // package with a single *.cfg argument describing that compilation unit
 // (files, import map, export data of dependencies, fact files). The tool
 // type-checks the unit, runs the analyzers, writes its fact file for
-// downstream units, and reports diagnostics on stderr with exit code 2.
+// downstream units, and reports diagnostics on stderr with exit code 2,
+// each line naming its analyzer (`pos: [noalloc] msg`). It is
+// pthammer-lint's only driver: standalone runs are go vet runs too.
 package unitcheck
 
 import (
@@ -121,7 +123,10 @@ func Run(cfgPath string, analyzers []*framework.Analyzer) int {
 	for _, a := range analyzers {
 		a := a
 		pass := framework.NewPass(a, fset, files, pkg, info,
-			func(d framework.Diagnostic) { diags = append(diags, d) },
+			func(d framework.Diagnostic) {
+				d.Message = "[" + a.Name + "] " + d.Message
+				diags = append(diags, d)
+			},
 			func(depPath string) (json.RawMessage, bool) { return readDepFact(a.Name, depPath) },
 			func(raw json.RawMessage) { out[a.Name] = raw })
 		if err := a.Run(pass); err != nil {

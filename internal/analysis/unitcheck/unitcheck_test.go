@@ -3,11 +3,12 @@ package unitcheck
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pthammer/internal/analysis/determinism"
-	"pthammer/internal/analysis/driver"
 	"pthammer/internal/analysis/framework"
 	"pthammer/internal/analysis/noalloc"
 )
@@ -152,16 +153,13 @@ func Good(n int) int { return dep.Step(n) }
 
 	// go list -export materializes dep's export data, exactly what the
 	// go command would hand a vettool in PackageFile.
-	pkgs, err := driver.List(dir, "./...")
+	list := exec.Command("go", "list", "-export", "-f", "{{.Export}}", "./dep")
+	list.Dir = dir
+	export, err := list.Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("go list -export: %v", err)
 	}
-	var depExport string
-	for _, p := range pkgs {
-		if p.ImportPath == "tmp.test/m/dep" {
-			depExport = p.Export
-		}
-	}
+	depExport := strings.TrimSpace(string(export))
 	if depExport == "" {
 		t.Fatal("no export data for the dependency")
 	}

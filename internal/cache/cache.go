@@ -49,8 +49,8 @@ func (c Config) Validate() error {
 	case c.SizeBytes%(uint64(c.Ways)*c.LineBytes) != 0:
 		return fmt.Errorf("cache: size %d not divisible by ways*line (%d*%d)", c.SizeBytes, c.Ways, c.LineBytes)
 	}
-	if s := c.Sets(); s&(s-1) != 0 {
-		return fmt.Errorf("cache: set count %d must be a power of two", s)
+	if err := mem.CheckShape(int(c.Sets()), c.Ways); err != nil {
+		return fmt.Errorf("cache: %v", err)
 	}
 	return nil
 }

@@ -57,6 +57,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 32 << 10, Ways: 8, LineBytes: 48},   // not a power of two
 		{SizeBytes: 100, Ways: 3, LineBytes: 64},        // not divisible
 		{SizeBytes: 3 * 8 * 64, Ways: 8, LineBytes: 64}, // 3 sets
+		{SizeBytes: 32 << 10, Ways: 32, LineBytes: 64},  // past mem.MaxWays
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -82,6 +83,34 @@ func TestNewRejectsMismatchedHierarchy(t *testing.T) {
 	}
 	if _, err := New(l1, l2, llc, nil, clock, counters, timing.DefaultLatencies()); err == nil {
 		t.Error("nil next device accepted")
+	}
+
+	// The shared-LLC and per-core constructors validate on their own.
+	lat := timing.DefaultLatencies()
+	badLat := lat
+	badLat.L1Hit = 0
+	wide := Config{SizeBytes: 32 * 64, Ways: 32, LineBytes: 64} // one set, past mem.MaxWays
+	if _, err := New(l1, l2, wide, d, clock, counters, lat); err == nil {
+		t.Error("LLC past mem.MaxWays accepted")
+	}
+	if _, err := NewShared(llc, badLat); err == nil {
+		t.Error("invalid latency table accepted by NewShared")
+	}
+	shared, err := NewShared(llc, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCore(l1, l2, nil, 0, d, clock, counters, lat); err == nil {
+		t.Error("nil shared LLC accepted")
+	}
+	if _, err := NewCore(wide, l2, shared, 0, d, clock, counters, lat); err == nil {
+		t.Error("L1 past mem.MaxWays accepted")
+	}
+	if _, err := NewCore(l1, l2, shared, 0, d, clock, counters, badLat); err == nil {
+		t.Error("invalid latency table accepted by NewCore")
+	}
+	if _, err := NewCore(l1, l2, shared, 1, d, clock, counters, lat); err == nil {
+		t.Error("core attached out of order accepted")
 	}
 }
 

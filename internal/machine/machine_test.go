@@ -10,6 +10,7 @@ import (
 	"pthammer/internal/pagetable"
 	"pthammer/internal/perf"
 	"pthammer/internal/phys"
+	"pthammer/internal/ptwalk"
 	"pthammer/internal/timing"
 )
 
@@ -49,6 +50,36 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	cfg.NoiseProb = 2
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid noise config accepted")
+	}
+}
+
+// TestNewRejectsUnbuildableShapes pins that every set-associative
+// structure's shape is a config error from both constructors: an
+// associativity past mem.MaxWays must fail validation, never reach
+// mem.NewSetAssoc's panic.
+func TestNewRejectsUnbuildableShapes(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"32-way LLC", func(c *Config) { c.LLC.Ways = 32 }},
+		{"32-way L1", func(c *Config) { c.L1.Ways = 32 }},
+		{"32-way L2", func(c *Config) { c.L2.Ways = 32 }},
+		{"32-way dTLB", func(c *Config) { c.TLB.L1Ways = 32 }},
+		{"64-way sTLB", func(c *Config) { c.TLB.L2Ways = 64 }},
+		{"32-way PDE cache", func(c *Config) { c.Walk = ptwalk.Defaults(); c.Walk.PDE.Ways = 32 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := SandyBridge()
+			tc.edit(&cfg)
+			if _, err := New(cfg); err == nil {
+				t.Error("New accepted the config")
+			}
+			if _, err := NewMulti(MultiConfig{Config: cfg, Cores: 2}); err == nil {
+				t.Error("NewMulti accepted the config")
+			}
+		})
 	}
 }
 

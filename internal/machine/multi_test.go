@@ -46,7 +46,12 @@ func TestNewMultiWiring(t *testing.T) {
 
 func TestNewMultiRejectsBadConfigs(t *testing.T) {
 	base := SandyBridge()
+	halfMem, noClock := base, base
+	halfMem.MemBytes /= 2 // no longer matches the DRAM geometry
+	noClock.FreqHz = 0
 	cases := []MultiConfig{
+		{Config: halfMem, Cores: 2},
+		{Config: noClock, Cores: 2},
 		{Config: base, Cores: 0},
 		{Config: base, Cores: 2, Tenants: []int{0}},     // wrong length
 		{Config: base, Cores: 2, Tenants: []int{0, -1}}, // negative

@@ -84,7 +84,7 @@ func TestSetAssocLRUAndInvalidate(t *testing.T) {
 }
 
 func TestNewSetAssocPanicsOnBadShape(t *testing.T) {
-	for _, shape := range [][2]int{{0, 2}, {2, 0}, {3, 2}, {-4, 2}} {
+	for _, shape := range [][2]int{{0, 2}, {2, 0}, {3, 2}, {-4, 2}, {1, MaxWays + 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {

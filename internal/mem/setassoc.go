@@ -108,11 +108,24 @@ const (
 	deadFP = 0x80
 )
 
+// CheckShape reports why sets × ways is not a shape NewSetAssoc builds,
+// or nil if it is: ways must be 1..MaxWays and the set count a positive
+// power of two. Config validators call it, so a config they accept never
+// reaches NewSetAssoc's panic.
+func CheckShape(sets, ways int) error {
+	if ways < 1 || ways > MaxWays {
+		return fmt.Errorf("ways %d outside 1..%d", ways, MaxWays)
+	}
+	if sets <= 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("set count %d must be a positive power of two", sets)
+	}
+	return nil
+}
+
 // NewSetAssoc builds an array of sets × ways slots with a payload plane
 // (InsertV/LookupV users: the TLB and paging-structure caches). Panics
-// on a non-positive shape, a non-power-of-two set count, or more than
-// MaxWays ways (callers validate their configs first; a bad shape here
-// is a simulator bug).
+// on a shape CheckShape rejects (callers validate their configs first;
+// a bad shape here is a simulator bug).
 func NewSetAssoc(sets, ways int) *SetAssoc {
 	s := NewSetAssocTags(sets, ways)
 	s.vals = make([]uint64, uint64(sets)*uint64(ways))
@@ -124,8 +137,8 @@ func NewSetAssoc(sets, ways int) *SetAssoc {
 // plane removes one host cache line write per fill and a large part of
 // the array footprint.
 func NewSetAssocTags(sets, ways int) *SetAssoc {
-	if sets <= 0 || ways <= 0 || ways > MaxWays || uint64(sets)&(uint64(sets)-1) != 0 {
-		panic(fmt.Sprintf("mem: bad set-assoc shape %d sets × %d ways (ways must be 1..%d, sets a power of two)", sets, ways, MaxWays))
+	if err := CheckShape(sets, ways); err != nil {
+		panic(fmt.Sprintf("mem: bad set-assoc shape %d sets × %d ways: %v", sets, ways, err))
 	}
 	s := &SetAssoc{
 		ways:     uint64(ways),

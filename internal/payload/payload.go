@@ -1,14 +1,14 @@
 // Package payload is the program format of the retired compiled hammer
 // engine: a scenario body lowered into a flat op-stream Program —
 // dense arrays of opcodes, addresses and values — that can be
-// validated, fuzzed and serialized. The format mirrors
-// litex-rowhammer-tester's Encoder/OpCode payload executor.
+// validated. The format mirrors litex-rowhammer-tester's OpCode
+// payload executor.
 //
 // Nothing executes programs and no package imports this one: every
 // hammer caller runs the closure bodies (bench.ImplicitHammer,
 // bench.ImplicitPair, the sweep shard loop), which are the one engine.
 // The package stays only until it is deleted (ROADMAP.md, open item
-// 2); add no ops and no callers.
+// 1); add no ops and no callers.
 package payload
 
 import (
@@ -93,8 +93,7 @@ type Op struct {
 // Program is a compiled scenario body in structure-of-arrays layout:
 // the instruction stream plus the address and value tables it indexes.
 // A Program holds no machine state and no host pointers, so it can be
-// serialized, fuzzed and replayed on any machine whose memory it fits
-// (Validate).
+// replayed on any machine whose memory it fits (Validate).
 type Program struct {
 	Ops   []Op
 	Addrs []phys.Addr
@@ -103,7 +102,7 @@ type Program struct {
 
 // maxSteps bounds the dynamic instruction count of a valid program
 // (loop trip counts multiply), so every valid program provably
-// terminates and the fuzzer cannot construct a spin.
+// terminates.
 const maxSteps = 1 << 20
 
 // rangeOps marks the opcodes whose (A, B) operands denote the address
@@ -240,122 +239,4 @@ func (p *Program) Validate(memBytes uint64) error {
 		}
 	}
 	return nil
-}
-
-// The serialized layout (little-endian throughout):
-//
-//	magic "pthp", version byte, 3 reserved zero bytes
-//	u32 ops, u32 addrs, u32 vals
-//	per op: u8 code, u32 A, u32 B
-//	per addr: u64; per val: u64
-//
-// Decode rejects anything but this exact shape, so Encode∘Decode is
-// the identity on valid encodings — the fuzzed round-trip property.
-const (
-	encVersion    = 1
-	encHeaderLen  = 8 + 12
-	encOpLen      = 9
-	encMaxEntries = 1 << 20
-)
-
-var encMagic = [4]byte{'p', 't', 'h', 'p'}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU64(b []byte, v uint64) {
-	putU32(b, uint32(v))
-	putU32(b[4:], uint32(v>>32))
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
-}
-
-// Encode serializes the program. Programs with more than encMaxEntries
-// ops, addrs or vals are not encodable (nor decodable).
-func (p *Program) Encode() ([]byte, error) {
-	if len(p.Ops) > encMaxEntries || len(p.Addrs) > encMaxEntries || len(p.Vals) > encMaxEntries {
-		return nil, fmt.Errorf("payload: program too large to encode (%d/%d/%d entries, max %d)",
-			len(p.Ops), len(p.Addrs), len(p.Vals), encMaxEntries)
-	}
-	out := make([]byte, encHeaderLen+encOpLen*len(p.Ops)+8*len(p.Addrs)+8*len(p.Vals))
-	copy(out, encMagic[:])
-	out[4] = encVersion
-	putU32(out[8:], uint32(len(p.Ops)))
-	putU32(out[12:], uint32(len(p.Addrs)))
-	putU32(out[16:], uint32(len(p.Vals)))
-	o := encHeaderLen
-	for _, op := range p.Ops {
-		out[o] = byte(op.Code)
-		putU32(out[o+1:], op.A)
-		putU32(out[o+5:], op.B)
-		o += encOpLen
-	}
-	for _, a := range p.Addrs {
-		putU64(out[o:], uint64(a))
-		o += 8
-	}
-	for _, v := range p.Vals {
-		putU64(out[o:], v)
-		o += 8
-	}
-	return out, nil
-}
-
-// Decode parses a serialized program, rejecting malformed input:
-// wrong magic or version, nonzero reserved bytes, truncated or
-// oversized bodies, and opcodes outside the ISA. Decoding performs no
-// semantic validation — run Validate before executing.
-func Decode(data []byte) (*Program, error) {
-	if len(data) < encHeaderLen {
-		return nil, fmt.Errorf("payload: %d-byte input shorter than the %d-byte header", len(data), encHeaderLen)
-	}
-	if [4]byte(data[:4]) != encMagic {
-		return nil, fmt.Errorf("payload: bad magic %q", data[:4])
-	}
-	if data[4] != encVersion {
-		return nil, fmt.Errorf("payload: unsupported version %d", data[4])
-	}
-	if data[5] != 0 || data[6] != 0 || data[7] != 0 {
-		return nil, fmt.Errorf("payload: nonzero reserved bytes")
-	}
-	nOps := uint64(getU32(data[8:]))
-	nAddrs := uint64(getU32(data[12:]))
-	nVals := uint64(getU32(data[16:]))
-	if nOps > encMaxEntries || nAddrs > encMaxEntries || nVals > encMaxEntries {
-		return nil, fmt.Errorf("payload: entry counts %d/%d/%d exceed the %d cap", nOps, nAddrs, nVals, encMaxEntries)
-	}
-	want := uint64(encHeaderLen) + encOpLen*nOps + 8*nAddrs + 8*nVals
-	if uint64(len(data)) != want {
-		return nil, fmt.Errorf("payload: %d-byte input, want %d for %d/%d/%d entries", len(data), want, nOps, nAddrs, nVals)
-	}
-	p := &Program{
-		Ops:   make([]Op, nOps),
-		Addrs: make([]phys.Addr, nAddrs),
-		Vals:  make([]uint64, nVals),
-	}
-	o := encHeaderLen
-	for i := range p.Ops {
-		code := OpCode(data[o])
-		if code >= opCount {
-			return nil, fmt.Errorf("payload: op %d: unknown opcode %d", i, data[o])
-		}
-		p.Ops[i] = Op{Code: code, A: getU32(data[o+1:]), B: getU32(data[o+5:])}
-		o += encOpLen
-	}
-	for i := range p.Addrs {
-		p.Addrs[i] = phys.Addr(getU64(data[o:]))
-		o += 8
-	}
-	for i := range p.Vals {
-		p.Vals[i] = getU64(data[o:])
-		o += 8
-	}
-	return p, nil
 }

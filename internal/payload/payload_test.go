@@ -1,41 +1,11 @@
 package payload
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
-	"pthammer/internal/cache"
-	"pthammer/internal/dram"
-	"pthammer/internal/machine"
 	"pthammer/internal/phys"
-	"pthammer/internal/timing"
-	"pthammer/internal/tlb"
 )
-
-// testConfig is a small, fully deterministic machine: 16 MiB of DRAM
-// under modest caches, enough for page-stride streams without the
-// SandyBridge preset's construction cost.
-func testConfig() machine.Config {
-	d := dram.Config{
-		Channels:        1,
-		RanksPerChannel: 1,
-		BanksPerRank:    8,
-		Rows:            512,
-		RowBytes:        4096,
-		HammerThreshold: 1 << 20,
-	}
-	return machine.Config{
-		MemBytes: d.Capacity(),
-		FreqHz:   2_100_000_000,
-		Lat:      timing.DefaultLatencies(),
-		DRAM:     d,
-		L1:       cache.Config{SizeBytes: 8 << 10, Ways: 2, LineBytes: 64},
-		L2:       cache.Config{SizeBytes: 32 << 10, Ways: 4, LineBytes: 64},
-		LLC:      cache.Config{SizeBytes: 256 << 10, Ways: 8, LineBytes: 64},
-		TLB:      tlb.Config{L1Entries: 16, L1Ways: 4, L2Entries: 64, L2Ways: 4},
-	}
-}
 
 // pages returns n page-stride addresses starting at page `start`.
 func pages(start, n int) []phys.Addr {
@@ -125,89 +95,6 @@ func TestPrivileged(t *testing.T) {
 	}
 	if !p.Privileged() {
 		t.Fatal("invlpg+clflush program reported unprivileged")
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := NewCompiler()
-	c.Store64(0x2000, 0xdeadbeefcafe)
-	c.Loop(3, func(c *Compiler) {
-		c.Prime(pages(4, 5))
-		c.Probe(0x7008)
-		c.Loop(2, func(c *Compiler) { c.Advance(17) })
-	})
-	c.LoadRec(pages(20, 3))
-	c.Fence()
-	c.ResetWindow()
-	p, err := c.Compile(1 << 24)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	enc, err := p.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	got, err := Decode(enc)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if !reflect.DeepEqual(normalize(p), normalize(got)) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, p)
-	}
-	re, err := got.Encode()
-	if err != nil {
-		t.Fatalf("re-Encode: %v", err)
-	}
-	if !reflect.DeepEqual(enc, re) {
-		t.Fatal("Encode∘Decode is not the identity on the encoding")
-	}
-}
-
-// normalize maps empty slices to nil so DeepEqual compares content.
-func normalize(p *Program) Program {
-	q := *p
-	if len(q.Ops) == 0 {
-		q.Ops = nil
-	}
-	if len(q.Addrs) == 0 {
-		q.Addrs = nil
-	}
-	if len(q.Vals) == 0 {
-		q.Vals = nil
-	}
-	return q
-}
-
-func TestDecodeRejectsMalformed(t *testing.T) {
-	p := &Program{Ops: []Op{{Code: OpLoad, A: 0}}, Addrs: []phys.Addr{0x1000}}
-	enc, err := p.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	mutate := func(f func(b []byte) []byte) []byte {
-		b := append([]byte(nil), enc...)
-		return f(b)
-	}
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"short", enc[:encHeaderLen-1], "shorter"},
-		{"bad magic", mutate(func(b []byte) []byte { b[0] = 'X'; return b }), "magic"},
-		{"bad version", mutate(func(b []byte) []byte { b[4] = 99; return b }), "version"},
-		{"reserved nonzero", mutate(func(b []byte) []byte { b[6] = 1; return b }), "reserved"},
-		{"truncated body", enc[:len(enc)-1], "want"},
-		{"trailing garbage", mutate(func(b []byte) []byte { return append(b, 0) }), "want"},
-		{"unknown opcode", mutate(func(b []byte) []byte { b[encHeaderLen] = byte(opCount); return b }), "unknown opcode"},
-		{"oversized counts", mutate(func(b []byte) []byte { putU32(b[8:], encMaxEntries+1); return b }), "cap"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Decode(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Decode = %v, want error containing %q", err, tc.want)
-			}
-		})
 	}
 }
 

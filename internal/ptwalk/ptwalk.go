@@ -108,8 +108,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("ptwalk: %s cache entries %d not divisible by ways %d",
 				pc.name, pc.cfg.Entries, pc.cfg.Ways)
 		}
-		if sets := pc.cfg.Entries / pc.cfg.Ways; sets&(sets-1) != 0 {
-			return fmt.Errorf("ptwalk: %s cache set count %d must be a power of two", pc.name, sets)
+		if err := mem.CheckShape(pc.cfg.Entries/pc.cfg.Ways, pc.cfg.Ways); err != nil {
+			return fmt.Errorf("ptwalk: %s cache %v", pc.name, err)
 		}
 	}
 	return nil

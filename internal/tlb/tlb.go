@@ -34,8 +34,8 @@ func (c Config) Validate() error {
 		case entries%ways != 0:
 			return fmt.Errorf("tlb: %s entries %d not divisible by ways %d", name, entries, ways)
 		}
-		if sets := entries / ways; sets&(sets-1) != 0 {
-			return fmt.Errorf("tlb: %s set count %d must be a power of two", name, sets)
+		if err := mem.CheckShape(entries/ways, ways); err != nil {
+			return fmt.Errorf("tlb: %s %v", name, err)
 		}
 		return nil
 	}

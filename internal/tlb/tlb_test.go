@@ -60,11 +60,33 @@ func TestConfigValidate(t *testing.T) {
 		{L1Entries: 4, L1Ways: 3, L2Entries: 16, L2Ways: 2},  // not divisible
 		{L1Entries: 12, L1Ways: 2, L2Entries: 16, L2Ways: 2}, // 6 sets
 		{L1Entries: 16, L1Ways: 2, L2Entries: 16, L2Ways: 2}, // sTLB not larger
+		{L1Entries: 4, L1Ways: 2, L2Entries: 64, L2Ways: 32}, // past mem.MaxWays
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, c)
 		}
+	}
+}
+
+// TestNewRejectsBadInputs covers New's validation branches: a bad shape,
+// a bad latency table or a nil dependency is an error, never a panic.
+func TestNewRejectsBadInputs(t *testing.T) {
+	clock := timing.MustNewClock(1_000_000_000)
+	counters := &perf.Counters{}
+	w := &fakeWalker{clock: clock, cost: 50}
+	lat := timing.DefaultLatencies()
+	badCfg := Config{L1Entries: 4, L1Ways: 2, L2Entries: 32, L2Ways: 32} // one set, past mem.MaxWays
+	badLat := lat
+	badLat.TLBL1Hit = 0
+	if _, err := New(badCfg, w, clock, counters, lat); err == nil {
+		t.Error("shape past mem.MaxWays accepted")
+	}
+	if _, err := New(tinyConfig(), w, clock, counters, badLat); err == nil {
+		t.Error("invalid latency table accepted")
+	}
+	if _, err := New(tinyConfig(), nil, clock, counters, lat); err == nil {
+		t.Error("nil walker accepted")
 	}
 }
 
