@@ -540,15 +540,16 @@ func (m *Machine) ResetRefreshWindow() { m.dport.ResetWindow() }
 
 // resetFrontEnd rewinds this core's private state to construction
 // time: clock rebased to cycle 0, PMC bank cleared, noise stream
-// reseeded, TLB levels and paging-structure caches and private L1/L2
-// emptied, privileged-operation counters zeroed. Shared state (LLC,
-// DRAM, physical memory, page tables, models) is deliberately not
-// touched — on a multi-core machine it must be reset exactly once, by
-// the owner of the whole machine.
+// reseeded from the config's NoiseSeed exactly as buildCore seeds it,
+// TLB levels and paging-structure caches and private L1/L2 emptied,
+// privileged-operation counters zeroed. Shared state (LLC, DRAM,
+// physical memory, page tables, models) is deliberately not touched —
+// on a multi-core machine it must be reset exactly once, by the owner
+// of the whole machine.
 func (m *Machine) resetFrontEnd() {
 	m.clock.Reset()
 	m.counters.Reset()
-	m.noise.Reset()
+	m.noise.ResetTo(m.cfg.NoiseSeed + int64(m.core))
 	m.tlb.Reset()
 	m.walker.Reset()
 	m.caches.Reset()
@@ -592,6 +593,17 @@ func (m *Machine) Reset() {
 	if m.cfg.FaultModel != nil {
 		m.cfg.FaultModel.Reset()
 	}
+}
+
+// ResetWithNoiseSeed is Reset with a new noise seed: the recycled
+// machine is observationally identical to a fresh machine.New(cfg) with
+// cfg.NoiseSeed = seed, and Config reports that seed. The noise stream
+// is seeded once, at seed + core as construction seeds it. The sweep
+// engine recycles one machine per worker through it, each shard
+// bringing its own seed.
+func (m *Machine) ResetWithNoiseSeed(seed int64) {
+	m.cfg.NoiseSeed = seed
+	m.Reset()
 }
 
 // ResetWithModels is Reset with a model swap: the machine recycles as

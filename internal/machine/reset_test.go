@@ -158,6 +158,27 @@ func TestResetEquivalence(t *testing.T) {
 			}
 		})
 	}
+
+	// The sweep engine's variant: a noisy machine built with seed A,
+	// dirtied, then recycled with ResetWithNoiseSeed(B) must replay a
+	// fresh machine built with NoiseSeed B.
+	t.Run("noisy-reseeded", func(t *testing.T) {
+		const seedA, seedB = 5, 8
+		want := resetWorkload(buildResetMachine(t, resetVariant{noise: true, seed: seedB}), seedB)
+		if other := resetWorkload(buildResetMachine(t, resetVariant{noise: true, seed: seedA}), seedB); reflect.DeepEqual(want, other) {
+			t.Fatal("noise seeds A and B give identical traces; the property would be vacuous")
+		}
+
+		recycled := buildResetMachine(t, resetVariant{noise: true, seed: seedA})
+		resetWorkload(recycled, seedA)
+		recycled.ResetWithNoiseSeed(seedB)
+		if got := recycled.Config().NoiseSeed; got != seedB {
+			t.Errorf("Config().NoiseSeed after ResetWithNoiseSeed = %d, want %d", got, seedB)
+		}
+		if got := resetWorkload(recycled, seedB); !reflect.DeepEqual(want, got) {
+			t.Errorf("reseeded trace diverged from fresh:\nfresh:    %+v\nrecycled: %+v", want, got)
+		}
+	})
 }
 
 // TestResetWithModelsEquivalence pins the model-swap variant the

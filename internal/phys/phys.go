@@ -7,7 +7,10 @@
 // values back, exactly as on real hardware.
 package phys
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // FrameSize is the size of a physical frame in bytes (x86 4 KiB pages).
 const FrameSize = 4096
@@ -39,28 +42,39 @@ func Offset(a Addr) uint64 { return uint64(a) & (FrameSize - 1) }
 // Memory is a sparse physical memory of a fixed size. The zero value is
 // not usable; create one with New.
 //
-// The frame table is a flat slice of per-frame pointers rather than a
-// map: a frame lookup sits under every simulated page-table read, so it
-// must be one indexed load, not a hash probe. The table costs 8 bytes
-// per frame (2 MiB for a 1 GiB machine) while the frame contents stay
-// lazily allocated.
+// The frame table is a flat per-frame slot array rather than a map: a
+// frame lookup sits under every simulated page-table read, so a hole
+// must cost one indexed load, not a hash probe. The slots are uint32
+// indices, not pointers: the table costs 4 bytes per frame (1 MiB for
+// a 1 GiB machine), the GC never scans it, and only the materialized
+// frames' backing arrays are pointer-reachable.
 type Memory struct {
-	size   uint64
-	frames []*[FrameSize]byte
-	// materialized counts lazily allocated frames.
-	materialized int
+	size uint64
+	// slot maps each frame to its backing array: 0 for a hole, else 1 +
+	// the frame's index in data and owner.
+	slot []uint32
+	// data and owner list the materialized frames in first-touch order:
+	// data[i] backs frame owner[i]. Their length is the materialized
+	// count, and owner is the list of slots Reset must clear.
+	data  []*[FrameSize]byte
+	owner []Frame
 	// writes counts byte-granularity stores, used by tests to assert
 	// that simulated devices really touch memory.
 	writes uint64
 }
 
 // New creates a physical memory of size bytes. Size must be a non-zero
-// multiple of FrameSize.
+// multiple of FrameSize, and at most math.MaxUint32 frames, the most a
+// uint32 slot can index.
 func New(size uint64) (*Memory, error) {
 	if size == 0 || size%FrameSize != 0 {
 		return nil, fmt.Errorf("phys: size %d is not a positive multiple of %d", size, FrameSize)
 	}
-	return &Memory{size: size, frames: make([]*[FrameSize]byte, size/FrameSize)}, nil
+	frames := size / FrameSize
+	if frames > math.MaxUint32 {
+		return nil, fmt.Errorf("phys: %d frames exceed the frame table's limit of %d", frames, uint64(math.MaxUint32))
+	}
+	return &Memory{size: size, slot: make([]uint32, frames)}, nil
 }
 
 // MustNew is New but panics on error; intended for tests and presets with
@@ -95,9 +109,10 @@ func (m *Memory) Contains(a Addr) bool { return uint64(a) < m.size }
 func (m *Memory) frame(f Frame) *[FrameSize]byte {
 	fr := m.peek(f)
 	if fr == nil {
-		fr = new([FrameSize]byte) //pthammer:alloc-ok lazy first-touch materialization, once per frame
-		m.frames[f] = fr
-		m.materialized++
+		fr = new([FrameSize]byte)    //pthammer:alloc-ok lazy first-touch materialization, once per frame
+		m.data = append(m.data, fr)  //pthammer:alloc-ok amortized growth, capacity kept across Reset
+		m.owner = append(m.owner, f) //pthammer:alloc-ok amortized growth, capacity kept across Reset
+		m.slot[f] = uint32(len(m.data))
 	}
 	return fr
 }
@@ -109,14 +124,18 @@ func (m *Memory) frame(f Frame) *[FrameSize]byte {
 //
 //pthammer:noalloc
 func (m *Memory) peek(f Frame) *[FrameSize]byte {
-	if uint64(f) >= m.Frames() {
+	if uint64(f) >= uint64(len(m.slot)) {
 		panic(fmt.Sprintf("phys: frame %#x out of range (%d frames)", uint64(f), m.Frames()))
 	}
-	return m.frames[f]
+	s := m.slot[f]
+	if s == 0 {
+		return nil
+	}
+	return m.data[s-1]
 }
 
 // Materialized returns how many frames have been lazily allocated so far.
-func (m *Memory) Materialized() int { return m.materialized }
+func (m *Memory) Materialized() int { return len(m.owner) }
 
 // Read8 returns the byte at physical address a. Reading a never-written
 // frame returns zero without materializing it.
@@ -222,13 +241,16 @@ func (m *Memory) ScrubFrame(f Frame) {
 // machine's memory is all holes, and FlipBit into a hole is a no-op
 // miss, so a recycled machine must present the same holes or its flip
 // model's attempt/miss accounting would diverge from a fresh one's.
-// Cost is one pointer store per frame (the hole fast path stays an
-// indexed load); the released contents are reclaimed by the host GC.
+// Cost is one slot store per materialized frame, O(live state) rather
+// than O(capacity), and no allocation; the released contents are
+// reclaimed by the host GC.
 func (m *Memory) Reset() {
-	if m.materialized != 0 {
-		clear(m.frames)
+	for _, f := range m.owner {
+		m.slot[f] = 0
 	}
-	m.materialized = 0
+	clear(m.data)
+	m.data = m.data[:0]
+	m.owner = m.owner[:0]
 	m.writes = 0
 }
 

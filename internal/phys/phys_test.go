@@ -1,6 +1,10 @@
 package phys
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"testing"
+)
 
 func TestNewRejectsBadSizes(t *testing.T) {
 	for _, size := range []uint64{0, 1, FrameSize - 1, FrameSize + 1} {
@@ -10,6 +14,22 @@ func TestNewRejectsBadSizes(t *testing.T) {
 	}
 	if _, err := New(4 * FrameSize); err != nil {
 		t.Fatalf("New(4 frames) failed: %v", err)
+	}
+}
+
+// TestNewRejectsTooManyFrames pins the slot table's limit: one frame
+// past math.MaxUint32 is an error, raised before the 16 GiB table would
+// be allocated.
+func TestNewRejectsTooManyFrames(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := New(uint64(math.MaxUint32+1) * FrameSize)
+	runtime.ReadMemStats(&after)
+	if err == nil || m != nil {
+		t.Fatalf("New(MaxUint32+1 frames) = %v, %v; want nil and an error", m, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejected New allocated %d bytes", grew)
 	}
 }
 

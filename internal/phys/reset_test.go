@@ -40,25 +40,80 @@ func TestScrubFrameZeroesInPlaceAndSkipsHoles(t *testing.T) {
 // accounting rewinds, so a recycled machine presents the same
 // all-holes memory as a fresh one — in particular FlipBit into a
 // previously written, now-reset frame must again be the hole no-op.
+// Frames written after Reset materialize zeroed and are the only ones
+// counted, and a second round behaves exactly like the first.
 func TestMemoryResetRestoresHoles(t *testing.T) {
 	m := MustNew(4 * FrameSize)
-	m.Write8(Frame(0).Addr(), 1)
-	m.Write8(Frame(3).Addr()+100, 2)
-	if m.Materialized() != 2 || m.WriteCount() == 0 {
-		t.Fatalf("setup: %d frames, %d writes", m.Materialized(), m.WriteCount())
-	}
+	for round := 0; round < 2; round++ {
+		m.Write8(Frame(0).Addr(), 1)
+		m.Write8(Frame(3).Addr()+100, 2)
+		if m.Materialized() != 2 || m.WriteCount() == 0 {
+			t.Fatalf("round %d setup: %d frames, %d writes", round, m.Materialized(), m.WriteCount())
+		}
 
-	m.Reset()
-	if m.Materialized() != 0 || m.WriteCount() != 0 {
-		t.Errorf("post-Reset accounting: %d frames, %d writes, want 0, 0", m.Materialized(), m.WriteCount())
+		m.Reset()
+		if m.Materialized() != 0 || m.WriteCount() != 0 {
+			t.Errorf("round %d post-Reset accounting: %d frames, %d writes, want 0, 0",
+				round, m.Materialized(), m.WriteCount())
+		}
+		if got := m.Read8(Frame(0).Addr()); got != 0 {
+			t.Errorf("round %d post-Reset read = %#x, want 0", round, got)
+		}
+		if got := m.Read8(Frame(3).Addr() + 100); got != 0 {
+			t.Errorf("round %d post-Reset read = %#x, want 0", round, got)
+		}
+		if _, ok := m.FlipBit(Frame(3).Addr()+100, 0); ok {
+			t.Errorf("round %d: FlipBit into a reset frame applied; want hole no-op", round)
+		}
+		if m.Materialized() != 0 || m.WriteCount() != 0 {
+			t.Errorf("round %d: hole probes materialized %d frames, counted %d writes",
+				round, m.Materialized(), m.WriteCount())
+		}
+
+		// A new write materializes only its own frame, zeroed: the
+		// old contents of a released frame never come back.
+		m.Write8(Frame(3).Addr(), 7)
+		m.Write8(Frame(1).Addr(), 9)
+		if got := m.Read8(Frame(3).Addr() + 100); got != 0 {
+			t.Errorf("round %d: rematerialized frame reads %#x, want 0", round, got)
+		}
+		if got := m.Read8(Frame(0).Addr()); got != 0 {
+			t.Errorf("round %d: unwritten frame reads %#x, want 0", round, got)
+		}
+		if m.Materialized() != 2 {
+			t.Errorf("round %d: Materialized = %d, want 2 (frames 1 and 3)", round, m.Materialized())
+		}
+		if _, ok := m.FlipBit(Frame(0).Addr(), 0); ok {
+			t.Errorf("round %d: FlipBit into an unwritten frame applied", round)
+		}
+		m.Reset()
 	}
-	if got := m.Read8(Frame(0).Addr()); got != 0 {
-		t.Errorf("post-Reset read = %#x, want 0", got)
+}
+
+// TestMemoryResetNoAlloc pins the recycle cost: resetting a memory with
+// materialized frames allocates nothing. AllocsPerRun makes one
+// unmeasured warm-up call first, so each call resets its own
+// pre-filled memory.
+func TestMemoryResetNoAlloc(t *testing.T) {
+	const runs = 8
+	mems := make([]*Memory, runs+1)
+	for i := range mems {
+		mems[i] = MustNew(64 * FrameSize)
+		for f := Frame(0); f < 64; f += 3 {
+			mems[i].Write8(f.Addr(), 1)
+		}
 	}
-	if _, ok := m.FlipBit(Frame(3).Addr()+100, 0); ok {
-		t.Error("FlipBit into a reset frame applied; want hole no-op")
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		mems[next].Reset()
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("Reset allocated %v times per call, want 0", allocs)
 	}
-	if m.Materialized() != 0 {
-		t.Errorf("hole probes materialized %d frames", m.Materialized())
+	for i, m := range mems {
+		if m.Materialized() != 0 {
+			t.Fatalf("memory %d: %d frames left after Reset", i, m.Materialized())
+		}
 	}
 }

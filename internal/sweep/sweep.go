@@ -5,11 +5,13 @@
 // plots.
 //
 // A sweep is split into independent shards, one per padding value, and
-// the shards are distributed over a worker pool. Each shard builds its
-// own machine.Machine seeded deterministically from the sweep's base
-// seed and the shard index, so the merged result is bit-identical for
-// any worker count: parallelism changes wall-clock time, never the
-// histograms.
+// the shards are distributed over a worker pool. Each worker builds one
+// machine.Machine on its first shard and recycles it under the
+// Reset/Recycle contract before every later one, re-stamped with a
+// noise seed derived from the sweep's base seed and the shard index.
+// Every shard therefore runs on a machine observationally identical to
+// a fresh one, so the merged result is bit-identical for any worker
+// count: parallelism changes wall-clock time, never the histograms.
 //
 // Every rep of a shard is the same plain loop: the between-loads
 // traffic (clflush of each address in FlushBetween mode, a walk of
@@ -36,9 +38,11 @@ import (
 // Spec describes one sweep: which machine to build, which addresses to
 // time, and the padding range to sweep.
 type Spec struct {
-	// Machine is the template configuration; each shard copies it and
-	// overrides NoiseSeed with a value derived from BaseSeed and the
-	// shard index.
+	// Machine is the template configuration; each shard runs on a
+	// machine built from it with NoiseSeed overridden by a value
+	// derived from BaseSeed and the shard index. It must carry no
+	// FlipModel or FaultModel: a model binds to one machine, and the
+	// sweep's machines are its own.
 	Machine machine.Config
 
 	// Addrs is the address stream timed at every padding value.
@@ -94,6 +98,10 @@ func (s Spec) validate() error {
 		return fmt.Errorf("sweep: bad padding range [%d, %d]", s.PadMin, s.PadMax)
 	case s.FlushBetween && s.EvictBetween:
 		return fmt.Errorf("sweep: FlushBetween and EvictBetween are mutually exclusive")
+	case s.Machine.FlipModel != nil:
+		return fmt.Errorf("sweep: Machine.FlipModel must be nil (a model binds to one machine)")
+	case s.Machine.FaultModel != nil:
+		return fmt.Errorf("sweep: Machine.FaultModel must be nil (a model binds to one machine)")
 	}
 	for _, a := range s.Addrs {
 		if uint64(a) >= s.Machine.MemBytes {
@@ -277,9 +285,11 @@ func (r *Result) Merged() *Histogram {
 // Run executes the sweep and returns the per-padding histograms. The
 // shards (one per padding value) are pulled off a shared index by the
 // worker pool; each shard writes only its own slot, so the merge is
-// race-free and the output deterministic for a fixed Spec. Errors are
-// reported in shard order, so a bad machine template surfaces as the
-// first shard's construction error regardless of scheduling.
+// race-free and the output deterministic for a fixed Spec. Each worker
+// owns one machine for the length of the Run. Errors are reported in
+// shard order, so a bad machine template surfaces as the first shard's
+// construction error regardless of scheduling: a worker whose
+// machine.New failed tries again on its next shard.
 func Run(s Spec) (*Result, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -301,12 +311,17 @@ func Run(s Spec) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var m *machine.Machine
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(pads) {
 					return
 				}
-				h, err := s.runShard(i, pads[i])
+				var h *Histogram
+				var err error
+				if m, err = s.shardMachine(m, i); err == nil {
+					h, err = s.runShard(m, i, pads[i])
+				}
 				points[i] = Point{Padding: pads[i], Hist: h}
 				errs[i] = err
 			}
@@ -321,17 +336,27 @@ func Run(s Spec) (*Result, error) {
 	return &Result{Points: points}, nil
 }
 
-// runShard measures one padding value on a fresh, deterministically
-// seeded machine. In EvictBetween mode it first runs Algorithm 1 on
-// that machine — the construction is deterministic for the shard's
-// seed, so the merged sweep stays bit-identical for any worker count.
-func (s Spec) runShard(shard, pad int) (*Histogram, error) {
-	cfg := s.Machine
-	cfg.NoiseSeed = shardSeed(s.BaseSeed, shard)
-	m, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
+// shardMachine readies a machine for one shard, seeded with the
+// shard's noise seed: m recycled with ResetWithNoiseSeed, or a new
+// machine built from the template when m is nil.
+func (s Spec) shardMachine(m *machine.Machine, shard int) (*machine.Machine, error) {
+	seed := shardSeed(s.BaseSeed, shard)
+	if m != nil {
+		m.ResetWithNoiseSeed(seed)
+		return m, nil
 	}
+	cfg := s.Machine
+	cfg.NoiseSeed = seed
+	return machine.New(cfg)
+}
+
+// runShard measures one padding value on m, which must be in
+// fresh-construction state with the shard's noise seed (shardMachine).
+// In EvictBetween mode it first runs Algorithm 1 on that machine — the
+// construction is deterministic for the shard's seed, so the merged
+// sweep stays bit-identical for any worker count.
+func (s Spec) runShard(m *machine.Machine, shard, pad int) (*Histogram, error) {
+	var err error
 	var tlbs []*evset.TLBSet
 	var llcs []*evset.LLCSet
 	if s.EvictBetween {
@@ -349,7 +374,7 @@ func (s Spec) runShard(shard, pad int) (*Histogram, error) {
 		}
 	}
 	h := NewHistogram()
-	nopCost := cfg.Lat.NOP * timing.Cycles(pad)
+	nopCost := s.Machine.Lat.NOP * timing.Cycles(pad)
 	clock := m.Clock()
 	buf := make([]mem.Result, 0, len(s.Addrs))
 	for rep := 0; rep < s.Reps; rep++ {

@@ -3,8 +3,11 @@ package sweep
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
+	"pthammer/internal/fault"
+	"pthammer/internal/flip"
 	"pthammer/internal/machine"
 	"pthammer/internal/phys"
 	"pthammer/internal/timing"
@@ -71,6 +74,32 @@ func TestRunValidatesSpec(t *testing.T) {
 		mutate(&s)
 		if _, err := Run(s); err == nil {
 			t.Errorf("case %d: invalid spec accepted", i)
+		}
+	}
+
+	// A template carrying a model: a model binds to one machine, so
+	// whether Run failed would depend on the shard and worker counts.
+	// Rejected up front, one padding included, naming the field.
+	onePad := func(s *Spec) { s.PadMax = s.PadMin }
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Spec)
+	}{
+		{"FlipModel", func(s *Spec) { s.Machine.FlipModel = flip.MustNewModel(flip.ClassA(), 1) }},
+		{"FlipModel", func(s *Spec) { onePad(s); s.Machine.FlipModel = flip.MustNewModel(flip.ClassA(), 1) }},
+		{"FaultModel", func(s *Spec) {
+			fm, err := fault.NewModel(fault.Config{Class: fault.PairInvalidate, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			onePad(s)
+			s.Machine.FaultModel = fm
+		}},
+	} {
+		s := testSpec()
+		tc.mutate(&s)
+		if _, err := Run(s); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("template with a %s: err = %v, want an error naming the field", tc.field, err)
 		}
 	}
 }
@@ -209,6 +238,49 @@ func TestEvictSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("%d workers: padding %d histogram differs from serial run", workers, a.Padding)
 			}
 		}
+	}
+}
+
+// TestRecycledShardsMatchFreshMachines pins the worker's machine
+// recycling: at Workers 1 one machine runs every shard, recycled before
+// each after the first, and every histogram must equal the shard run on
+// a freshly built machine.
+func TestRecycledShardsMatchFreshMachines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{{"flush", testSpec()}, {"evict", evictSpec()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.spec
+			s.Workers = 1
+			res, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := func(shard, seedShard int) *Histogram {
+				t.Helper()
+				m, err := s.shardMachine(nil, seedShard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := s.runShard(m, shard, res.Points[shard].Padding)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h
+			}
+			for i, p := range res.Points {
+				if !p.Hist.Equal(fresh(i, i)) {
+					t.Errorf("padding %d: recycled-machine histogram differs from a fresh machine's", p.Padding)
+				}
+			}
+			// Non-vacuity: the shard seed reaches the samples, so a
+			// recycled machine that kept the previous shard's seed
+			// would have been caught above.
+			if res.Points[1].Hist.Equal(fresh(1, 0)) {
+				t.Error("shard 1 on shard 0's noise seed matches; the comparison cannot see the reseed")
+			}
+		})
 	}
 }
 

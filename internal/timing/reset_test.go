@@ -39,3 +39,42 @@ func TestNoiseResetReplays(t *testing.T) {
 		}
 	}
 }
+
+// TestNoiseResetToReplaysFresh pins the re-stamp variant the sweep
+// engine's recycled machines use: ResetTo(s) on a source built with
+// another seed replays a fresh NewNoise(s, ...) sample for sample.
+func TestNoiseResetToReplaysFresh(t *testing.T) {
+	recycled, err := NewNoise(1, 0.5, 100, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 37; i++ {
+		recycled.Sample() // dirty the stream mid-way
+	}
+	recycled.ResetTo(42)
+	fresh, err := NewNoise(42, 0.5, 100, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spikes := 0
+	for i := 0; i < 64; i++ {
+		want := fresh.Sample()
+		if got := recycled.Sample(); got != want {
+			t.Fatalf("sample %d after ResetTo = %d, want %d", i, got, want)
+		}
+		if want != 0 {
+			spikes++
+		}
+	}
+	if spikes == 0 {
+		t.Fatal("fresh stream never spiked; the comparison would be vacuous")
+	}
+	// Reset rewinds to the new seed, not the construction seed.
+	recycled.Reset()
+	fresh.Reset()
+	for i := 0; i < 64; i++ {
+		if got, want := recycled.Sample(), fresh.Sample(); got != want {
+			t.Fatalf("sample %d after ResetTo then Reset = %d, want %d", i, got, want)
+		}
+	}
+}

@@ -178,8 +178,9 @@ func (t LatencyTable) Validate() error {
 // rate. Deterministic for a given seed.
 type Noise struct {
 	rng *rand.Rand
-	// seed rebuilt the stream on Reset; kept so a recycled source
+	// seed rebuilds the stream on Reset; kept so a recycled source
 	// replays exactly the sequence a fresh NewNoise(seed, ...) would.
+	// ResetTo replaces it.
 	seed int64
 	// prob is the per-measurement probability of a spike, in [0,1).
 	prob float64
@@ -213,6 +214,18 @@ func NewNoise(seed int64, prob float64, minSpike, maxSpike Cycles) (*Noise, erro
 //
 //pthammer:noalloc
 func (n *Noise) Reset() { n.rng.Seed(n.seed) }
+
+// ResetTo is Reset with a new seed: the recycled source replays exactly
+// the sample sequence a fresh NewNoise(seed, ...) with the same spike
+// parameters would. Machine recycling seeds through it, so a recycled
+// machine can take a new noise seed (the sweep engine's per-shard
+// seeds) without being rebuilt.
+//
+//pthammer:noalloc
+func (n *Noise) ResetTo(seed int64) {
+	n.seed = seed
+	n.Reset()
+}
 
 // Quiet returns a noise source that never spikes.
 func Quiet() *Noise {
