@@ -23,18 +23,34 @@
 //	pthammer-sweep [-mode evict|flush] [-padmin N] [-padmax N]
 //	               [-padstep N] [-reps N] [-targets N] [-noise P]
 //	               [-seed N] [-workers N] [-o FILE]
+//
+// Exit codes: 0 success; 1 the sweep engine rejected the spec or
+// failed (a -reps, -padstep or padding range it refuses, a target past
+// the machine's memory); 2 usage error (an unknown flag, a stray
+// argument, or a bad -mode, -targets, -noise or -workers value);
+// 3 output write failure.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pthammer/internal/machine"
 	"pthammer/internal/pagetable"
 	"pthammer/internal/phys"
 	"pthammer/internal/sweep"
+)
+
+// The command's exit codes, one per failure surface, so CI scripts can
+// tell a broken flag line from a broken simulation from a full disk.
+const (
+	exitOK      = 0
+	exitRuntime = 1
+	exitUsage   = 2
+	exitWrite   = 3
 )
 
 // buildSpec assembles the sweep from the command's knobs. Targets are
@@ -113,37 +129,53 @@ func renderTables(s sweep.Spec, mode string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func main() {
-	mode := flag.String("mode", "evict", "measurement mode: evict (Algorithm 1 eviction sets, flush-free) or flush (privileged clflush baseline)")
-	padMin := flag.Int("padmin", 0, "smallest padding NOP count")
-	padMax := flag.Int("padmax", 100, "largest padding NOP count")
-	padStep := flag.Int("padstep", 10, "padding step")
-	reps := flag.Int("reps", 20, "timed replays of the target stream per padding value")
-	targets := flag.Int("targets", 2, "number of target pages (one per 2 MiB region)")
-	noise := flag.Float64("noise", 0.05, "per-load latency-spike probability (0 = fully deterministic)")
-	seed := flag.Int64("seed", 1, "base seed for the per-shard noise streams")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never affects the tables")
-	out := flag.String("o", "", "output path (default stdout)")
-	flag.Parse()
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "pthammer-sweep:", err)
-		os.Exit(1)
+// run is main with its environment made explicit, so the error paths
+// are table-testable: args exclude the program name, and the return
+// value is the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pthammer-sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mode := fs.String("mode", "evict", "measurement mode: evict (Algorithm 1 eviction sets, flush-free) or flush (privileged clflush baseline)")
+	padMin := fs.Int("padmin", 0, "smallest padding NOP count")
+	padMax := fs.Int("padmax", 100, "largest padding NOP count")
+	padStep := fs.Int("padstep", 10, "padding step")
+	reps := fs.Int("reps", 20, "timed replays of the target stream per padding value")
+	targets := fs.Int("targets", 2, "number of target pages (one per 2 MiB region)")
+	noise := fs.Float64("noise", 0.05, "per-load latency-spike probability (0 = fully deterministic)")
+	seed := fs.Int64("seed", 1, "base seed for the per-shard noise streams")
+	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never affects the tables")
+	out := fs.String("o", "", "output path (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		// The flag set already printed the parse error and usage.
+		return exitUsage
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "pthammer-sweep: unexpected arguments: %q\n", fs.Args())
+		fs.Usage()
+		return exitUsage
 	}
 	spec, err := buildSpec(*mode, *targets, *padMin, *padMax, *padStep, *reps, *workers, *noise, *seed)
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(stderr, "pthammer-sweep:", err)
+		return exitUsage
 	}
 	tables, err := renderTables(spec, *mode)
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(stderr, "pthammer-sweep:", err)
+		return exitRuntime
 	}
 	if *out == "" {
-		os.Stdout.Write(tables)
-		return
+		stdout.Write(tables)
+		return exitOK
 	}
 	if err := os.WriteFile(*out, tables, 0o644); err != nil {
-		fail(err)
+		fmt.Fprintln(stderr, "pthammer-sweep:", err)
+		return exitWrite
 	}
-	fmt.Println("wrote", *out)
+	fmt.Fprintln(stdout, "wrote", *out)
+	return exitOK
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -86,6 +88,80 @@ func TestBuildSpecRejectsBadInput(t *testing.T) {
 		if _, err := renderTables(spec, mode); err == nil {
 			t.Errorf("%s: target outside memory accepted", mode)
 		}
+	}
+}
+
+// TestRunExitCodes: every failure surface of the command has its own
+// exit code, and flags after a stray argument are rejected rather than
+// silently dropped.
+func TestRunExitCodes(t *testing.T) {
+	small := []string{"-mode", "flush", "-padmax", "10", "-reps", "1", "-targets", "1"}
+	cases := []struct {
+		name   string
+		args   []string
+		code   int
+		stderr string
+	}{
+		{"unknown flag", []string{"-no-such-flag"}, exitUsage, "flag provided but not defined"},
+		{"malformed value", []string{"-reps", "many"}, exitUsage, "invalid value"},
+		{"stray argument", []string{"-mode", "flush", "stray", "-padmax", "10"}, exitUsage, "unexpected arguments"},
+		{"unknown mode", []string{"-mode", "warp"}, exitUsage, "unknown mode"},
+		{"zero targets", []string{"-targets", "0"}, exitUsage, "targets must be positive"},
+		{"noise out of range", []string{"-noise", "1"}, exitUsage, "outside [0,1)"},
+		{"negative workers", []string{"-workers", "-1"}, exitUsage, "workers must be non-negative"},
+		{"zero reps", []string{"-reps", "0"}, exitRuntime, "reps must be positive"},
+		{"target past memory", []string{"-targets", "513", "-reps", "1", "-padmax", "0"}, exitRuntime, "outside 1073741824-byte memory"},
+		{"unwritable output", append(small, "-o", "/nonexistent-dir/sweep.tsv"), exitWrite, "no such file or directory"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run(tc.args, &stdout, &stderr)
+			if code != tc.code {
+				t.Fatalf("exit code = %d, want %d (stderr: %s)", code, tc.code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) {
+				t.Fatalf("stderr missing %q:\n%s", tc.stderr, stderr.String())
+			}
+		})
+	}
+}
+
+// TestRunWritesTables: run prints the tables renderTables produces, to
+// stdout or to -o.
+func TestRunWritesTables(t *testing.T) {
+	args := []string{"-mode", "flush", "-padmax", "10", "-reps", "1", "-targets", "1"}
+	spec, err := buildSpec("flush", 1, 0, 10, 10, 1, 0, 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := renderTables(spec, "flush")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != exitOK {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("stdout differs from renderTables:\n--- got ---\n%s--- want ---\n%s", stdout.Bytes(), want)
+	}
+
+	path := filepath.Join(t.TempDir(), "sweep.tsv")
+	stdout.Reset()
+	if code := run(append(args, "-o", path), &stdout, &stderr); code != exitOK {
+		t.Fatalf("-o: exit %d, stderr: %s", code, stderr.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from renderTables:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+	if stdout.String() != "wrote "+path+"\n" {
+		t.Errorf("-o stdout = %q", stdout.String())
 	}
 }
 

@@ -41,10 +41,6 @@ var deterministicSuffixes = []string{
 	// machine's whole determinism story, so a wall-clock read or an
 	// unordered iteration here breaks byte-identical mt-* output.
 	"internal/core",
-	// The retired payload engine's program format: Encode must stay a
-	// pure function of the program (the fuzzed round trip), until the
-	// package is deleted.
-	"internal/payload",
 	// The cohort scheduler's population tables are byte-diffed across
 	// GOMAXPROCS and pool sizes in CI; per-tenant randomness must come
 	// from the mixed tenant seed alone.

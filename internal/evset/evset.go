@@ -41,18 +41,16 @@ type Options struct {
 	// spikes on noisy machines (the PMC half of the verdict is exact).
 	// Default 3.
 	Trials int
-	// PoolScale over-provisions the candidate pool as
-	// PoolScale × associativity + 2 addresses, giving group reduction
-	// room to work with. Default 3.
-	PoolScale int
 }
+
+// poolScale over-provisions the candidate pool as poolScale ×
+// associativity + 2 addresses, giving group reduction room to work
+// with.
+const poolScale = 3
 
 func (o Options) withDefaults() Options {
 	if o.Trials <= 0 {
 		o.Trials = 3
-	}
-	if o.PoolScale <= 0 {
-		o.PoolScale = 3
 	}
 	return o
 }
@@ -354,7 +352,7 @@ func BuildTLB(m *machine.Machine, target phys.Addr, exclude []phys.Addr, opt Opt
 		assoc = cfg.L2Ways
 	}
 	frames, pteBlocks := excludeSets(target, exclude)
-	pool := tlbCandidates(m, target, frames, pteBlocks, opt.PoolScale*assoc+2)
+	pool := tlbCandidates(m, target, frames, pteBlocks, poolScale*assoc+2)
 	if len(pool) < assoc {
 		return nil, fmt.Errorf("evset: only %d TLB candidates below the kernel region, need ≥ %d", len(pool), assoc)
 	}
@@ -413,7 +411,7 @@ func BuildLLCPTE(m *machine.Machine, target phys.Addr, tlb *TLBSet, exclude []ph
 	}
 	assoc := m.Config().LLC.Ways
 	frames, pteBlocks := excludeSets(target, exclude)
-	pool := llcCandidates(m, pte, frames, pteBlocks, opt.PoolScale*assoc+2)
+	pool := llcCandidates(m, pte, frames, pteBlocks, poolScale*assoc+2)
 	if len(pool) < assoc {
 		return nil, fmt.Errorf("evset: only %d LLC candidates below the kernel region, need ≥ %d", len(pool), assoc)
 	}

@@ -273,6 +273,3 @@ func (w *Walker) PSContains(va phys.Addr) (pde, pdpte, pml4e bool) {
 		w.psc[1].Contains(pscTag(va, 3)),
 		w.psc[2].Contains(pscTag(va, 4))
 }
-
-// Tables returns the page tables the walker traverses.
-func (w *Walker) Tables() *pagetable.Tables { return w.tables }

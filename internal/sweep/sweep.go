@@ -111,11 +111,13 @@ func (s Spec) validate() error {
 	return nil
 }
 
-// paddings expands the swept padding values in ascending order.
+// paddings expands the swept padding values in ascending order. Each is
+// computed from its index, never by stepping past PadMax, which
+// overflows once PadMax is within PadStep of math.MaxInt.
 func (s Spec) paddings() []int {
-	var pads []int
-	for p := s.PadMin; p <= s.PadMax; p += s.PadStep {
-		pads = append(pads, p)
+	pads := make([]int, (s.PadMax-s.PadMin)/s.PadStep+1)
+	for i := range pads {
+		pads[i] = s.PadMin + i*s.PadStep
 	}
 	return pads
 }

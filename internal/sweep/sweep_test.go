@@ -3,6 +3,7 @@ package sweep
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -281,6 +282,26 @@ func TestRecycledShardsMatchFreshMachines(t *testing.T) {
 				t.Error("shard 1 on shard 0's noise seed matches; the comparison cannot see the reseed")
 			}
 		})
+	}
+}
+
+// TestPaddings pins the swept values: PadMin, PadMin+PadStep, … up to
+// PadMax, including ranges whose next step would pass math.MaxInt.
+func TestPaddings(t *testing.T) {
+	for _, tc := range []struct {
+		min, max, step int
+		want           []int
+	}{
+		{0, 100, 10, []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}},
+		{0, 95, 10, []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}},
+		{7, 7, 3, []int{7}},
+		{math.MaxInt - 5, math.MaxInt, 10, []int{math.MaxInt - 5}},
+		{0, math.MaxInt, 1 << 62, []int{0, 1 << 62}},
+	} {
+		s := Spec{PadMin: tc.min, PadMax: tc.max, PadStep: tc.step}
+		if got := s.paddings(); !slices.Equal(got, tc.want) {
+			t.Errorf("paddings(%d, %d, %d) = %v, want %v", tc.min, tc.max, tc.step, got, tc.want)
+		}
 	}
 }
 
