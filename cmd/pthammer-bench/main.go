@@ -91,30 +91,6 @@ type report struct {
 
 var benchName = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 
-// latestBaseline finds the highest-numbered committed BENCH_NNNN.json
-// in dir. ok is false when none exists.
-func latestBaseline(dir string) (path string, num int, ok bool, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", 0, false, err
-	}
-	num = -1
-	for _, e := range entries {
-		m := benchName.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		n, convErr := strconv.Atoi(m[1])
-		if convErr != nil {
-			continue
-		}
-		if n > num {
-			num, path = n, filepath.Join(dir, e.Name())
-		}
-	}
-	return path, num, num >= 0, nil
-}
-
 // loadReport parses a committed baseline.
 func loadReport(path string) (report, error) {
 	var rep report
@@ -148,17 +124,19 @@ func validateBaseline(rep report) error {
 	return nil
 }
 
-// usableBaseline walks the committed BENCH_NNNN.json files newest to
-// oldest and returns the first one that parses and validates, warning
-// on stderr for every file it skips. Before this walk existed the tool
-// blindly trusted the highest-numbered file, so one corrupt or
-// foreign-preset report silently disabled (or poisoned) the CI gate;
-// now a bad newest file degrades to the previous good one, visibly.
-// ok is false when no usable baseline exists at all.
-func usableBaseline(dir string, warn io.Writer) (path string, rep report, ok bool, err error) {
+// scanBaselines reads dir once. last is the highest BENCH_NNNN.json
+// number present, usable or not (-1 when there is none), so a new
+// report never overwrites a quarantined file. path and rep are the
+// newest file that parses and validates, found by walking the files
+// newest to oldest and warning on warn for every one skipped. Before
+// this walk existed the tool blindly trusted the highest-numbered file,
+// so one corrupt or foreign-preset report silently disabled (or
+// poisoned) the CI gate; now a bad newest file degrades to the previous
+// good one, visibly. ok is false when no usable baseline exists at all.
+func scanBaselines(dir string, warn io.Writer) (last int, path string, rep report, ok bool, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return "", report{}, false, err
+		return -1, "", report{}, false, err
 	}
 	type cand struct {
 		num  int
@@ -177,6 +155,10 @@ func usableBaseline(dir string, warn io.Writer) (path string, rep report, ok boo
 		cands = append(cands, cand{n, filepath.Join(dir, e.Name())})
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].num > cands[j].num })
+	last = -1
+	if len(cands) > 0 {
+		last = cands[0].num
+	}
 	for _, c := range cands {
 		rep, loadErr := loadReport(c.path)
 		if loadErr != nil {
@@ -187,9 +169,9 @@ func usableBaseline(dir string, warn io.Writer) (path string, rep report, ok boo
 			fmt.Fprintf(warn, "pthammer-bench: skipping baseline %s: %v\n", c.path, valErr)
 			continue
 		}
-		return c.path, rep, true, nil
+		return last, c.path, rep, true, nil
 	}
-	return "", report{}, false, nil
+	return last, "", report{}, false, nil
 }
 
 // measure runs every scenario, best of three (the minimum is the least
@@ -302,14 +284,9 @@ func run(args []string, stdout, stderr io.Writer, measureFn func() []scenarioRes
 	}
 
 	// The output number always continues from the highest-numbered file,
-	// usable or not, so a fresh report never overwrites a quarantined
-	// one; the comparison baseline is the newest file that validates.
-	_, baseNum, _, err := latestBaseline(*dir)
-	if err != nil {
-		fmt.Fprintln(stderr, "pthammer-bench:", err)
-		return exitBaseline
-	}
-	basePath, baseline, haveBase, err := usableBaseline(*dir, stderr)
+	// usable or not; the comparison baseline is the newest file that
+	// validates.
+	baseNum, basePath, baseline, haveBase, err := scanBaselines(*dir, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "pthammer-bench:", err)
 		return exitBaseline

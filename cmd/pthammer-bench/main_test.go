@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ func steadyResult(name string, ns float64, allocs int64) scenarioResult {
 }
 
 // validBaseline wraps a scenarios fragment in the header fields
-// usableBaseline requires of a committed report.
+// scanBaselines requires of a committed report.
 func validBaseline(scenarios string) string {
 	return `{"tool":"pthammer-bench","go_version":"go1.24.0","preset":"SandyBridge","scenarios":[` + scenarios + `]}`
 }
@@ -124,22 +125,23 @@ func TestCheckWarnsOnZeroComparisons(t *testing.T) {
 // the gate depends on.
 func TestLatestBaselinePicksHighestNumber(t *testing.T) {
 	dir := t.TempDir()
+	body := validBaseline(`{"name":"warm-load","ns_per_op":100,"steady_state":true}`)
 	for _, name := range []string{"BENCH_0002.json", "BENCH_0010.json", "BENCH_0003.json", "other.json"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	path, num, ok, err := latestBaseline(dir)
+	num, path, _, ok, err := scanBaselines(dir, io.Discard)
 	if err != nil || !ok {
-		t.Fatalf("latestBaseline: %v ok=%v", err, ok)
+		t.Fatalf("scanBaselines: %v ok=%v", err, ok)
 	}
 	if num != 10 || filepath.Base(path) != "BENCH_0010.json" {
 		t.Fatalf("picked %s (#%d), want BENCH_0010.json", path, num)
 	}
 
 	empty := t.TempDir()
-	if _, _, ok, err := latestBaseline(empty); err != nil || ok {
-		t.Fatalf("empty dir: ok=%v err=%v, want no baseline", ok, err)
+	if num, _, _, ok, err := scanBaselines(empty, io.Discard); err != nil || ok || num != -1 {
+		t.Fatalf("empty dir: num=%d ok=%v err=%v, want no baseline", num, ok, err)
 	}
 }
 
@@ -278,7 +280,7 @@ func TestUsableBaselineFallback(t *testing.T) {
 				}
 			}
 			var warn bytes.Buffer
-			path, rep, ok, err := usableBaseline(dir, &warn)
+			_, path, rep, ok, err := scanBaselines(dir, &warn)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -107,6 +107,10 @@ func TestRunErrorPaths(t *testing.T) {
 		{"stray arguments", []string{"extra", "args"}, exitUsage, "unexpected arguments"},
 		{"negative robust seeds", []string{"-robust-seeds", "-1"}, exitUsage, "-robust-seeds must be non-negative"},
 		{"degenerate robust budget", []string{"-robust-windows", "10"}, exitUsage, "-robust-windows 10"},
+		// 2^60 windows of 350,000 cycles wrap the driver's ceiling to 0.
+		{"wrapping robust budget", []string{
+			"-iters", "2500", "-robust-seeds", "0", "-robust-windows", "1152921504606846976"},
+			exitRuntime, "1152921504606846976 windows of 350000 cycles overflow"},
 		{"unwritable output", []string{
 			"-iters", "2500", "-robust-seeds", "0",
 			"-o", "/nonexistent-dir/report.tsv"}, exitWrite, "no such file or directory"},

@@ -122,7 +122,9 @@ func renderPopulation(buf *bytes.Buffer, frontEnds, tenants int, seed int64, win
 		tenants, windows, seed)
 	fmt.Fprintf(buf, "layout\tclass\ttenants\tbreached_per_M\tdiluted_per_M\ttable_flips_per_M\tmean_peak_pressure\tmax_peak_pressure\tmean_iters\n")
 	for _, layout := range []machine.TableLayout{machine.LayoutInterleaved, machine.LayoutBlocked} {
-		pool, err := cohort.NewPool(frontEnds, layout)
+		// Unit k runs tenants k, k+U, …, so a unit at or past the tenant
+		// count would be built and never run.
+		pool, err := cohort.NewPool(min(frontEnds, 2*tenants), layout)
 		if err != nil {
 			return fmt.Errorf("population: %w", err)
 		}
@@ -215,7 +217,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	windows := fs.Int("windows", 4, "refresh windows per arm for the amplify and noisy scenarios")
 	xtSeed := fs.Int64("xt-seed", 1, "flip-model seed for the cross-tenant escalation")
 	xtWindows := fs.Int("xt-windows", 60, "refresh-window budget for the cross-tenant escalation")
-	pool := fs.Int("pool", 8, "front-ends in the population runs' core pool; the output must not depend on it")
+	pool := fs.Int("pool", 8, "front-ends in the population runs' core pool, capped at 2 x -pop-tenants (one two-core unit per tenant); the output must not depend on it")
 	popTenants := fs.Int("pop-tenants", 2000, "tenants per population row (6 rows: 3 classes x 2 layouts)")
 	popSeed := fs.Int64("pop-seed", 1, "population seed; per-tenant seeds are mixed from it")
 	popWindows := fs.Int("pop-windows", 3, "refresh windows per tenant slice in the population runs")

@@ -134,6 +134,12 @@ func TestRunPopulationScenario(t *testing.T) {
 	if narrow := render("4"); narrow != out {
 		t.Errorf("population bytes depend on the pool size:\n--- pool 8 ---\n%s--- pool 4 ---\n%s", out, narrow)
 	}
+	// Unit k runs tenants k, k+U, …, so a pool past two front-ends per
+	// tenant is capped before any unit is built. Uncapped, -pool 1048576
+	// built 524288 units of ~135 KB each.
+	if huge := render("1048576"); huge != out {
+		t.Errorf("population bytes depend on a pool past the tenant count:\n--- pool 8 ---\n%s--- pool 1048576 ---\n%s", out, huge)
+	}
 }
 
 // TestRunWritesFile: -o writes the report to the given path.
@@ -152,22 +158,36 @@ func TestRunWritesFile(t *testing.T) {
 	}
 }
 
-// TestRunUsageErrors: bad flags exit 2 without running anything.
+// TestRunUsageErrors: bad flags exit 2 without running anything, and a
+// window count whose cycle budget wraps the clock (2^60 windows of the
+// 350,000-cycle mt window or the 60,000-cycle tenant window come out as
+// 0 cycles) exits 1 naming the count, never with a table.
 func TestRunUsageErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-scenario", "bogus"},
-		{"-windows", "0"},
-		{"-xt-windows", "-1"},
-		{"-pop-windows", "0"},
-		{"-pool", "1"},
-		{"-pop-tenants", "0"},
-		{"-procs", "-2"},
-		{"stray"},
-		{"-not-a-flag"},
+	const wrap = "1152921504606846976"
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{[]string{"-scenario", "bogus"}, exitUsage, ""},
+		{[]string{"-windows", "0"}, exitUsage, ""},
+		{[]string{"-xt-windows", "-1"}, exitUsage, ""},
+		{[]string{"-pop-windows", "0"}, exitUsage, ""},
+		{[]string{"-pool", "1"}, exitUsage, ""},
+		{[]string{"-pop-tenants", "0"}, exitUsage, ""},
+		{[]string{"-procs", "-2"}, exitUsage, ""},
+		{[]string{"stray"}, exitUsage, ""},
+		{[]string{"-not-a-flag"}, exitUsage, ""},
+		{[]string{"-scenario", "amplify", "-windows", wrap}, exitRuntime, wrap + " windows of 350000 cycles overflow"},
+		{[]string{"-scenario", "cross-tenant", "-xt-windows", wrap}, exitRuntime, wrap + " windows of 350000 cycles overflow"},
+		{[]string{"-scenario", "population", "-pop-tenants", "10", "-pop-windows", wrap}, exitRuntime, wrap + " windows of 60000 cycles overflow"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != exitUsage {
-			t.Errorf("args %q: exit %d, want %d (stderr: %s)", args, code, exitUsage, stderr.String())
+		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("args %q: exit %d, want %d with %q (stderr: %s)", tc.args, code, tc.code, tc.stderr, stderr.String())
+		}
+		if tc.code == exitRuntime && stdout.Len() != 0 {
+			t.Errorf("args %q: failed run still printed a report:\n%s", tc.args, stdout.String())
 		}
 	}
 }

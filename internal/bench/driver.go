@@ -13,7 +13,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"pthammer/internal/evset"
 	"pthammer/internal/fault"
@@ -133,62 +132,14 @@ type Verdict struct {
 	Result *EscalationResult
 }
 
-// escalationMachines is the demo-machine free list behind
-// RunEscalationResilient: every run uses the identical EscalationConfig
-// shape apart from its models, and the Reset/Recycle contract
-// guarantees a recycled machine is observationally fresh, so released
-// machines are rebound to the next run's (profile, seed)-stamped
-// models with ResetWithModels instead of reconstructing the whole
-// memory system. The mutex makes concurrent runs (the robustness
-// matrix, parallel tests) safe; the cap bounds how many idle machines
-// stay live.
-var escalationMachines struct {
-	sync.Mutex
-	free []*machine.Machine
-}
-
-const escalationMachineCap = 4
-
-// acquireEscalationMachine returns a recycled demo machine bound to
-// the given models, constructing one only when the free list is empty.
-// A machine whose rebind fails is discarded, never returned or pooled.
-func acquireEscalationMachine(fm *flip.Model, fam *fault.Model) (*machine.Machine, error) {
-	escalationMachines.Lock()
-	var m *machine.Machine
-	if n := len(escalationMachines.free); n > 0 {
-		m = escalationMachines.free[n-1]
-		escalationMachines.free = escalationMachines.free[:n-1]
-	}
-	escalationMachines.Unlock()
-	if m == nil {
-		cfg := EscalationConfig(fm)
-		cfg.FaultModel = fam
-		return machine.New(cfg)
-	}
-	if err := m.ResetWithModels(fm, fam); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// releaseEscalationMachine parks a machine for the next run, dropping
-// it once the free list is full.
-func releaseEscalationMachine(m *machine.Machine) {
-	escalationMachines.Lock()
-	if len(escalationMachines.free) < escalationMachineCap {
-		escalationMachines.free = append(escalationMachines.free, m)
-	}
-	escalationMachines.Unlock()
-}
-
-// RunEscalationResilient recycles (or builds) the demo machine for
-// (profile, seed) — wiring in a fault model for fcfg when non-nil,
-// stamped with the same seed — and drives the budgeted escalation
-// state machine to a Verdict. The error return is for misuse only
-// (invalid budget, profile, fault config, or machine construction);
-// every attack-path failure comes back as a structured Verdict.
-// Deterministic per (profile, seed, fcfg, budget) — machine reuse
-// cannot leak into the outcome, by the Reset/Recycle contract.
+// RunEscalationResilient builds the demo machine for (profile, seed) —
+// wiring in a fault model for fcfg when non-nil, stamped with the same
+// seed — and drives the budgeted escalation state machine to a Verdict.
+// The machine lives for this call alone. The error return is for misuse
+// only (invalid budget, profile or fault config, a window budget whose
+// cycle horizon overflows, or machine construction); every attack-path
+// failure comes back as a structured Verdict. Deterministic per
+// (profile, seed, fcfg, budget).
 func RunEscalationResilient(profile flip.Profile, seed int64, fcfg *fault.Config, budget Budget) (Verdict, error) {
 	if err := budget.Validate(); err != nil {
 		return Verdict{}, err
@@ -197,24 +148,19 @@ func RunEscalationResilient(profile flip.Profile, seed int64, fcfg *fault.Config
 	if err != nil {
 		return Verdict{}, err
 	}
-	var fam *fault.Model
+	cfg := EscalationConfig(model)
 	if fcfg != nil {
 		fc := *fcfg
 		fc.Seed = seed
-		if fam, err = fault.NewModel(fc); err != nil {
+		if cfg.FaultModel, err = fault.NewModel(fc); err != nil {
 			return Verdict{}, err
 		}
 	}
-	m, err := acquireEscalationMachine(model, fam)
+	m, err := machine.New(cfg)
 	if err != nil {
 		return Verdict{}, err
 	}
-	defer releaseEscalationMachine(m)
-	window := timing.Cycles(m.Config().DRAM.RefreshWindow)
-	if window == 0 {
-		return Verdict{}, fmt.Errorf("bench: resilient escalation needs a windowed machine")
-	}
-	return driveEscalation(m, budget, window)
+	return driveEscalation(m, budget)
 }
 
 // driveEscalation is the state machine proper, on an already-built
@@ -228,7 +174,7 @@ func RunEscalationResilient(profile flip.Profile, seed int64, fcfg *fault.Config
 // cycles include every scan it pays for; a window in which the model
 // recorded no new flip cannot have changed a translation, so its
 // rescan is skipped. Nothing in the loop is privileged.
-func driveEscalation(m *machine.Machine, budget Budget, window timing.Cycles) (Verdict, error) {
+func driveEscalation(m *machine.Machine, budget Budget) (Verdict, error) {
 	model := m.FlipModel()
 	if model == nil {
 		return Verdict{}, fmt.Errorf("bench: resilient escalation needs a machine with a flip model")
@@ -262,7 +208,17 @@ func driveEscalation(m *machine.Machine, budget Budget, window timing.Cycles) (V
 	// flip landing on any of them is just as exploitable.
 	plan.ptOf = leafPTs(m)
 
+	window := m.Config().DRAM.RefreshWindow
 	start := m.Clock().Now()
+	// Attempt deadlines are relative to the live clock, so each
+	// attempt's fractional-window overshoot would otherwise accumulate
+	// across attempts; ending the last attempt at this absolute ceiling
+	// keeps spent() ≤ MaxWindows (one hammer iteration is far shorter
+	// than a window, so the final overshoot floors away).
+	ceiling, err := timing.Horizon(start, budget.MaxWindows, window)
+	if err != nil {
+		return Verdict{}, err
+	}
 	flips0 := len(model.Flips())
 	scannedFlips := flips0
 	rescan := false
@@ -271,24 +227,16 @@ func driveEscalation(m *machine.Machine, budget Budget, window timing.Cycles) (V
 	var res EscalationResult
 
 	spent := func() uint64 { return uint64((m.Clock().Now() - start) / window) }
-	// Attempt deadlines are relative to the live clock, so each
-	// attempt's fractional-window overshoot would otherwise accumulate
-	// across attempts; clamping every deadline to this absolute ceiling
-	// keeps spent() ≤ MaxWindows (one hammer iteration is far shorter
-	// than a window, so the final overshoot floors away).
-	ceiling := start + window*timing.Cycles(budget.MaxWindows)
 
 	v.Phase = PhaseHammer
 	for spent() < budget.MaxWindows {
-		attempt := budget.AttemptWindows << backoff
-		if rem := budget.MaxWindows - spent(); attempt > rem {
-			attempt = rem
+		// An attempt shorter than the windows left ends inside the
+		// ceiling; any other runs to it.
+		deadline := ceiling
+		if attempt := budget.AttemptWindows << backoff; attempt < budget.MaxWindows-spent() {
+			deadline = m.Clock().Now() + window*timing.Cycles(attempt)
 		}
 		attemptFlips := len(model.Flips())
-		deadline := m.Clock().Now() + window*timing.Cycles(attempt)
-		if deadline > ceiling {
-			deadline = ceiling
-		}
 		nextScan := m.Clock().Now() + window
 		for m.Clock().Now() < deadline {
 			h.HammerOnce(m)

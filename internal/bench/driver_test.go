@@ -44,6 +44,13 @@ func TestResilientMisuseErrors(t *testing.T) {
 	if _, err := RunEscalationResilient(flip.ClassA(), 1, bad, DefaultBudget()); err == nil {
 		t.Fatal("unknown fault class accepted")
 	}
+	// 2^60 windows of 350,000 cycles wrap the driver's ceiling to its
+	// start cycle: unchecked, that was budget-exhausted after 0 windows.
+	wrap := DefaultBudget()
+	wrap.MaxWindows = 1 << 60
+	if v, err := RunEscalationResilient(flip.ClassA(), 1, nil, wrap); err == nil {
+		t.Fatalf("wrapping window budget accepted: %+v", v)
+	}
 }
 
 // TestResilientFaultFreeSucceeds pins the golden path through the

@@ -118,7 +118,7 @@ func TestEscalationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v, err := driveEscalation(m, oneAttempt(DefaultBudget().MaxWindows), cfg.DRAM.RefreshWindow)
+	v, err := driveEscalation(m, oneAttempt(DefaultBudget().MaxWindows))
 	if err != nil {
 		t.Fatal(err)
 	}

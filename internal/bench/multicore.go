@@ -55,16 +55,19 @@ const (
 // newMTMachine builds an mt scenario's machine and its class-A flip
 // model for seed: EscalationConfig (so one refresh window holds tens of
 // hammer iterations, not tens of thousands) at the scenario's hammer
-// threshold.
-func newMTMachine(seed int64, threshold uint64, cores int, tenants []int) (*machine.MultiMachine, *flip.Model, error) {
-	model, err := flip.NewModel(flip.ClassA(), seed)
-	if err != nil {
-		return nil, nil, err
+// threshold, and the scenario's budget of windows refresh windows in
+// cycles (an error when that does not fit in timing.Cycles).
+func newMTMachine(seed int64, threshold uint64, windows, cores int, tenants []int) (mm *machine.MultiMachine, model *flip.Model, budget timing.Cycles, err error) {
+	if model, err = flip.NewModel(flip.ClassA(), seed); err != nil {
+		return nil, nil, 0, err
 	}
 	cfg := EscalationConfig(model)
 	cfg.DRAM.HammerThreshold = threshold
-	mm, err := machine.NewMulti(machine.MultiConfig{Config: cfg, Cores: cores, Tenants: tenants})
-	return mm, model, err
+	if budget, err = timing.Horizon(0, uint64(windows), cfg.DRAM.RefreshWindow); err != nil {
+		return nil, nil, 0, err
+	}
+	mm, err = machine.NewMulti(machine.MultiConfig{Config: cfg, Cores: cores, Tenants: tenants})
+	return mm, model, budget, err
 }
 
 // pairPressure reads the current window's combined activation count of
@@ -96,7 +99,7 @@ type ColocatedAmplifyResult struct {
 // windows. It returns the peak per-window pressure, flip count and
 // total iterations.
 func amplifyArm(seed int64, cores, windows int) (pressure uint64, flips int, iters uint64, err error) {
-	mm, model, err := newMTMachine(seed, amplifyThreshold, cores, nil)
+	mm, model, budget, err := newMTMachine(seed, amplifyThreshold, windows, cores, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -114,7 +117,6 @@ func amplifyArm(seed int64, cores, windows int) (pressure uint64, flips int, ite
 
 	var itersN uint64
 	var peak uint64
-	budget := timing.Cycles(windows) * mm.Config().DRAM.RefreshWindow
 	mm.Run(func(i int, m *machine.Machine, yield func()) {
 		start := m.Clock().Now()
 		for m.Clock().Now()-start < budget {
@@ -177,7 +179,7 @@ const bystanderBase = phys.Addr(256 << 20)
 // noisyArm runs the attacker for the given number of refresh windows
 // next to a bystander that is either streaming (noisy) or idle.
 func noisyArm(seed int64, noisy bool, windows int) (pressure uint64, flips int, iters, loads uint64, err error) {
-	mm, model, err := newMTMachine(seed, noisyThreshold, 2, []int{0, 1})
+	mm, model, budget, err := newMTMachine(seed, noisyThreshold, windows, 2, []int{0, 1})
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -202,7 +204,6 @@ func noisyArm(seed int64, noisy bool, windows int) (pressure uint64, flips int, 
 
 	var itersN, loadsN uint64
 	var peak uint64
-	budget := timing.Cycles(windows) * mm.Config().DRAM.RefreshWindow
 	done := false
 	mm.Run(func(i int, m *machine.Machine, yield func()) {
 		if i == 0 {
@@ -317,7 +318,7 @@ func xtFindPair(mm *machine.MultiMachine, cands []regionCand) (ImplicitPair, boo
 // Deterministic per seed.
 func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, error) {
 	var res CrossTenantResult
-	mm, model, err := newMTMachine(seed, crossTenantThreshold, 2, []int{0, 1})
+	mm, model, budget, err := newMTMachine(seed, crossTenantThreshold, maxWindows, 2, []int{0, 1})
 	if err != nil {
 		return res, err
 	}
@@ -361,7 +362,6 @@ func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, er
 	windows0 := model.Windows()
 	flips0 := len(model.Flips())
 	window := mm.Config().DRAM.RefreshWindow
-	budget := timing.Cycles(maxWindows) * window
 	attackerLimit := phys.Addr(uint64(xtAttackerRegions) * span)
 
 	done, found := false, false

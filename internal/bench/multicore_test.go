@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pthammer/internal/phys"
@@ -95,6 +96,25 @@ func TestCrossTenantEscalation(t *testing.T) {
 	}
 	if res.Flips == 0 || res.Windows == 0 || res.Iterations == 0 {
 		t.Fatalf("implausible run accounting: %+v", res)
+	}
+}
+
+// TestMTRejectsWrappingWindows: every mt runner converts its window
+// count through timing.Horizon, so a count whose cycle budget wraps is
+// an error naming it, never a result. Unchecked, 2^60 windows of
+// 350,000 cycles came out as 0 cycles: amplify and noisy returned arms
+// that never hammered, and cross-tenant reported no flip within the
+// budget.
+func TestMTRejectsWrappingWindows(t *testing.T) {
+	const windows = 1 << 60
+	want := fmt.Sprintf("%d windows of 350000 cycles overflow", windows)
+	_, amplifyErr := RunColocatedAmplify(4, windows)
+	_, noisyErr := RunNoisyNeighbour(4, windows)
+	_, xtErr := RunCrossTenantEscalation(1, windows)
+	for name, err := range map[string]error{"amplify": amplifyErr, "noisy": noisyErr, "cross-tenant": xtErr} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
 	}
 }
 

@@ -59,17 +59,19 @@ type Spec struct {
 	Windows int
 }
 
-func (s Spec) validate() error {
+// budget validates the spec and returns each tenant's hammer budget in
+// cycles.
+func (s Spec) budget() (timing.Cycles, error) {
 	if err := s.Profile.Validate(); err != nil {
-		return err
+		return 0, err
 	}
 	if s.Tenants < 1 {
-		return fmt.Errorf("cohort: population needs at least one tenant (got %d)", s.Tenants)
+		return 0, fmt.Errorf("cohort: population needs at least one tenant (got %d)", s.Tenants)
 	}
 	if s.Windows < 1 {
-		return fmt.Errorf("cohort: tenants need at least one refresh window (got %d)", s.Windows)
+		return 0, fmt.Errorf("cohort: tenants need at least one refresh window (got %d)", s.Windows)
 	}
-	return nil
+	return timing.Horizon(0, uint64(s.Windows), tenantWindow)
 }
 
 // Outcome is one tenant's result.
@@ -303,10 +305,10 @@ func (u *unit) collect() Outcome {
 // panic. Otherwise a failed tenant set-up returns the lowest failing
 // tenant's error; partial outcomes are never returned.
 func (p *Pool) RunDetailed(spec Spec) (Population, []Outcome, error) {
-	if err := spec.validate(); err != nil {
+	budget, err := spec.budget()
+	if err != nil {
 		return Population{}, nil, err
 	}
-	budget := timing.Cycles(spec.Windows) * tenantWindow
 	outs := make([]Outcome, spec.Tenants)
 	errs := make([]error, spec.Tenants)
 	panics := make([]any, len(p.units))

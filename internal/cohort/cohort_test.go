@@ -31,6 +31,9 @@ func TestPoolValidation(t *testing.T) {
 		{Profile: flip.ClassA(), Tenants: 0, Windows: 1},
 		{Profile: flip.ClassA(), Tenants: 1, Windows: 0},
 		{Profile: flip.Profile{Name: "bogus"}, Tenants: 1, Windows: 1},
+		// 2^60 windows of the 60,000-cycle tenant window wrap to a zero
+		// budget: unchecked, the tenant reported a run that never ran.
+		{Profile: flip.ClassA(), Tenants: 1, Windows: 1 << 60},
 	} {
 		if _, err := p.Run(spec); err == nil {
 			t.Errorf("spec %+v validated", spec)

@@ -606,30 +606,6 @@ func (m *Machine) ResetWithNoiseSeed(seed int64) {
 	m.Reset()
 }
 
-// ResetWithModels is Reset with a model swap: the machine recycles as
-// in Reset, but binds the given freshly built (never-bound) flip and
-// fault models in place of the old ones, exactly as construction would
-// have. Either may be nil. The escalation machine pool uses this: each
-// RunEscalationResilient call brings its own (profile, seed)-stamped
-// models to a recycled machine instead of constructing a whole new
-// one. On error the machine's models are in an undefined state; do not
-// reuse it without a successful rebind.
-func (m *Machine) ResetWithModels(fm *flip.Model, fam *fault.Model) error {
-	m.resetFrontEnd()
-	m.resetShared()
-	cfg := m.cfg
-	cfg.FlipModel, cfg.FaultModel = fm, fam
-	// bindModels only installs a hook when a flip model is present, so
-	// drop the old subscription first: a nil fm must leave no hook.
-	m.dram.SetWindowHook(nil)
-	if err := bindModels(cfg, m.mem, m.dram); err != nil {
-		return err
-	}
-	m.cfg = cfg
-	m.faulty = fam != nil
-	return nil
-}
-
 // Flips returns the disturbance errors the configured flip model has
 // produced so far, in occurrence order, or nil when the machine was
 // built without a FlipModel. The slice is the model's own record:

@@ -16,7 +16,7 @@ import (
 // machine. The reset-equivalence difftest demands bit-identity of this
 // whole record between a freshly constructed machine and a recycled
 // one — that identity is the Reset/Recycle contract the cohort
-// scheduler and the escalation machine pool rest on.
+// scheduler and the sweep workers rest on.
 type resetTrace struct {
 	Clock        timing.Cycles
 	Counters     perf.Snapshot
@@ -179,46 +179,6 @@ func TestResetEquivalence(t *testing.T) {
 			t.Errorf("reseeded trace diverged from fresh:\nfresh:    %+v\nrecycled: %+v", want, got)
 		}
 	})
-}
-
-// TestResetWithModelsEquivalence pins the model-swap variant the
-// escalation pool uses: recycling a machine with freshly built models
-// must be indistinguishable from constructing a machine with those
-// models.
-func TestResetWithModelsEquivalence(t *testing.T) {
-	v := resetVariant{name: "flip-fault", flip: true, fault: true, seed: 2}
-	fresh := buildResetMachine(t, v)
-	want := resetWorkload(fresh, v.seed)
-
-	// Dirty a machine built with different seeds, then swap in models
-	// matching the fresh machine's.
-	dirty := buildResetMachine(t, resetVariant{flip: true, fault: true, seed: 11})
-	resetWorkload(dirty, 11)
-	fm := flip.MustNewModel(flip.ClassA(), v.seed)
-	fam, err := fault.NewModel(fault.Config{Class: fault.PairInvalidate, Seed: v.seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dirty.ResetWithModels(fm, fam); err != nil {
-		t.Fatal(err)
-	}
-	got := resetWorkload(dirty, v.seed)
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("ResetWithModels trace diverged from fresh:\nfresh:    %+v\nrecycled: %+v", want, got)
-	}
-
-	// Swapping down to no models must behave like a model-free machine.
-	quietWant := resetWorkload(buildResetMachine(t, resetVariant{seed: 3}), 3)
-	if err := dirty.ResetWithModels(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if dirty.FlipModel() != nil || dirty.FaultModel() != nil {
-		t.Fatal("models survived a nil rebind")
-	}
-	quietGot := resetWorkload(dirty, 3)
-	if !reflect.DeepEqual(quietWant, quietGot) {
-		t.Errorf("nil-model rebind diverged from a model-free machine:\nfresh:    %+v\nrecycled: %+v", quietWant, quietGot)
-	}
 }
 
 // TestMultiResetEquivalence extends the difftest to the multi-tenant

@@ -9,12 +9,27 @@ package timing
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 )
 
 // Cycles counts CPU core cycles.
 type Cycles uint64
+
+// Horizon returns the cycle n windows of the given length after start.
+// Window budgets pass through it so that a count whose horizon does not
+// fit in Cycles is an error naming the count. Unchecked, start+n·window
+// wraps: 2^60 windows of any length divisible by 16 come out as exactly
+// 0 cycles, a budget that ends before it begins.
+func Horizon(start Cycles, n uint64, window Cycles) (Cycles, error) {
+	hi, span := bits.Mul64(n, uint64(window))
+	end, carry := bits.Add64(uint64(start), span, 0)
+	if hi != 0 || carry != 0 {
+		return 0, fmt.Errorf("timing: %d windows of %d cycles overflow the cycle clock", n, window)
+	}
+	return Cycles(end), nil
+}
 
 // Clock is the global cycle counter for one simulated machine.
 type Clock struct {

@@ -1,7 +1,9 @@
 package timing
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -18,6 +20,52 @@ func TestClockBasics(t *testing.T) {
 	c.Advance(17)
 	if c.Now() != 117 {
 		t.Fatalf("Now = %d, want 117", c.Now())
+	}
+}
+
+// TestHorizon pins the window-budget conversion: horizons that fit come
+// back exact, and one whose product or sum passes the top of Cycles is
+// an error naming the count, never a wrapped value. 2^60 windows of the
+// escalation (350,000-cycle) and cohort (60,000-cycle) windows wrap to
+// exactly 0 unchecked.
+func TestHorizon(t *testing.T) {
+	for _, tc := range []struct {
+		start  Cycles
+		n      uint64
+		window Cycles
+		want   Cycles
+	}{
+		{0, 0, 350_000, 0},
+		{0, 4000, 350_000, 1_400_000_000},
+		{7, 3, 60_000, 180_007},
+		{0, math.MaxUint64, 1, math.MaxUint64},
+		{math.MaxUint64 - 10, 1, 10, math.MaxUint64},
+		{0, 1 << 60, 0, 0},
+	} {
+		got, err := Horizon(tc.start, tc.n, tc.window)
+		if err != nil || got != tc.want {
+			t.Errorf("Horizon(%d, %d, %d) = %d, %v; want %d", tc.start, tc.n, tc.window, got, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		start  Cycles
+		n      uint64
+		window Cycles
+	}{
+		{0, 1 << 60, 350_000},
+		{0, 1 << 60, 60_000},
+		{0, math.MaxUint64, 2},
+		{math.MaxUint64 - 10, 1, 11},
+		{1, math.MaxUint64, 1},
+	} {
+		got, err := Horizon(tc.start, tc.n, tc.window)
+		if err == nil {
+			t.Errorf("Horizon(%d, %d, %d) = %d, want an overflow error", tc.start, tc.n, tc.window, got)
+			continue
+		}
+		if want := fmt.Sprintf("%d windows", tc.n); !strings.Contains(err.Error(), want) {
+			t.Errorf("Horizon(%d, %d, %d) error %q does not name the count", tc.start, tc.n, tc.window, err)
+		}
 	}
 }
 
