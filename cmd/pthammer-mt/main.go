@@ -19,8 +19,8 @@
 //     rates per 10⁶ tenants across module classes A/B/C and both table
 //     striping layouts.
 //
-// Every core runs as its own coroutine, and the interleaver grants
-// quanta lowest-clock-first with a fixed tiebreak; the population
+// A machine's cores take their quanta as plain calls on one goroutine,
+// granted lowest-clock-first with a fixed tiebreak; the population
 // runs' units run in parallel, but share no simulated state. So the
 // output bytes are a pure function of the flags — in particular
 // independent of -procs (GOMAXPROCS) and of -pool (the population

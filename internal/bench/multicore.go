@@ -117,15 +117,18 @@ func amplifyArm(seed int64, cores, windows int) (pressure uint64, flips int, ite
 
 	var itersN uint64
 	var peak uint64
-	mm.Run(func(i int, m *machine.Machine, yield func()) {
+	mm.Run(func(i int, m *machine.Machine) func() bool {
 		start := m.Clock().Now()
-		for m.Clock().Now()-start < budget {
+		return func() bool {
+			if m.Clock().Now()-start >= budget {
+				return false
+			}
 			hammers[i].HammerOnce(m)
 			itersN++
 			if p := pairPressure(m, pair); p > peak {
 				peak = p
 			}
-			yield()
+			return true
 		}
 	})
 	return peak, len(model.Flips()), itersN, nil
@@ -205,28 +208,30 @@ func noisyArm(seed int64, noisy bool, windows int) (pressure uint64, flips int, 
 	var itersN, loadsN uint64
 	var peak uint64
 	done := false
-	mm.Run(func(i int, m *machine.Machine, yield func()) {
+	mm.Run(func(i int, m *machine.Machine) func() bool {
 		if i == 0 {
 			start := m.Clock().Now()
-			for m.Clock().Now()-start < budget {
+			return func() bool {
+				if m.Clock().Now()-start >= budget {
+					done = true
+					return false
+				}
 				h.HammerOnce(m)
 				itersN++
 				if p := pairPressure(m, pair); p > peak {
 					peak = p
 				}
-				yield()
+				return true
 			}
-			done = true
-			return
-		}
-		if !noisy {
-			return
 		}
 		// The bystander streams until the attacker's budget expires;
-		// the done flag is safely visible because the interleaver runs
-		// one quantum at a time.
+		// the done flag is safely visible because every step runs on
+		// Run's goroutine, one quantum at a time.
 		var k int
-		for !done {
+		return func() bool {
+			if !noisy || done {
+				return false
+			}
 			for j := 0; j < 16; j++ {
 				m.Load(bystanderBase + phys.Addr(uint64(k)*waySpan))
 				loadsN++
@@ -234,7 +239,7 @@ func noisyArm(seed int64, noisy bool, windows int) (pressure uint64, flips int, 
 					k = 0
 				}
 			}
-			yield()
+			return true
 		}
 	})
 	return peak, len(model.Flips()), itersN, loadsN, nil
@@ -367,16 +372,18 @@ func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, er
 	done, found := false, false
 	var divergedVA phys.Addr
 	var hijacked phys.Frame
-	mm.Run(func(i int, m *machine.Machine, yield func()) {
+	mm.Run(func(i int, m *machine.Machine) func() bool {
 		if i == 0 {
 			start := m.Clock().Now()
-			for !found && m.Clock().Now()-start < budget {
+			return func() bool {
+				if found || m.Clock().Now()-start >= budget {
+					done = true
+					return false
+				}
 				h.HammerOnce(m)
 				res.Iterations++
-				yield()
+				return true
 			}
-			done = true
-			return
 		}
 		// Victim: stream the private buffer, rescanning the spray once
 		// per refresh window (reference resolves are uncharged — the
@@ -385,7 +392,10 @@ func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, er
 		// handler would observe).
 		var off uint64
 		nextScan := m.Clock().Now() + window
-		for !done {
+		return func() bool {
+			if done {
+				return false
+			}
 			for k := 0; k < 16; k++ {
 				m.Load(xtVictimBufBase + phys.Addr(off))
 				off += xtVictimStride
@@ -408,10 +418,10 @@ func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, er
 						continue
 					}
 					divergedVA, hijacked, found = s, f, true
-					return
+					return false
 				}
 			}
-			yield()
+			return true
 		}
 	})
 	res.Windows = model.Windows() - windows0

@@ -14,9 +14,9 @@
 // Determinism is the package's load-bearing property, and it is
 // layered:
 //
-//   - within a unit, each tenant's two cores run under their own
-//     internal/core interleaver, so the schedule is bit-identical for
-//     any GOMAXPROCS value;
+//   - within a unit, each tenant's two cores run under
+//     MultiMachine.Run's interleaver on the unit's goroutine, so the
+//     schedule is bit-identical for any GOMAXPROCS value;
 //   - across units and pool sizes, tenants are observationally
 //     independent — each runs on a freshly recycled unit whose
 //     post-Reset state is bit-identical to construction (the
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"sync"
 
-	"pthammer/internal/core"
 	"pthammer/internal/flip"
 	"pthammer/internal/machine"
 	"pthammer/internal/phys"
@@ -138,11 +137,9 @@ func (p Population) TableFlipsPerM() uint64 { return p.perMillion(p.TableFlips) 
 // flip model, recycled for every tenant scheduled onto it. Everything
 // but the read-only geometry belongs to the unit's goroutine alone.
 type unit struct {
-	mm       *machine.MultiMachine
-	model    *flip.Model
-	attacker *machine.Machine
-	victim   *machine.Machine
-	geo      geometry
+	mm    *machine.MultiMachine
+	model *flip.Model
+	geo   geometry
 
 	// Per-tenant state.
 	out   Outcome
@@ -180,12 +177,7 @@ func NewPool(frontEnds int, layout machine.TableLayout) (*Pool, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.units = append(p.units, &unit{
-			mm:       mm,
-			model:    model,
-			attacker: mm.Core(0),
-			victim:   mm.Core(1),
-		})
+		p.units = append(p.units, &unit{mm: mm, model: model})
 	}
 	// Probe the tenant geometry once on a scratch tenant: every tenant
 	// of every unit performs the identical setup, so the pair rows and
@@ -322,9 +314,11 @@ func (p *Pool) RunDetailed(spec Spec) (Population, []Outcome, error) {
 				if errs[t] = u.prepare(spec, t); errs[t] != nil {
 					return
 				}
-				core.Run([]core.Stream{
-					{Now: u.attacker.Clock().Now, Run: u.attackerBody(budget)},
-					{Now: u.victim.Clock().Now, Run: u.victimBody(budget)},
+				u.mm.Run(func(i int, m *machine.Machine) func() bool {
+					if i == 0 {
+						return u.attackerStep(m, budget)
+					}
+					return u.victimStep(m, budget)
 				})
 				outs[t] = u.collect()
 			}

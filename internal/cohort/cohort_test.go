@@ -219,9 +219,10 @@ func TestClassMonotonicity(t *testing.T) {
 // TestUnitPanicSurfacesOnCaller: units run on their own goroutines, so
 // a panic inside one must be carried back to RunDetailed's caller
 // rather than crash the process, and only after every unit has stopped
-// — no unit goroutine or stream coroutine may outlive the call. One
-// unit of four gets a hammer ring holding an address past the end of
-// memory (a fresh slice, so the other units keep the shared geometry).
+// — no unit goroutine may outlive the call (a tenant's cores step on
+// their unit's goroutine and start none of their own). One unit of
+// four gets a hammer ring holding an address past the end of memory (a
+// fresh slice, so the other units keep the shared geometry).
 func TestUnitPanicSurfacesOnCaller(t *testing.T) {
 	p, err := NewPool(8, machine.LayoutInterleaved)
 	if err != nil {

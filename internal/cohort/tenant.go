@@ -1,6 +1,6 @@
 // Per-tenant simulation: the micro machine every cohort unit runs, the
-// fixed tenant geometry probed from it, and the attacker/victim stream
-// bodies one tenant's run executes.
+// fixed tenant geometry probed from it, and the attacker/victim steps
+// one tenant's run executes.
 //
 // Every tenant is one attacker/victim pair on a two-core, two-tenant
 // machine.Config scaled down ~1000× from the SandyBridge preset, so a
@@ -241,56 +241,56 @@ func probeGeometry(mm *machine.MultiMachine) (geometry, error) {
 
 const linesPerPage = int(phys.FrameSize / 64)
 
-// attackerBody returns the attacker's stream body for one tenant: ring
-// loads in quanta of attackerQuantum, sampling the sandwiched victim
-// row's live pressure after each quantum.
-func (u *unit) attackerBody(budget timing.Cycles) func(yield func()) {
-	return func(yield func()) {
-		m := u.attacker
-		d := m.DRAM()
-		start := m.Clock().Now()
-		i := 0
-		for m.Clock().Now()-start < budget {
-			for k := 0; k < attackerQuantum; k++ {
-				m.Load(u.geo.ring[i])
-				if i++; i == len(u.geo.ring) {
-					i = 0
-				}
-			}
-			u.out.Iterations += attackerQuantum
-			if u.geo.sandwiched {
-				if p := d.Activations(u.geo.locA) + d.Activations(u.geo.locB); p > u.out.PeakPressure {
-					u.out.PeakPressure = p
-				}
-			}
-			yield()
+// attackerStep returns the attacker's step for one tenant: ring loads
+// in quanta of attackerQuantum, sampling the sandwiched victim row's
+// live pressure after each quantum.
+func (u *unit) attackerStep(m *machine.Machine, budget timing.Cycles) func() bool {
+	d := m.DRAM()
+	start := m.Clock().Now()
+	i := 0
+	return func() bool {
+		if m.Clock().Now()-start >= budget {
+			return false
 		}
+		for k := 0; k < attackerQuantum; k++ {
+			m.Load(u.geo.ring[i])
+			if i++; i == len(u.geo.ring) {
+				i = 0
+			}
+		}
+		u.out.Iterations += attackerQuantum
+		if u.geo.sandwiched {
+			if p := d.Activations(u.geo.locA) + d.Activations(u.geo.locB); p > u.out.PeakPressure {
+				u.out.PeakPressure = p
+			}
+		}
+		return true
 	}
 }
 
-// victimBody returns the victim's stream body: duty-cycled bursts of
-// TLB-hit loads over its resident page set — DRAM traffic that closes
-// the attacker's open rows and steals bank-arbitration slots without
-// ever walking the victim's (flippable) tables. The tenant's intensity
+// victimStep returns the victim's step: duty-cycled bursts of TLB-hit
+// loads over its resident page set — DRAM traffic that closes the
+// attacker's open rows and steals bank-arbitration slots without ever
+// walking the victim's (flippable) tables. The tenant's intensity
 // level sets the burst probability per quantum, so a level-0 victim is
 // genuinely idle and a level-(victimLevels-1) one streams constantly.
-func (u *unit) victimBody(budget timing.Cycles) func(yield func()) {
-	return func(yield func()) {
-		m := u.victim
-		start := m.Clock().Now()
-		cursor := 0
-		for m.Clock().Now()-start < budget {
-			if u.nextJitter()%uint64(victimLevels-1) < u.level {
-				for k := 0; k < victimBurst; k++ {
-					m.Load(u.geo.stream[cursor])
-					if cursor++; cursor == len(u.geo.stream) {
-						cursor = 0
-					}
-				}
-			} else {
-				m.Clock().Advance(victimIdleStep)
-			}
-			yield()
+func (u *unit) victimStep(m *machine.Machine, budget timing.Cycles) func() bool {
+	start := m.Clock().Now()
+	cursor := 0
+	return func() bool {
+		if m.Clock().Now()-start >= budget {
+			return false
 		}
+		if u.nextJitter()%uint64(victimLevels-1) < u.level {
+			for k := 0; k < victimBurst; k++ {
+				m.Load(u.geo.stream[cursor])
+				if cursor++; cursor == len(u.geo.stream) {
+					cursor = 0
+				}
+			}
+		} else {
+			m.Clock().Advance(victimIdleStep)
+		}
+		return true
 	}
 }

@@ -17,18 +17,29 @@ type scripted struct {
 	steps []timing.Cycles
 }
 
-func (s *scripted) stream() core.Stream {
+// stream returns s as core i's stream; every grant appends i to log.
+func (s *scripted) stream(i int, log *[]int) core.Stream {
+	next := 0
 	return core.Stream{
 		Now: func() timing.Cycles { return s.clock },
-		Run: func(yield func()) {
-			for i, d := range s.steps {
-				s.clock += d
-				if i < len(s.steps)-1 {
-					yield()
-				}
-			}
+		Step: func() bool {
+			*log = append(*log, i)
+			s.clock += s.steps[next]
+			next++
+			return next < len(s.steps)
 		},
 	}
+}
+
+// runScripted runs the cores' streams and returns the grant log.
+func runScripted(cores ...*scripted) []int {
+	var log []int
+	streams := make([]core.Stream, len(cores))
+	for i, c := range cores {
+		streams[i] = c.stream(i, &log)
+	}
+	core.Run(streams)
+	return log
 }
 
 func TestLowestTimestampNext(t *testing.T) {
@@ -37,7 +48,7 @@ func TestLowestTimestampNext(t *testing.T) {
 	// clock passes core 0's.
 	a := &scripted{steps: []timing.Cycles{100, 100}}
 	b := &scripted{steps: []timing.Cycles{10, 10, 10, 10, 10}}
-	log := core.Run([]core.Stream{a.stream(), b.stream()})
+	log := runScripted(a, b)
 	// Both start at 0 → tiebreak gives core 0 the first grant (clock
 	// 100). Core 1 then runs at 0,10,20,...: five grants before its
 	// script ends at 50, still below 100, so core 0's final quantum
@@ -55,7 +66,7 @@ func TestTiebreakPicksLowestIndex(t *testing.T) {
 	// Identical scripts: clocks are equal at every scheduling point, so
 	// the fixed tiebreak must strictly alternate starting at core 0.
 	mk := func() *scripted { return &scripted{steps: []timing.Cycles{5, 5, 5}} }
-	log := core.Run([]core.Stream{mk().stream(), mk().stream(), mk().stream()})
+	log := runScripted(mk(), mk(), mk())
 	want := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("grant log = %v, want %v", log, want)
@@ -63,26 +74,24 @@ func TestTiebreakPicksLowestIndex(t *testing.T) {
 }
 
 func TestSingleStreamAndImmediateReturn(t *testing.T) {
-	ran := false
-	log := core.Run([]core.Stream{{
+	var log []int
+	core.Run([]core.Stream{{
 		Now: func() timing.Cycles { return 0 },
-		Run: func(yield func()) { ran = true },
+		Step: func() bool {
+			log = append(log, 0)
+			return false
+		},
 	}})
-	if !ran {
-		t.Fatal("stream body never ran")
-	}
 	if !reflect.DeepEqual(log, []int{0}) {
 		t.Fatalf("grant log = %v, want [0]", log)
 	}
-	if got := core.Run(nil); got != nil {
-		t.Fatalf("Run(nil) = %v, want nil", got)
-	}
+	core.Run(nil) // no streams: returns at once
 }
 
 func TestNilStreamPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Run accepted a stream with a nil Run")
+			t.Fatal("Run accepted a stream with a nil Step")
 		}
 	}()
 	core.Run([]core.Stream{{Now: func() timing.Cycles { return 0 }}})
@@ -101,11 +110,7 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			{steps: []timing.Cycles{3, 3, 3, 29, 3, 3, 3, 29, 3}},
 			{steps: []timing.Cycles{17, 2, 17, 2, 17, 2}},
 		}
-		streams := make([]core.Stream, len(cores))
-		for i, c := range cores {
-			streams[i] = c.stream()
-		}
-		log := core.Run(streams)
+		log := runScripted(cores...)
 		finals := make([]timing.Cycles, len(cores))
 		for i, c := range cores {
 			finals[i] = c.clock
@@ -133,16 +138,19 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // tiebreak keeps choosing the lowest live index, so core 0 runs to
 // completion before core 1 gets its first grant.
 func TestZeroQuantumStreams(t *testing.T) {
-	mk := func() core.Stream {
+	var log []int
+	mk := func(i int) core.Stream {
+		steps := 0
 		return core.Stream{
 			Now: func() timing.Cycles { return 0 },
-			Run: func(yield func()) {
-				yield()
-				yield()
+			Step: func() bool {
+				log = append(log, i)
+				steps++
+				return steps < 3
 			},
 		}
 	}
-	log := core.Run([]core.Stream{mk(), mk()})
+	core.Run([]core.Stream{mk(0), mk(1)})
 	want := []int{0, 0, 0, 1, 1, 1}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("grant log = %v, want %v", log, want)
@@ -150,11 +158,10 @@ func TestZeroQuantumStreams(t *testing.T) {
 }
 
 // TestSingleCoreGrantLog: a lone stream with several quanta gets every
-// grant; the log length is quanta+1 (one grant per yield plus the
-// initial one).
+// grant, one per quantum.
 func TestSingleCoreGrantLog(t *testing.T) {
 	s := &scripted{steps: []timing.Cycles{5, 5, 5, 5}}
-	log := core.Run([]core.Stream{s.stream()})
+	log := runScripted(s)
 	if !reflect.DeepEqual(log, []int{0, 0, 0, 0}) {
 		t.Fatalf("grant log = %v", log)
 	}
@@ -164,56 +171,36 @@ func TestSingleCoreGrantLog(t *testing.T) {
 }
 
 // TestPanicPropagatesAfterTeardown is the interleaver's crash
-// contract: a panic in one stream body must re-surface on the caller's
-// goroutine with the original value — not crash the process from a
-// stream goroutine — and every other live stream must first unwind
-// through its deferred cleanup.
+// contract: a panic in one stream's step must re-surface on the
+// caller's goroutine with the original value.
 func TestPanicPropagatesAfterTeardown(t *testing.T) {
-	n := 3
-	cleaned := make([]bool, n)
-	var streams []core.Stream
-	for i := 0; i < n; i++ {
-		i := i
-		clock := timing.Cycles(0)
-		streams = append(streams, core.Stream{
-			Now: func() timing.Cycles { return clock },
-			Run: func(yield func()) {
-				defer func() { cleaned[i] = true }()
-				for q := 0; ; q++ {
-					clock += 10
-					if i == 1 && q == 2 {
-						panic("boom in core 1")
-					}
-					yield()
-				}
-			},
+	streams := make([]core.Stream, 3)
+	for i := range streams {
+		streams[i] = ticking(func(q int) {
+			if i == 1 && q == 2 {
+				panic("boom in core 1")
+			}
 		})
 	}
 	defer func() {
-		r := recover()
-		if r != "boom in core 1" {
+		if r := recover(); r != "boom in core 1" {
 			t.Fatalf("recovered %v, want the original panic value", r)
-		}
-		for i, c := range cleaned {
-			if !c {
-				t.Errorf("core %d deferred cleanup never ran", i)
-			}
 		}
 	}()
 	core.Run(streams)
 	t.Fatal("Run returned instead of panicking")
 }
 
-// TestPanicBeforeFirstYield: a body that panics in its very first
-// quantum — including from a stream that never yields at all — still
-// tears down cleanly.
+// TestPanicBeforeFirstYield: a stream that panics in its very first
+// quantum surfaces the same way.
 func TestPanicBeforeFirstYield(t *testing.T) {
+	var log []int
 	other := &scripted{steps: []timing.Cycles{1, 1, 1, 1, 1, 1, 1, 1}}
 	streams := []core.Stream{
-		other.stream(),
+		other.stream(0, &log),
 		{
-			Now: func() timing.Cycles { return 0 },
-			Run: func(yield func()) { panic("instant") },
+			Now:  func() timing.Cycles { return 0 },
+			Step: func() bool { panic("instant") },
 		},
 	}
 	defer func() {
@@ -233,23 +220,23 @@ func TestGrantClocksNondecreasing(t *testing.T) {
 		{steps: []timing.Cycles{40, 1, 1, 1, 40}},
 		{steps: []timing.Cycles{9, 9, 9, 9, 9, 9, 9, 9, 9}},
 	}
+	var log []int
 	var granted []timing.Cycles
 	streams := make([]core.Stream, len(cores))
 	for i, c := range cores {
-		c := c
-		inner := c.stream()
+		inner := c.stream(i, &log)
 		streams[i] = core.Stream{
 			Now: inner.Now,
-			Run: func(yield func()) {
-				inner.Run(func() {
-					yield()
-					// Back from a grant: record the clock we resumed at.
-					granted = append(granted, c.clock)
-				})
+			Step: func() bool {
+				granted = append(granted, c.clock)
+				return inner.Step()
 			},
 		}
 	}
 	core.Run(streams)
+	if len(granted) != 14 {
+		t.Fatalf("recorded %d grants, want 14", len(granted))
+	}
 	for i := 1; i < len(granted); i++ {
 		if granted[i] < granted[i-1] {
 			t.Fatalf("grant-time clocks not nondecreasing: %v", granted)
@@ -257,20 +244,18 @@ func TestGrantClocksNondecreasing(t *testing.T) {
 	}
 }
 
-// TestGoexitInStreamTearsDown: a body that calls runtime.Goexit — what
-// t.Fatal or t.FailNow inside a MultiMachine.Run body does — must not
-// hang Run. Goexit propagates to the caller's goroutine after every
-// other stream has unwound through its deferred cleanup, so Run neither
-// returns normally nor panics.
+// TestGoexitInStreamTearsDown: a step that calls runtime.Goexit — what
+// t.Fatal or t.FailNow inside a MultiMachine.Run step does — must not
+// hang Run. Goexit propagates to the caller's goroutine, so Run
+// neither returns normally nor panics.
 func TestGoexitInStreamTearsDown(t *testing.T) {
-	cleaned := make([]bool, 3)
-	streams := make([]core.Stream, len(cleaned))
+	streams := make([]core.Stream, 3)
 	for i := range streams {
 		streams[i] = ticking(func(q int) {
 			if i == 1 && q == 1 {
 				runtime.Goexit()
 			}
-		}, func() { cleaned[i] = true })
+		})
 	}
 	returned := false
 	var recovered any
@@ -292,94 +277,63 @@ func TestGoexitInStreamTearsDown(t *testing.T) {
 	if recovered != nil {
 		t.Errorf("Run panicked with %v instead of propagating Goexit", recovered)
 	}
-	for i, c := range cleaned {
-		if !c {
-			t.Errorf("core %d deferred cleanup never ran", i)
-		}
-	}
-}
-
-// TestCleanupPanicKeepsOriginal: a parked stream whose deferred cleanup
-// panics while it unwinds must neither replace the original panic value
-// nor cut the teardown short — core 2, stopped after core 0's cleanup
-// panicked, still unwinds.
-func TestCleanupPanicKeepsOriginal(t *testing.T) {
-	cleaned := false
-	streams := []core.Stream{
-		ticking(func(q int) {}, func() { panic("cleanup in core 0") }),
-		ticking(func(q int) {
-			if q == 2 {
-				panic("boom in core 1")
-			}
-		}, func() {}),
-		ticking(func(q int) {}, func() { cleaned = true }),
-	}
-	defer func() {
-		if r := recover(); r != "boom in core 1" {
-			t.Fatalf("recovered %v, want the original panic value", r)
-		}
-		if !cleaned {
-			t.Error("core 2 deferred cleanup never ran after core 0's cleanup panicked")
-		}
-	}()
-	core.Run(streams)
-	t.Fatal("Run returned instead of panicking")
 }
 
 // ticking returns an endless stream advancing its clock 10 cycles per
-// quantum: quantum(q) runs before the q-th yield and cleanup is
-// deferred over the whole body.
-func ticking(quantum func(q int), cleanup func()) core.Stream {
+// quantum; quantum(q) runs inside the q-th step.
+func ticking(quantum func(q int)) core.Stream {
 	clock := timing.Cycles(0)
+	q := 0
 	return core.Stream{
 		Now: func() timing.Cycles { return clock },
-		Run: func(yield func()) {
-			defer cleanup()
-			for q := 0; ; q++ {
-				clock += 10
-				quantum(q)
-				yield()
-			}
+		Step: func() bool {
+			clock += 10
+			quantum(q)
+			q++
+			return true
 		},
 	}
 }
 
-// TestNoGoroutineLeak: every stream's coroutine is a parked goroutine
-// until it finishes or is stopped, so a teardown that forgets one leaks
-// it for good. After a normal run and after a panicking one, the
-// goroutine count must return to its baseline.
+// TestNoGoroutineLeak: the interleaver runs every step on the caller's
+// goroutine, so no step — in a normal run or a panicking one — ever
+// sees more goroutines than existed before Run.
 func TestNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
+	steps, peak := 0, 0
+	check := func() {
+		steps++
+		peak = max(peak, runtime.NumGoroutine())
+	}
+	var log []int
 	a := &scripted{steps: []timing.Cycles{3, 5, 3, 5}}
 	b := &scripted{steps: []timing.Cycles{4, 4, 4}}
-	core.Run([]core.Stream{a.stream(), b.stream()})
-	waitForGoroutines(t, base, "normal run")
+	streams := []core.Stream{a.stream(0, &log), b.stream(1, &log)}
+	for i, s := range streams {
+		streams[i].Step = func() bool {
+			check()
+			return s.Step()
+		}
+	}
+	core.Run(streams)
 
 	func() {
 		defer func() { _ = recover() }()
 		core.Run([]core.Stream{
-			ticking(func(q int) {}, func() {}),
+			ticking(func(q int) { check() }),
 			ticking(func(q int) {
+				check()
 				if q == 3 {
 					panic("boom")
 				}
-			}, func() {}),
-			ticking(func(q int) {}, func() {}),
+			}),
+			ticking(func(q int) { check() }),
 		})
 	}()
-	waitForGoroutines(t, base, "panicking run")
-}
-
-// waitForGoroutines polls until the goroutine count is back at base:
-// goroutines other tests started may still be exiting, but a parked
-// coroutine never will.
-func waitForGoroutines(t *testing.T, base int, after string) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("after a %s: %d goroutines, baseline %d", after, runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
+	if steps != 7+11 {
+		t.Fatalf("checked %d steps, want 18", steps)
+	}
+	if peak > base {
+		t.Fatalf("a step saw %d goroutines, %d before Run", peak, base)
 	}
 }

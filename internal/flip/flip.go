@@ -151,6 +151,10 @@ type Model struct {
 	profile Profile
 	seed    int64
 	rng     *rand.Rand
+	// stale marks rng as not yet reseeded from seed since the last
+	// Reset: OnWindow seeds it just before its first draw, so a run
+	// whose windows report no victim never pays math/rand's reseed.
+	stale bool
 
 	mem  *phys.Memory
 	geom dram.Config
@@ -238,6 +242,10 @@ func (m *Model) OnWindow(s dram.Stats) {
 		m.inj.OnWindow(m.windows)
 	}
 	for _, v := range s.Victims {
+		if m.stale {
+			m.rng.Seed(m.seed)
+			m.stale = false
+		}
 		// Victims always meet the threshold; +1 keeps a row hammered to
 		// exactly the threshold at a small non-zero flip probability
 		// (the threshold is where first flips appear, not where they
@@ -308,11 +316,14 @@ func (m *Model) OnWindow(s dram.Stats) {
 // attempt/miss accounting and the random stream all rewind to the
 // just-built state, while the memory binding and any injector stay
 // attached. A recycled model therefore produces bit-identical flips to
-// a fresh NewModel(profile, seed) fed the same victim reports. Reset
-// truncates the flip record in place, so slices previously returned by
-// Flips are invalidated — copy them out before recycling.
+// a fresh NewModel(profile, seed) fed the same victim reports. The
+// stream rewinds lazily: OnWindow reseeds it from the current seed
+// before its first draw, so a Reset followed by ResetTo seeds once, at
+// the seed ResetTo stamped. Reset truncates the flip record in place,
+// so slices previously returned by Flips are invalidated — copy them
+// out before recycling.
 func (m *Model) Reset() {
-	m.rng.Seed(m.seed)
+	m.stale = true
 	m.flips = m.flips[:0]
 	m.windows, m.attempts, m.misses = 0, 0, 0
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pthammer/internal/dram"
 	"pthammer/internal/phys"
 )
 
@@ -68,11 +69,33 @@ func TestResetToRestamps(t *testing.T) {
 			len(wantFlips), wantW, wantA, wantM, len(gotFlips), gotW, gotA, gotM)
 	}
 
+	// Cohort's order: the machine recycle Resets the model under its
+	// old identity, ResetTo re-stamps it, and the first windows report
+	// no victim. The stream must still start from the re-stamped seed
+	// at its first draw.
+	want, wantMem = boundModel(t, ClassB(), 7)
+	want.OnWindow(dram.Stats{})
+	wantFlips, wantW, wantA, wantM = driveReports(wantMem, want)
+	mem.Reset()
+	m.Reset()
+	if err := m.ResetTo(ClassB(), 7); err != nil {
+		t.Fatal(err)
+	}
+	m.OnWindow(dram.Stats{})
+	gotFlips, gotW, gotA, gotM = driveReports(mem, m)
+	if len(wantFlips) == 0 {
+		t.Fatal("no flips from the class-B reference run; the comparison would be vacuous")
+	}
+	if !reflect.DeepEqual(wantFlips, gotFlips) || wantW != gotW || wantA != gotA || wantM != gotM {
+		t.Errorf("Reset, ResetTo and a victim-free window diverged from fresh NewModel(B, 7): fresh %d flips w=%d a=%d m=%d, recycled %d flips w=%d a=%d m=%d",
+			len(wantFlips), wantW, wantA, wantM, len(gotFlips), gotW, gotA, gotM)
+	}
+
 	// A degenerate profile must be rejected and leave the model usable.
 	if err := m.ResetTo(Profile{}, 1); err == nil {
 		t.Fatal("ResetTo accepted a degenerate profile")
 	}
-	if m.Profile().Name != "C" {
+	if m.Profile().Name != "B" {
 		t.Fatalf("failed ResetTo clobbered the model's profile: %q", m.Profile().Name)
 	}
 }

@@ -75,9 +75,9 @@ func (l TableLayout) String() string {
 
 // MultiMachine is Cores front-ends over one shared memory system. Each
 // front-end is a *Machine whose shared handles (Memory, DRAM, the LLC
-// behind Caches) alias every other core's; drive them concurrently
-// with Run, which serialises quanta under the deterministic
-// interleaver in internal/core.
+// behind Caches) alias every other core's; drive them with Run, which
+// serialises quanta under the deterministic interleaver in
+// internal/core.
 type MultiMachine struct {
 	cfg     MultiConfig
 	mem     *phys.Memory
@@ -332,23 +332,23 @@ func (mm *MultiMachine) Reset() {
 	}
 }
 
-// Run drives every core's body under the deterministic interleaver:
-// body(i, core i's front-end, yield) runs as its own coroutine, and
-// quanta are serialised lowest-clock-first (ties to the lowest core
-// index), so the interleaving — and everything it does to shared
-// state — is bit-identical for any GOMAXPROCS value. Bodies must call
-// yield between quanta (every few accesses) and must not touch another
-// core's front-end. A panic or runtime.Goexit in a body (t.Fatal
-// included) surfaces from Run after the other bodies unwind. Returns
-// the interleaver's grant log; see internal/core.
-func (mm *MultiMachine) Run(body func(i int, m *Machine, yield func())) []int {
+// Run drives every core under the deterministic interleaver on the
+// caller's goroutine. It first calls body(i, core i's front-end) once
+// per core, in index order and before any quantum runs, to build that
+// core's step function; then each grant calls the step of the core
+// with the lowest clock (ties to the lowest core index), so the
+// interleaving — and everything it does to shared state — is
+// bit-identical for any GOMAXPROCS value. A step runs one quantum
+// (every few accesses) and returns false once its core is done; it
+// must not touch another core's front-end. Cores advance their clocks
+// only in their own quanta, so after AlignClocks a clock read in body
+// equals the read at that core's first grant. A panic or
+// runtime.Goexit in a step (t.Fatal included) unwinds straight out of
+// Run. See internal/core.
+func (mm *MultiMachine) Run(body func(i int, m *Machine) (step func() bool)) {
 	streams := make([]core.Stream, len(mm.cores))
-	for i := range mm.cores {
-		i, m := i, mm.cores[i]
-		streams[i] = core.Stream{
-			Now: m.clock.Now,
-			Run: func(yield func()) { body(i, m, yield) },
-		}
+	for i, m := range mm.cores {
+		streams[i] = core.Stream{Now: m.clock.Now, Step: body(i, m)}
 	}
-	return core.Run(streams)
+	core.Run(streams)
 }

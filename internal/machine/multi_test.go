@@ -187,19 +187,26 @@ func TestLLCArbitrationCharging(t *testing.T) {
 }
 
 // multiWorkload is the fixed scenario the determinism tests replay:
-// each core strides through its own slice of memory, yielding every
-// few loads, with enough traffic to rotate refresh windows and collide
-// in the shared LLC sets.
-func multiWorkload(mm *MultiMachine) {
-	mm.Run(func(i int, m *Machine, yield func()) {
+// each core strides through its own slice of memory, eight loads per
+// quantum, with enough traffic to rotate refresh windows and collide
+// in the shared LLC sets. It returns the grant log its steps record.
+func multiWorkload(mm *MultiMachine) []int {
+	var log []int
+	mm.Run(func(i int, m *Machine) func() bool {
 		base := phys.Addr(uint64(i) * (8 << 20))
-		for n := 0; n < 400; n++ {
-			m.Load(base + phys.Addr(uint64(n%64)*4096+uint64(n)*64))
-			if n%8 == 7 {
-				yield()
+		n := 0
+		return func() bool {
+			log = append(log, i)
+			if n == 400 {
+				return false
 			}
+			for end := n + 8; n < end; n++ {
+				m.Load(base + phys.Addr(uint64(n%64)*4096+uint64(n)*64))
+			}
+			return true
 		}
 	})
+	return log
 }
 
 type multiFingerprint struct {
@@ -209,16 +216,7 @@ type multiFingerprint struct {
 }
 
 func fingerprint(mm *MultiMachine) multiFingerprint {
-	fp := multiFingerprint{}
-	mm.Run(func(i int, m *Machine, yield func()) {
-		base := phys.Addr(uint64(i) * (8 << 20))
-		for n := 0; n < 400; n++ {
-			m.Load(base + phys.Addr(uint64(n%64)*4096+uint64(n)*64))
-			if n%8 == 7 {
-				yield()
-			}
-		}
-	})
+	fp := multiFingerprint{Log: multiWorkload(mm)}
 	for i := 0; i < mm.NumCores(); i++ {
 		fp.Clocks = append(fp.Clocks, mm.Core(i).Clock().Now())
 	}
@@ -251,40 +249,38 @@ func TestMultiMachineDeterministic(t *testing.T) {
 	}
 }
 
-// TestMultiRunPanicTeardown: a body that panics mid-run must surface
-// its original value from mm.Run on the caller's goroutine — not crash
-// the process from a core's goroutine — after the other cores unwind
-// through their deferred cleanup; the machine stays usable afterwards.
+// TestMultiRunPanicTeardown: a step that panics mid-run must surface
+// its original value from mm.Run on the caller's goroutine; the
+// machine stays usable afterwards.
 func TestMultiRunPanicTeardown(t *testing.T) {
 	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 3, Tenants: []int{0, 1, 0}})
-	cleaned := make([]bool, 3)
 	func() {
 		defer func() {
 			if r := recover(); r != "core 1 body blew up" {
 				t.Fatalf("recovered %v, want the original panic value", r)
 			}
 		}()
-		mm.Run(func(i int, m *Machine, yield func()) {
-			defer func() { cleaned[i] = true }()
-			for n := 0; ; n++ {
+		mm.Run(func(i int, m *Machine) func() bool {
+			n := 0
+			return func() bool {
 				m.Load(phys.Addr(uint64(i*8+n%4) * phys.FrameSize))
 				if i == 1 && n == 5 {
 					panic("core 1 body blew up")
 				}
-				yield()
+				n++
+				return true
 			}
 		})
 		t.Fatal("Run returned instead of panicking")
 	}()
-	for i, c := range cleaned {
-		if !c {
-			t.Errorf("core %d deferred cleanup never ran", i)
+	// A fresh Run on the same machine still schedules.
+	var log []int
+	mm.Run(func(i int, m *Machine) func() bool {
+		return func() bool {
+			log = append(log, i)
+			m.Load(phys.Addr(uint64(i) * phys.FrameSize))
+			return false
 		}
-	}
-	// The interleaver tore down cleanly: a fresh Run on the same machine
-	// still schedules.
-	log := mm.Run(func(i int, m *Machine, yield func()) {
-		m.Load(phys.Addr(uint64(i) * phys.FrameSize))
 	})
 	if len(log) != 3 {
 		t.Fatalf("post-panic Run grant log = %v, want one grant per core", log)
@@ -324,9 +320,13 @@ func TestMultiFlipMislandInvariant(t *testing.T) {
 		mm.Memory().Write64(victimStart+phys.Addr(off), ^uint64(0))
 	}
 
-	mm.Run(func(i int, m *Machine, yield func()) {
+	mm.Run(func(i int, m *Machine) func() bool {
 		above, below := rows[i][0], rows[i][1]
-		for n := 0; n < 300; n++ {
+		n := 0
+		return func() bool {
+			if n == 300 {
+				return false
+			}
 			m.Flush(above)
 			m.Flush(below)
 			m.Load(above)
@@ -334,7 +334,8 @@ func TestMultiFlipMislandInvariant(t *testing.T) {
 			if i == 1 {
 				m.Load(victimStart + phys.Addr(uint64(n%16)*64))
 			}
-			yield()
+			n++
+			return true
 		}
 	})
 

@@ -194,13 +194,16 @@ func TestMultiResetEquivalence(t *testing.T) {
 		return MustNewMulti(MultiConfig{Config: cfg, Cores: 2, Tenants: []int{0, 1}})
 	}
 	run := func(mm *MultiMachine) ([]int, []resetTrace, []int) {
-		log := mm.Run(func(i int, m *Machine, yield func()) {
+		var log []int
+		mm.Run(func(i int, m *Machine) func() bool {
 			base := phys.Addr(uint64(i) * (8 << 20))
-			for n := 0; n < 300; n++ {
-				m.Load(base + phys.Addr(uint64(n%96)*4096+uint64(n)*64))
-				if n%8 == 7 {
-					yield()
+			n := 0
+			return func() bool {
+				log = append(log, i)
+				for end := min(n+8, 300); n < end; n++ {
+					m.Load(base + phys.Addr(uint64(n%96)*4096+uint64(n)*64))
 				}
+				return n < 300
 			}
 		})
 		var traces []resetTrace
@@ -218,12 +221,13 @@ func TestMultiResetEquivalence(t *testing.T) {
 
 	mm := build()
 	// Dirty with a different schedule, including cross-tenant mappings.
-	mm.Run(func(i int, m *Machine, yield func()) {
-		for n := 0; n < 150; n++ {
-			m.Load(phys.Addr(uint64(i)*(4<<20) + uint64(n)*8192))
-			if n%4 == 3 {
-				yield()
+	mm.Run(func(i int, m *Machine) func() bool {
+		n := 0
+		return func() bool {
+			for end := min(n+4, 150); n < end; n++ {
+				m.Load(phys.Addr(uint64(i)*(4<<20) + uint64(n)*8192))
 			}
+			return n < 150
 		}
 	})
 	mm.Reset()

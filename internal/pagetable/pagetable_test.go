@@ -44,6 +44,25 @@ func TestIndexAndSpan(t *testing.T) {
 	if Span(1) != 4096 || Span(2) != 2<<20 || Span(3) != 1<<30 {
 		t.Fatalf("spans = %d %d %d", Span(1), Span(2), Span(3))
 	}
+	// Levels outside 1..Levels are wiring bugs: both panic.
+	for _, level := range []int{0, Levels + 1} {
+		for _, c := range []struct {
+			name string
+			f    func()
+		}{
+			{"Index", func() { Index(va, level) }},
+			{"Span", func() { Span(level) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(level %d) did not panic", c.name, level)
+					}
+				}()
+				c.f()
+			}()
+		}
+	}
 }
 
 func TestFramesToMap(t *testing.T) {

@@ -55,7 +55,9 @@ type Memory struct {
 	slot []uint32
 	// data and owner list the materialized frames in first-touch order:
 	// data[i] backs frame owner[i]. Their length is the materialized
-	// count, and owner is the list of slots Reset must clear.
+	// count, and owner is the list of slots Reset must clear. Past its
+	// length, data's capacity keeps the arrays a Reset released (a
+	// non-nil prefix), for frame to reuse before it allocates.
 	data  []*[FrameSize]byte
 	owner []Frame
 	// writes counts byte-granularity stores, used by tests to assert
@@ -100,17 +102,24 @@ func (m *Memory) Frames() uint64 { return m.size / FrameSize }
 //pthammer:noalloc
 func (m *Memory) Contains(a Addr) bool { return uint64(a) < m.size }
 
-// frame returns the backing array for f, allocating it (zeroed) on first
-// touch. Panics if f is out of range: callers are simulated hardware, and
-// an out-of-range physical access is a simulator bug, not a runtime
-// condition to handle.
+// frame returns the backing array for f, materializing it (zeroed) on
+// first touch: it reuses the next array a Reset released, cleared, and
+// allocates only once those run out. Panics if f is out of range:
+// callers are simulated hardware, and an out-of-range physical access
+// is a simulator bug, not a runtime condition to handle.
 //
 //pthammer:noalloc
 func (m *Memory) frame(f Frame) *[FrameSize]byte {
 	fr := m.peek(f)
 	if fr == nil {
-		fr = new([FrameSize]byte)    //pthammer:alloc-ok lazy first-touch materialization, once per frame
-		m.data = append(m.data, fr)  //pthammer:alloc-ok amortized growth, capacity kept across Reset
+		if n := len(m.data); n < cap(m.data) && m.data[:n+1][n] != nil {
+			m.data = m.data[:n+1]
+			fr = m.data[n]
+			clear(fr[:])
+		} else {
+			fr = new([FrameSize]byte)   //pthammer:alloc-ok lazy first-touch materialization, once per array past the released ones
+			m.data = append(m.data, fr) //pthammer:alloc-ok amortized growth, capacity kept across Reset
+		}
 		m.owner = append(m.owner, f) //pthammer:alloc-ok amortized growth, capacity kept across Reset
 		m.slot[f] = uint32(len(m.data))
 	}
@@ -242,13 +251,13 @@ func (m *Memory) ScrubFrame(f Frame) {
 // miss, so a recycled machine must present the same holes or its flip
 // model's attempt/miss accounting would diverge from a fresh one's.
 // Cost is one slot store per materialized frame, O(live state) rather
-// than O(capacity), and no allocation; the released contents are
-// reclaimed by the host GC.
+// than O(capacity), and no allocation. The released arrays stay in
+// data's capacity and frame clears and reuses them, so re-materializing
+// up to the previous count allocates nothing either.
 func (m *Memory) Reset() {
 	for _, f := range m.owner {
 		m.slot[f] = 0
 	}
-	clear(m.data)
 	m.data = m.data[:0]
 	m.owner = m.owner[:0]
 	m.writes = 0

@@ -155,6 +155,9 @@ func TestFrameHelpersAndFrameIO(t *testing.T) {
 	}
 
 	m := MustNew(4 * FrameSize)
+	if !m.Contains(0) || !m.Contains(4*FrameSize-1) || m.Contains(4*FrameSize) {
+		t.Fatal("Contains disagrees with the 4-frame bound")
+	}
 	src := make([]byte, FrameSize)
 	for i := range src {
 		src[i] = byte(i)

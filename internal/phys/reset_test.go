@@ -41,12 +41,30 @@ func TestScrubFrameZeroesInPlaceAndSkipsHoles(t *testing.T) {
 // all-holes memory as a fresh one — in particular FlipBit into a
 // previously written, now-reset frame must again be the hole no-op.
 // Frames written after Reset materialize zeroed and are the only ones
-// counted, and a second round behaves exactly like the first.
+// counted, and a second round behaves exactly like the first. Every
+// round fills its frames with non-zero bytes, so an array frame reuses
+// after a Reset without clearing it shows up as stale content.
 func TestMemoryResetRestoresHoles(t *testing.T) {
 	m := MustNew(4 * FrameSize)
+	full := make([]byte, FrameSize)
+	for i := range full {
+		full[i] = byte(i) | 1
+	}
+	// zeroExcept reports the first byte of frame f that is non-zero,
+	// other than the one at offset off.
+	zeroExcept := func(f Frame, off int) (int, bool) {
+		buf := make([]byte, FrameSize)
+		m.ReadFrame(f, buf)
+		for i, b := range buf {
+			if b != 0 && i != off {
+				return i, false
+			}
+		}
+		return 0, true
+	}
 	for round := 0; round < 2; round++ {
-		m.Write8(Frame(0).Addr(), 1)
-		m.Write8(Frame(3).Addr()+100, 2)
+		m.WriteFrame(0, full)
+		m.WriteFrame(3, full)
 		if m.Materialized() != 2 || m.WriteCount() == 0 {
 			t.Fatalf("round %d setup: %d frames, %d writes", round, m.Materialized(), m.WriteCount())
 		}
@@ -71,11 +89,15 @@ func TestMemoryResetRestoresHoles(t *testing.T) {
 		}
 
 		// A new write materializes only its own frame, zeroed: the
-		// old contents of a released frame never come back.
+		// old contents of a released frame never come back, although
+		// its array is reused.
 		m.Write8(Frame(3).Addr(), 7)
 		m.Write8(Frame(1).Addr(), 9)
-		if got := m.Read8(Frame(3).Addr() + 100); got != 0 {
-			t.Errorf("round %d: rematerialized frame reads %#x, want 0", round, got)
+		for _, f := range []Frame{3, 1} {
+			if i, ok := zeroExcept(f, 0); !ok {
+				t.Errorf("round %d: rematerialized frame %d reads %#x at offset %d, want 0",
+					round, f, m.Read8(f.Addr()+Addr(i)), i)
+			}
 		}
 		if got := m.Read8(Frame(0).Addr()); got != 0 {
 			t.Errorf("round %d: unwritten frame reads %#x, want 0", round, got)
@@ -87,6 +109,32 @@ func TestMemoryResetRestoresHoles(t *testing.T) {
 			t.Errorf("round %d: FlipBit into an unwritten frame applied", round)
 		}
 		m.Reset()
+	}
+}
+
+// TestMemoryRematerializeNoAlloc pins frame's reuse of the arrays a
+// Reset released: after Reset, materializing as many frames as before
+// — other frames, each round a different set — allocates nothing.
+func TestMemoryRematerializeNoAlloc(t *testing.T) {
+	const frames = 16
+	m := MustNew(4 * frames * FrameSize)
+	for f := Frame(0); f < frames; f++ {
+		m.Write8(f.Addr(), 1)
+	}
+	round := 0
+	allocs := testing.AllocsPerRun(8, func() {
+		m.Reset()
+		round++
+		for k := Frame(0); k < frames; k++ {
+			f := 4*k + Frame(round%4)
+			m.Write8(f.Addr()+Addr(round), byte(round))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("re-materializing %d frames after Reset allocated %v times per round, want 0", frames, allocs)
+	}
+	if m.Materialized() != frames {
+		t.Fatalf("Materialized = %d, want %d", m.Materialized(), frames)
 	}
 }
 

@@ -1,6 +1,9 @@
 package timing
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestClockReset pins the cycle-counter half of the Reset/Recycle
 // contract: a recycled machine's clock rebases to 0 so every latency
@@ -37,6 +40,36 @@ func TestNoiseResetReplays(t *testing.T) {
 		if got := n.Sample(); got != first[i] {
 			t.Fatalf("sample %d after Reset = %d, want %d", i, got, first[i])
 		}
+	}
+}
+
+// TestQuietNoiseResetSkipsReseed: a quiet source (prob 0) never draws
+// from its stream, so Reset and ResetTo leave the stream alone instead
+// of paying math/rand's reseed — a recycled multi-tenant machine resets
+// two such sources per tenant. It still replays a fresh quiet source
+// (every sample 0) and carries the new seed.
+func TestQuietNoiseResetSkipsReseed(t *testing.T) {
+	quiet, err := NewNoise(1, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet.ResetTo(42)
+	quiet.Reset()
+	fresh, err := NewNoise(42, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if got, want := quiet.Sample(), fresh.Sample(); got != want || got != 0 {
+			t.Fatalf("sample %d of a recycled quiet source = %d, fresh %d, want 0", i, got, want)
+		}
+	}
+	if quiet.seed != 42 {
+		t.Errorf("ResetTo kept seed %d, want 42", quiet.seed)
+	}
+	// The stream was never reseeded: it still continues seed 1's.
+	if got, want := quiet.rng.Int63(), rand.New(rand.NewSource(1)).Int63(); got != want {
+		t.Errorf("quiet stream draws %d after ResetTo, want seed 1's untouched first draw %d", got, want)
 	}
 }
 

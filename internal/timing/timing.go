@@ -225,10 +225,16 @@ func NewNoise(seed int64, prob float64, minSpike, maxSpike Cycles) (*Noise, erro
 
 // Reset rewinds the spike stream to its seed, so a recycled noise
 // source produces the same sample sequence as a freshly constructed
-// one. Part of the Reset/Recycle contract.
+// one. Part of the Reset/Recycle contract. A quiet source (prob 0,
+// fixed at NewNoise) never draws from its stream, so it skips the
+// reseed, which refills math/rand's 607-word state.
 //
 //pthammer:noalloc
-func (n *Noise) Reset() { n.rng.Seed(n.seed) }
+func (n *Noise) Reset() {
+	if n.prob != 0 {
+		n.rng.Seed(n.seed)
+	}
+}
 
 // ResetTo is Reset with a new seed: the recycled source replays exactly
 // the sample sequence a fresh NewNoise(seed, ...) with the same spike
