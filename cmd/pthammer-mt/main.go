@@ -122,8 +122,9 @@ func renderPopulation(buf *bytes.Buffer, frontEnds, tenants int, seed int64, win
 		tenants, windows, seed)
 	fmt.Fprintf(buf, "layout\tclass\ttenants\tbreached_per_M\tdiluted_per_M\ttable_flips_per_M\tmean_peak_pressure\tmax_peak_pressure\tmean_iters\n")
 	for _, layout := range []machine.TableLayout{machine.LayoutInterleaved, machine.LayoutBlocked} {
-		// Unit k runs tenants k, k+U, …, so a unit at or past the tenant
-		// count would be built and never run.
+		// Units draw tenants from one shared index, one tenant per draw,
+		// so at most one unit per tenant ever runs: a unit past the
+		// tenant count would be built and never run.
 		pool, err := cohort.NewPool(min(frontEnds, 2*tenants), layout)
 		if err != nil {
 			return fmt.Errorf("population: %w", err)

@@ -134,9 +134,9 @@ func TestRunPopulationScenario(t *testing.T) {
 	if narrow := render("4"); narrow != out {
 		t.Errorf("population bytes depend on the pool size:\n--- pool 8 ---\n%s--- pool 4 ---\n%s", out, narrow)
 	}
-	// Unit k runs tenants k, k+U, …, so a pool past two front-ends per
-	// tenant is capped before any unit is built. Uncapped, -pool 1048576
-	// built 524288 units of ~135 KB each.
+	// At most one unit per tenant ever draws a tenant, so a pool past
+	// two front-ends per tenant is capped before any unit is built.
+	// Uncapped, -pool 1048576 built 524288 units of ~135 KB each.
 	if huge := render("1048576"); huge != out {
 		t.Errorf("population bytes depend on a pool past the tenant count:\n--- pool 8 ---\n%s--- pool 1048576 ---\n%s", out, huge)
 	}

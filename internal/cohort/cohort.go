@@ -6,10 +6,13 @@
 // class and per-tenant seed — so simulating 10⁴+ tenants allocates
 // like simulating a handful.
 //
-// Units run concurrently, one goroutine each: unit k of U runs tenants
-// k, k+U, k+2U, … in order, recycling its machine between them. Pool
-// size therefore bounds concurrency and GOMAXPROCS sets the real
-// parallelism; neither may reach the outcomes.
+// Units run concurrently, one goroutine each, and draw tenants from one
+// shared index: each unit takes the next undrawn tenant, runs it to
+// completion on its recycled machine, and draws again, so no unit
+// idles while another still has a backlog. Which unit runs which
+// tenant therefore depends on host scheduling. Pool size bounds
+// concurrency and GOMAXPROCS sets the real parallelism; neither, nor
+// the tenant-to-unit assignment, may reach the outcomes.
 //
 // Determinism is the package's load-bearing property, and it is
 // layered:
@@ -21,21 +24,25 @@
 //     independent — each runs on a freshly recycled unit whose
 //     post-Reset state is bit-identical to construction (the
 //     reset-equivalence difftest in internal/machine) and units share
-//     no mutable state, simulated or host — so neither regrouping
-//     tenants onto more or fewer units nor the order in which the host
-//     runs the units can change any tenant's outcome;
+//     no mutable state, simulated or host, beyond the tenant index
+//     they draw from — so neither regrouping tenants onto more or
+//     fewer units nor the order in which the host runs the units can
+//     change any tenant's outcome;
 //   - per-tenant randomness (the flip model's sampling, the victim's
 //     load jitter) derives from a seed mixed from the population seed
 //     and the tenant index alone.
 //
 // CI pins all three: population tables must be byte-identical across
-// GOMAXPROCS {1,2,4}, across pool sizes (a single unit among them) and
-// under -race, which makes the no-shared-state rule structural.
+// GOMAXPROCS {1,2,4}, across reruns (which regroup tenants by host
+// scheduling), across pool sizes (a single unit among them, and one
+// with more units than host threads) and under -race, which makes the
+// no-shared-state rule structural.
 package cohort
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"pthammer/internal/flip"
 	"pthammer/internal/machine"
@@ -286,16 +293,22 @@ func (u *unit) collect() Outcome {
 
 // RunDetailed pushes a population through the pool and returns both
 // the merged statistics and every tenant's outcome, in tenant order.
-// Units run concurrently, each on its own goroutine: unit k of U runs
-// tenants k, k+U, k+2U, … in order, each tenant's two cores under its
-// own deterministic interleaver. Units share no simulated state, so
-// the outcomes are independent of both the pool size and how the host
-// schedules the units.
+// Units run concurrently, each on its own goroutine, and draw tenant
+// indices from one shared counter in increasing order until the
+// population is exhausted; each tenant's two cores run under its own
+// deterministic interleaver on the drawing unit's goroutine. Units
+// share no simulated state, so the outcomes are independent of the
+// pool size, of how the host schedules the units, and of which unit
+// drew which tenant.
 //
-// A panic in any unit is re-raised on the caller's goroutine once
-// every unit has stopped — the lowest unit index's value when several
-// panic. Otherwise a failed tenant set-up returns the lowest failing
-// tenant's error; partial outcomes are never returned.
+// A unit stops at its first failed tenant set-up or panic; the others
+// keep drawing. A panic in any unit is re-raised on the caller's
+// goroutine once every unit has stopped — the lowest unit index's
+// value when several panic; which unit ran the panicking tenant
+// depends on host scheduling. Otherwise a failed set-up returns the
+// lowest failing tenant's error, which is deterministic: indices are
+// drawn in order, so every tenant below the lowest failure was drawn
+// and prepared by some unit. Partial outcomes are never returned.
 func (p *Pool) RunDetailed(spec Spec) (Population, []Outcome, error) {
 	budget, err := spec.budget()
 	if err != nil {
@@ -304,13 +317,18 @@ func (p *Pool) RunDetailed(spec Spec) (Population, []Outcome, error) {
 	outs := make([]Outcome, spec.Tenants)
 	errs := make([]error, spec.Tenants)
 	panics := make([]any, len(p.units))
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for k, u := range p.units {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { panics[k] = recover() }()
-			for t := k; t < spec.Tenants; t += len(p.units) {
+			for {
+				t := int(next.Add(1)) - 1
+				if t >= spec.Tenants {
+					return
+				}
 				if errs[t] = u.prepare(spec, t); errs[t] != nil {
 					return
 				}

@@ -48,14 +48,12 @@ func TestPoolValidation(t *testing.T) {
 // contract: tenants are observationally independent, so regrouping the
 // same population onto fewer or more units — a 2-front-end pool
 // against an 8-front-end one, with a tenant count that divides neither
-// evenly — must reproduce every tenant's outcome bit for bit.
+// evenly, and a 64-front-end one whose 32 units outnumber the tenants,
+// so some units draw none — must reproduce every tenant's outcome bit
+// for bit.
 func TestPoolSizeInvariance(t *testing.T) {
 	spec := Spec{Profile: flip.ClassA(), Tenants: 23, Seed: 7, Windows: 2}
 	narrow, err := NewPool(2, machine.LayoutInterleaved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := NewPool(8, machine.LayoutInterleaved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,20 +61,29 @@ func TestPoolSizeInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	popW, outsW, err := wide.RunDetailed(spec)
-	if err != nil {
-		t.Fatal(err)
+	if len(outsN) != spec.Tenants {
+		t.Fatalf("narrow pool returned %d outcomes, want %d", len(outsN), spec.Tenants)
 	}
-	if len(outsN) != spec.Tenants || len(outsW) != spec.Tenants {
-		t.Fatalf("outcome counts %d / %d, want %d", len(outsN), len(outsW), spec.Tenants)
-	}
-	for i := range outsN {
-		if outsN[i] != outsW[i] {
-			t.Errorf("tenant %d diverges across pool sizes:\n  narrow: %+v\n  wide:   %+v", i, outsN[i], outsW[i])
+	for _, frontEnds := range []int{8, 64} {
+		wide, err := NewPool(frontEnds, machine.LayoutInterleaved)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if popN != popW {
-		t.Errorf("merged populations diverge:\n  narrow: %+v\n  wide:   %+v", popN, popW)
+		popW, outsW, err := wide.RunDetailed(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outsW) != spec.Tenants {
+			t.Fatalf("%d-front-end pool returned %d outcomes, want %d", frontEnds, len(outsW), spec.Tenants)
+		}
+		for i := range outsN {
+			if outsN[i] != outsW[i] {
+				t.Errorf("tenant %d diverges at %d front-ends:\n  narrow: %+v\n  wide:   %+v", i, frontEnds, outsN[i], outsW[i])
+			}
+		}
+		if popN != popW {
+			t.Errorf("merged populations diverge at %d front-ends:\n  narrow: %+v\n  wide:   %+v", frontEnds, popN, popW)
+		}
 	}
 	// Guard against a vacuous pass where nothing ever happened.
 	if popN.MeanIterations == 0 || popN.MaxPeakPressure == 0 {
@@ -220,18 +227,21 @@ func TestClassMonotonicity(t *testing.T) {
 // a panic inside one must be carried back to RunDetailed's caller
 // rather than crash the process, and only after every unit has stopped
 // — no unit goroutine may outlive the call (a tenant's cores step on
-// their unit's goroutine and start none of their own). One unit of
-// four gets a hammer ring holding an address past the end of memory (a
-// fresh slice, so the other units keep the shared geometry).
+// their unit's goroutine and start none of their own). Units draw
+// tenants from a shared index, so any unit may run the first tenant
+// or none at all: every unit's hammer ring gets an address past the
+// end of memory, each in its own fresh slice so the probed geometry
+// stays untouched.
 func TestUnitPanicSurfacesOnCaller(t *testing.T) {
 	p, err := NewPool(8, machine.LayoutInterleaved)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := p.units[2]
-	ring := append([]phys.Addr(nil), bad.geo.ring...)
-	ring[0] = phys.Addr(tenantMemBytes)
-	bad.geo.ring = ring
+	for _, u := range p.units {
+		ring := append([]phys.Addr(nil), u.geo.ring...)
+		ring[0] = phys.Addr(tenantMemBytes)
+		u.geo.ring = ring
+	}
 
 	base := runtime.NumGoroutine()
 	defer func() {

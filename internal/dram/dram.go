@@ -15,10 +15,11 @@
 package dram
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"pthammer/internal/mem"
 	"pthammer/internal/perf"
@@ -664,24 +665,22 @@ func (d *DRAM) stats() Stats {
 		}
 		d.scratchRows = cand[:0]
 	}
-	// Total order (pressure desc, then location) so victim lists are
-	// deterministic despite per-bank append order.
-	sort.Slice(d.scratchVictims, func(i, j int) bool {
-		a, b := d.scratchVictims[i], d.scratchVictims[j]
-		switch {
-		case a.Pressure != b.Pressure:
-			return a.Pressure > b.Pressure
-		case a.Channel != b.Channel:
-			return a.Channel < b.Channel
-		case a.Rank != b.Rank:
-			return a.Rank < b.Rank
-		case a.Bank != b.Bank:
-			return a.Bank < b.Bank
-		default:
-			return a.Row < b.Row
-		}
-	})
+	slices.SortFunc(d.scratchVictims, victimOrder)
 	// Copy out of scratch: the caller owns Stats.Victims.
 	s.Victims = append([]Victim(nil), d.scratchVictims...)
 	return s
+}
+
+// victimOrder is the total order victim lists are reported in:
+// pressure descending, then location. Victims are distinct rows, so no
+// two compare equal and the list is deterministic despite per-bank
+// append order.
+func victimOrder(a, b Victim) int {
+	return cmp.Or(
+		cmp.Compare(b.Pressure, a.Pressure),
+		cmp.Compare(a.Channel, b.Channel),
+		cmp.Compare(a.Rank, b.Rank),
+		cmp.Compare(a.Bank, b.Bank),
+		cmp.Compare(a.Row, b.Row),
+	)
 }

@@ -196,6 +196,11 @@ func TestHammerStatsSingleSidedAndOrdering(t *testing.T) {
 			t.Fatalf("victim rows = %v, want %v", rows, want)
 		}
 	}
+	// Sorting happens in scratch; the one allocation is the Victims
+	// copy the caller owns.
+	if n := testing.AllocsPerRun(100, func() { d.HammerStats() }); n != 1 {
+		t.Errorf("HammerStats with 4 victims allocates %v times, want 1 (the caller's Victims copy)", n)
+	}
 }
 
 func TestHammerStatsTiedVictimsDeterministicOrder(t *testing.T) {

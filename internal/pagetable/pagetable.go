@@ -216,9 +216,9 @@ func (t *Tables) Region() (base phys.Frame, frames uint64) {
 	return lo, uint64(hi-lo) + 1
 }
 
-// Map installs va → frame, allocating any missing intermediate tables.
-// An existing mapping is overwritten.
-func (t *Tables) Map(va phys.Addr, f phys.Frame) {
+// leaf returns the PT (the level-1 table) that translates va, walking
+// down from the root and allocating each missing table top-down.
+func (t *Tables) leaf(va phys.Addr) phys.Frame {
 	table := t.root
 	for level := Levels; level > 1; level-- {
 		ea := EntryAddrIn(table, va, level)
@@ -229,14 +229,31 @@ func (t *Tables) Map(va phys.Addr, f phys.Frame) {
 		}
 		table = e.Frame()
 	}
-	t.mem.Write64(EntryAddrIn(table, va, 1), uint64(NewEntry(f)))
+	return table
 }
 
-// MapRange identity-maps every page of [start, start+bytes).
+// Map installs va → frame, allocating any missing intermediate tables.
+// An existing mapping is overwritten.
+func (t *Tables) Map(va phys.Addr, f phys.Frame) {
+	t.mem.Write64(EntryAddrIn(t.leaf(va), va, 1), uint64(NewEntry(f)))
+}
+
+// MapRange identity-maps every page of [start, start+bytes). It walks
+// down to each PT once and then fills that table's PTEs in one pass,
+// so it allocates the same frames in the same order, and writes the
+// same bytes, as calling Map on every page in turn. (The two could
+// part only if a flip-corrupted upper entry pointed a PT back at one
+// of its own ancestors; no table this package allocates does.)
 func (t *Tables) MapRange(start phys.Addr, bytes uint64) {
-	for off := uint64(0); off < bytes; off += phys.FrameSize {
+	for off := uint64(0); off < bytes; {
 		va := start + phys.Addr(off)
-		t.Map(va, phys.FrameOf(va))
+		pte := EntryAddrIn(t.leaf(va), va, 1)
+		for i := Index(va, 1); i < EntriesPerTable && off < bytes; i++ {
+			t.mem.Write64(pte, uint64(NewEntry(phys.FrameOf(va))))
+			pte += EntryBytes
+			va += phys.FrameSize
+			off += phys.FrameSize
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"slices"
 	"testing"
 
 	"pthammer/internal/phys"
@@ -136,6 +137,50 @@ func TestMapRangeIdentity(t *testing.T) {
 	// Root, PDPT, PD, 2 PTs.
 	if got := tb.Allocated(); got != 5 {
 		t.Fatalf("allocated %d, want 5", got)
+	}
+
+	// MapRange walks to each PT once and fills it in one pass; a
+	// per-page Map loop on a second address space must come out the
+	// same: the same table frames in the same allocation order, the
+	// same bytes in every one of them, and the same write count. Each
+	// range is mapped twice, so the second pass overwrites through
+	// tables that are all present.
+	for _, c := range []struct {
+		name  string
+		start phys.Addr
+		bytes uint64
+	}{
+		{"3 pages below a 2 MiB boundary", 2<<20 - 3*phys.FrameSize, 10 * phys.FrameSize},
+		{"across a 1 GiB boundary", 1<<30 - 2*phys.FrameSize, 1<<21 + 4*phys.FrameSize},
+		{"ending 5 bytes into a page", 0x5000, 7*phys.FrameSize + 5},
+		{"zero bytes", 0x7000, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, gm := newTables(t)
+			want, wm := newTables(t)
+			for pass := 0; pass < 2; pass++ {
+				got.MapRange(c.start, c.bytes)
+				for off := uint64(0); off < c.bytes; off += phys.FrameSize {
+					va := c.start + phys.Addr(off)
+					want.Map(va, phys.FrameOf(va))
+				}
+			}
+			gf, wf := got.Frames(), want.Frames()
+			if !slices.Equal(gf, wf) {
+				t.Fatalf("table frames = %v, per-page Map allocated %v", gf, wf)
+			}
+			var gb, wb [phys.FrameSize]byte
+			for _, f := range gf {
+				gm.ReadFrame(f, gb[:])
+				wm.ReadFrame(f, wb[:])
+				if gb != wb {
+					t.Errorf("table frame %#x differs from the per-page Map's", uint64(f))
+				}
+			}
+			if g, w := gm.WriteCount(), wm.WriteCount(); g != w {
+				t.Errorf("WriteCount = %d, per-page Map wrote %d", g, w)
+			}
+		})
 	}
 }
 
