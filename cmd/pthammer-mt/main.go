@@ -243,8 +243,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pthammer-mt: window counts must be positive (got %d, %d, %d)\n", *windows, *xtWindows, *popWindows)
 		return exitUsage
 	}
-	if *pool < 2 || *popTenants < 1 {
-		fmt.Fprintf(stderr, "pthammer-mt: population needs -pool >= 2 and -pop-tenants >= 1 (got %d, %d)\n", *pool, *popTenants)
+	if *pool < 2 || *popTenants < 1 || *popTenants > cohort.MaxTenants {
+		fmt.Fprintf(stderr, "pthammer-mt: population needs -pool >= 2 and 1 <= -pop-tenants <= %d (got %d, %d)\n",
+			cohort.MaxTenants, *pool, *popTenants)
 		return exitUsage
 	}
 	if *procs < 0 {

@@ -175,6 +175,10 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-pop-windows", "0"}, exitUsage, ""},
 		{[]string{"-pool", "1"}, exitUsage, ""},
 		{[]string{"-pop-tenants", "0"}, exitUsage, ""},
+		// 2^61 tenants once panicked allocating the outcomes, 2^62
+		// overflowed the pool cap; both are past the tenant cap.
+		{[]string{"-scenario", "population", "-pop-tenants", "2305843009213693952"}, exitUsage, "-pop-tenants <= 1048576"},
+		{[]string{"-scenario", "population", "-pop-tenants", "4611686018427387904"}, exitUsage, "-pop-tenants <= 1048576"},
 		{[]string{"-procs", "-2"}, exitUsage, ""},
 		{[]string{"stray"}, exitUsage, ""},
 		{[]string{"-not-a-flag"}, exitUsage, ""},

@@ -111,6 +111,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"negative workers", []string{"-workers", "-1"}, exitUsage, "workers must be non-negative"},
 		{"zero reps", []string{"-reps", "0"}, exitRuntime, "reps must be positive"},
 		{"target past memory", []string{"-targets", "513", "-reps", "1", "-padmax", "0"}, exitRuntime, "outside 1073741824-byte memory"},
+		{"huge padding range", []string{"-padmax", "9223372036854775807", "-padstep", "2"}, exitRuntime, "4611686018427387904 paddings exceed the 65536-padding cap"},
+		{"padding count overflow", []string{"-padmax", "9223372036854775807", "-padstep", "1"}, exitRuntime, "9223372036854775808 paddings exceed"},
 		{"unwritable output", append(small, "-o", "/nonexistent-dir/sweep.tsv"), exitWrite, "no such file or directory"},
 	}
 	for _, tc := range cases {

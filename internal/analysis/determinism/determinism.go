@@ -37,17 +37,15 @@ var deterministicSuffixes = []string{
 	"internal/flip",
 	"internal/evset",
 	"internal/fault",
-	// The multi-core interleaver: its grant order is the multi-tenant
-	// machine's whole determinism story, so a wall-clock read or an
-	// unordered iteration here breaks byte-identical mt-* output.
-	"internal/core",
 	// The cohort scheduler's population tables are byte-diffed across
 	// GOMAXPROCS and pool sizes in CI; per-tenant randomness must come
 	// from the mixed tenant seed alone.
 	"internal/cohort",
 	// The scenario bodies and the machine facade produce every
 	// pthammer-flip and pthammer-mt byte: pair finders, planner
-	// ranking, escalation driver and multi-tenant wiring.
+	// ranking, escalation driver, multi-tenant wiring and the
+	// multi-core interleaver, whose grant order is the multi-tenant
+	// machine's whole determinism story.
 	"internal/bench",
 	"internal/machine",
 }

@@ -12,8 +12,8 @@ func TestDeterminism(t *testing.T) {
 		"lint.test/cmd/tool",
 		"lint.test/internal/bench",
 		"lint.test/internal/cohort",
-		"lint.test/internal/core",
 		"lint.test/internal/fault",
+		"lint.test/internal/machine",
 		"lint.test/internal/sweep",
 		"lint.test/plain",
 	)

@@ -1,12 +1,12 @@
-// Package core is a determinism fixture for the internal/core path
-// suffix: the interleaver's grant order must be a pure function of the
-// streams' clocks, so wall-clock tiebreaks and map-ordered scheduling
-// are exactly the bugs the suffix listing exists to catch.
-package core
+// Package machine is a determinism fixture for the internal/machine
+// path suffix: MultiMachine.Run's grant order must be a pure function
+// of the cores' clocks, so wall-clock tiebreaks and map-ordered
+// scheduling are exactly the bugs the suffix listing exists to catch.
+package machine
 
 import "time"
 
-// pick chooses the next stream by wall-clock deadline: flagged, the
+// pick chooses the next core by wall-clock deadline: flagged, the
 // scheduler may only consult simulated clocks.
 func pick(deadlines map[int]time.Time) int {
 	best := -1
@@ -19,7 +19,7 @@ func pick(deadlines map[int]time.Time) int {
 }
 
 // stamp reads the wall clock: flagged, grant timestamps must come from
-// the streams' simulated clocks.
+// the cores' simulated clocks.
 func stamp() time.Time {
 	return time.Now() // want `call to time.Now in deterministic package`
 }

@@ -65,6 +65,10 @@ type Spec struct {
 	Windows int
 }
 
+// MaxTenants caps a population: every tenant's outcome is kept until
+// the run ends, and the population tables run 2000 tenants per row.
+const MaxTenants = 1 << 20
+
 // budget validates the spec and returns each tenant's hammer budget in
 // cycles.
 func (s Spec) budget() (timing.Cycles, error) {
@@ -73,6 +77,9 @@ func (s Spec) budget() (timing.Cycles, error) {
 	}
 	if s.Tenants < 1 {
 		return 0, fmt.Errorf("cohort: population needs at least one tenant (got %d)", s.Tenants)
+	}
+	if s.Tenants > MaxTenants {
+		return 0, fmt.Errorf("cohort: population of %d tenants exceeds the %d-tenant cap", s.Tenants, MaxTenants)
 	}
 	if s.Windows < 1 {
 		return 0, fmt.Errorf("cohort: tenants need at least one refresh window (got %d)", s.Windows)
@@ -216,28 +223,26 @@ func (p *Pool) Layout() machine.TableLayout { return p.layout }
 // row between the attacker's aggressor rows.
 func (p *Pool) Sandwiched() bool { return p.units[0].geo.sandwiched }
 
-// tenantSeed mixes the population seed and tenant index through
-// splitmix64, so per-tenant randomness is reproducible in isolation.
-func tenantSeed(pop int64, tenant int) int64 {
-	z := uint64(pop) + (uint64(tenant)+1)*0x9E3779B97F4A7C15
+// mix64 is splitmix64's output finalizer.
+func mix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27
 	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return z ^ (z >> 31)
+}
+
+// tenantSeed mixes the population seed and tenant index through
+// splitmix64, so per-tenant randomness is reproducible in isolation.
+func tenantSeed(pop int64, tenant int) int64 {
+	return int64(mix64(uint64(pop) + (uint64(tenant)+1)*0x9E3779B97F4A7C15))
 }
 
 // nextJitter advances the unit's per-tenant jitter stream (splitmix64
 // over a counter seeded from the tenant seed).
 func (u *unit) nextJitter() uint64 {
 	u.jit += 0x9E3779B97F4A7C15
-	z := u.jit
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return mix64(u.jit)
 }
 
 // prepare recycles the unit for one tenant: machine Reset, flip model

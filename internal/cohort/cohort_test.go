@@ -34,6 +34,10 @@ func TestPoolValidation(t *testing.T) {
 		// 2^60 windows of the 60,000-cycle tenant window wrap to a zero
 		// budget: unchecked, the tenant reported a run that never ran.
 		{Profile: flip.ClassA(), Tenants: 1, Windows: 1 << 60},
+		// Past the tenant cap: unchecked, 2^61 tenants panicked
+		// allocating the per-tenant outcomes.
+		{Profile: flip.ClassA(), Tenants: MaxTenants + 1, Windows: 1},
+		{Profile: flip.ClassA(), Tenants: 1 << 61, Windows: 1},
 	} {
 		if _, err := p.Run(spec); err == nil {
 			t.Errorf("spec %+v validated", spec)

@@ -1,11 +1,13 @@
 // Package machine is the facade over the whole simulated memory
-// hierarchy. machine.New wires one phys.Memory, one timing.Clock, one
-// perf.Counters bank, and the device chain — dTLB → sTLB → hardware
-// page walker for translation, L1 → L2 → LLC → DRAM banks for data —
-// so that a single Load traverses every level exactly the way the
-// paper's measured loads do, and clock deltas agree with counter
-// deltas by construction. Every later algorithm PR (eviction sets,
-// Figure 5/6 sweeps, the hammer loop) programs against this type.
+// hierarchy. One wiring path builds every machine: one phys.Memory, and
+// per core one timing.Clock, one perf.Counters bank and the device
+// chain — dTLB → sTLB → hardware page walker for translation, L1 → L2
+// → LLC → DRAM banks for data — so that a single Load traverses every
+// level exactly the way the paper's measured loads do, and clock deltas
+// agree with counter deltas by construction. machine.New is the
+// one-core case every single-core algorithm (eviction sets, Figure 5/6
+// sweeps, the hammer loop) programs against; NewMulti is the N-core
+// one.
 //
 // Translation is real: the machine reserves the top of physical
 // memory as the kernel's page-table pool, identity-maps pages there on
@@ -45,9 +47,6 @@ type Config struct {
 	L2   cache.Config
 	LLC  cache.Config
 	TLB  tlb.Config
-	// Walk sizes the walker's paging-structure caches; the zero value
-	// selects ptwalk.Defaults.
-	Walk ptwalk.Config
 
 	// Noise parameters for timed measurements; NoiseProb 0 keeps the
 	// machine fully deterministic.
@@ -105,11 +104,12 @@ func SandyBridge() Config {
 // Machine owns one core's front-end — clock, counters, TLB chain,
 // walker, private cache levels — plus handles to the state it shares
 // with any co-resident cores: physical memory, the inclusive LLC, the
-// banked DRAM, and its address space's page tables. A single-core
-// machine (New) owns all of that state outright; NewMulti builds N
-// Machines over one shared memory system.
+// banked DRAM, and its address space's page tables. Every Machine is a
+// core of the MultiMachine it points to: New builds a one-core
+// MultiMachine and hands out its only core, NewMulti builds N cores
+// over one shared memory system.
 type Machine struct {
-	cfg      Config
+	multi    *MultiMachine
 	core     int
 	mem      *phys.Memory
 	clock    *timing.Clock
@@ -151,30 +151,12 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// New validates the config and wires a single-core machine: the core's
-// front-end built by buildCore over memory, LLC and DRAM it has all to
-// itself, with the page-table pool contiguous at the top of physical
-// memory — the layout every single-core scenario and benchmark is
-// calibrated against.
+// New validates the config and wires a single-core machine: core 0
+// of a one-core MultiMachine, with the page-table pool contiguous at
+// the top of physical memory — the layout every single-core scenario
+// and benchmark is calibrated against.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	pmem, err := phys.New(cfg.MemBytes)
-	if err != nil {
-		return nil, err
-	}
-	clock, err := timing.NewClock(cfg.FreqHz)
-	if err != nil {
-		return nil, err
-	}
-	counters := &perf.Counters{}
-	d, err := dram.New(cfg.DRAM, clock, counters, cfg.Lat)
-	if err != nil {
-		return nil, err
-	}
-	shared, err := cache.NewShared(cfg.LLC, cfg.Lat)
-	if err != nil {
 		return nil, err
 	}
 	// The kernel's page-table pool sits at the top of physical memory,
@@ -185,42 +167,99 @@ func New(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("machine: %d-byte memory too small for its %d-frame page-table pool",
 			cfg.MemBytes, tableFrames)
 	}
-	tables, err := pagetable.New(pmem, phys.Frame(totalFrames-tableFrames), tableFrames)
+	pool := make([]phys.Frame, tableFrames)
+	for i := range pool {
+		pool[i] = phys.Frame(totalFrames - tableFrames + uint64(i))
+	}
+	mm, err := wire(MultiConfig{Config: cfg, Cores: 1}, [][]phys.Frame{pool})
 	if err != nil {
 		return nil, err
 	}
-	m, err := buildCore(cfg, 0, pmem, clock, counters, d, shared, tables)
-	if err != nil {
-		return nil, err
-	}
-	if err := bindModels(cfg, pmem, d); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return mm.cores[0], nil
 }
 
-// buildCore wires one core's front-end — noise source, DRAM port,
+// wire builds a machine from a validated config and one page-table
+// frame pool per tenant — the only difference between New and
+// NewMulti: physical memory and every tenant's tables, a clock and
+// PMC bank per core, the DRAM and shared LLC, one front-end per core
+// attached to its tenant's tables, and last the flip/fault model
+// bindings. A nil cfg.Tenants puts every core in tenant 0.
+func wire(cfg MultiConfig, pools [][]phys.Frame) (*MultiMachine, error) {
+	pmem, err := phys.New(cfg.MemBytes)
+	if err != nil {
+		return nil, err
+	}
+	tables := make([]*pagetable.Tables, len(pools))
+	for t, pool := range pools {
+		if tables[t], err = pagetable.NewWithFrames(pmem, pool); err != nil {
+			return nil, err
+		}
+	}
+	clocks := make([]*timing.Clock, cfg.Cores)
+	counters := make([]*perf.Counters, cfg.Cores)
+	for i := range clocks {
+		if clocks[i], err = timing.NewClock(cfg.FreqHz); err != nil {
+			return nil, err
+		}
+		counters[i] = &perf.Counters{}
+	}
+	// The DRAM's default port is core 0: its bookkeeping methods (and
+	// the single-device Lookup path, which the cores never use) charge
+	// core 0's clock.
+	d, err := dram.New(cfg.DRAM, clocks[0], counters[0], cfg.Lat)
+	if err != nil {
+		return nil, err
+	}
+	shared, err := cache.NewShared(cfg.LLC, cfg.Lat)
+	if err != nil {
+		return nil, err
+	}
+	mm := &MultiMachine{
+		cfg:     cfg,
+		mem:     pmem,
+		dram:    d,
+		shared:  shared,
+		cores:   make([]*Machine, cfg.Cores),
+		tenants: cfg.Tenants,
+		tables:  tables,
+	}
+	if mm.tenants == nil {
+		mm.tenants = make([]int, cfg.Cores)
+	}
+	for i := range mm.cores {
+		if mm.cores[i], err = buildCore(mm, i, clocks[i], counters[i]); err != nil {
+			return nil, err
+		}
+	}
+	if err := bindModels(cfg.Config, pmem, d); err != nil {
+		return nil, err
+	}
+	return mm, nil
+}
+
+// buildCore wires core i's front-end — noise source, DRAM port,
 // private cache levels over the shared LLC, page walker and TLB chain
-// — charging everything to the given clock and counters. The caller
-// owns the shared pieces (memory, DRAM, LLC, the core's address-space
-// tables) and binds any flip/fault models afterwards.
-func buildCore(cfg Config, core int, pmem *phys.Memory, clock *timing.Clock, counters *perf.Counters, d *dram.DRAM, shared *cache.SharedLLC, tables *pagetable.Tables) (*Machine, error) {
+// — over mm's shared memory system and core i's tenant tables,
+// charging everything to the given clock and counters.
+func buildCore(mm *MultiMachine, i int, clock *timing.Clock, counters *perf.Counters) (*Machine, error) {
+	cfg := mm.cfg.Config
+	tables := mm.tables[mm.tenants[i]]
 	// Offset the seed per core so noisy cores draw independent spike
 	// streams; with NoiseProb 0 (the multi-core determinism default)
 	// the source is never sampled.
-	noise, err := timing.NewNoise(cfg.NoiseSeed+int64(core), cfg.NoiseProb, cfg.NoiseMin, cfg.NoiseMax)
+	noise, err := timing.NewNoise(cfg.NoiseSeed+int64(i), cfg.NoiseProb, cfg.NoiseMin, cfg.NoiseMax)
 	if err != nil {
 		return nil, err
 	}
-	dport, err := d.NewPort(core, clock, counters)
+	dport, err := mm.dram.NewPort(i, clock, counters)
 	if err != nil {
 		return nil, err
 	}
-	caches, err := cache.NewCore(cfg.L1, cfg.L2, shared, core, dport, clock, counters, cfg.Lat)
+	caches, err := cache.NewCore(cfg.L1, cfg.L2, mm.shared, i, dport, clock, counters, cfg.Lat)
 	if err != nil {
 		return nil, err
 	}
-	walker, err := ptwalk.New(cfg.Walk, tables, caches, pmem, clock, counters, cfg.Lat)
+	walker, err := ptwalk.New(tables, caches, mm.mem, clock, counters, cfg.Lat)
 	if err != nil {
 		return nil, err
 	}
@@ -235,9 +274,9 @@ func buildCore(cfg Config, core int, pmem *phys.Memory, clock *timing.Clock, cou
 		return nil, err
 	}
 	return &Machine{
-		cfg:      cfg,
-		core:     core,
-		mem:      pmem,
+		multi:    mm,
+		core:     i,
+		mem:      mm.mem,
 		clock:    clock,
 		noise:    noise,
 		counters: counters,
@@ -245,7 +284,7 @@ func buildCore(cfg Config, core int, pmem *phys.Memory, clock *timing.Clock, cou
 		walker:   walker,
 		tables:   tables,
 		caches:   caches,
-		dram:     d,
+		dram:     mm.dram,
 		dport:    dport,
 		noisy:    cfg.NoiseProb != 0,
 		faulty:   cfg.FaultModel != nil,
@@ -444,7 +483,7 @@ func (m *Machine) primeFaulted(addrs []phys.Addr) timing.Cycles {
 	if n == 0 {
 		return 0
 	}
-	fm := m.cfg.FaultModel
+	fm := m.multi.cfg.FaultModel
 	start := fm.PrimeStart(n)
 	var total timing.Cycles
 	for i := 0; i < n; i++ {
@@ -494,7 +533,7 @@ func (m *Machine) Probe(a phys.Addr) ProbeResult {
 		// Threshold drift: the fault model may inflate this timed probe.
 		// The spike is charged to the shared clock so the clock-delta /
 		// Result-latency agreement invariant holds under drift too.
-		if extra := m.cfg.FaultModel.ProbeJitter(); extra > 0 {
+		if extra := m.multi.cfg.FaultModel.ProbeJitter(); extra > 0 {
 			m.clock.Advance(extra)
 			res.Latency += extra
 		}
@@ -542,68 +581,40 @@ func (m *Machine) ResetRefreshWindow() { m.dport.ResetWindow() }
 // time: clock rebased to cycle 0, PMC bank cleared, noise stream
 // reseeded from the config's NoiseSeed exactly as buildCore seeds it,
 // TLB levels and paging-structure caches and private L1/L2 emptied,
-// privileged-operation counters zeroed. Shared state (LLC, DRAM,
-// physical memory, page tables, models) is deliberately not touched —
-// on a multi-core machine it must be reset exactly once, by the owner
-// of the whole machine.
+// privileged-operation counters zeroed. Shared state is
+// MultiMachine.Reset's, rewound once for every core.
 func (m *Machine) resetFrontEnd() {
 	m.clock.Reset()
 	m.counters.Reset()
-	m.noise.ResetTo(m.cfg.NoiseSeed + int64(m.core))
+	m.noise.ResetTo(m.multi.cfg.NoiseSeed + int64(m.core))
 	m.tlb.Reset()
 	m.walker.Reset()
 	m.caches.Reset()
 	m.privFlushes, m.privInvlpgs = 0, 0
 }
 
-// resetShared rewinds the memory system this machine fronts: the
-// shared LLC, the DRAM device (window, per-row ACT epochs, bank
-// arbitration), physical memory (all frames back to holes), and the
-// page-table pool (scrubbed, re-bump-allocatable, fresh root). Order
-// matters: the DRAM reset anchors its new window at this core's
-// already-rebased clock, and memory is reset before the tables so the
-// re-allocated root is the only frame the recycled machine
-// materializes — exactly what a fresh construction materializes.
-func (m *Machine) resetShared() {
-	m.caches.Shared().Reset()
-	m.dport.Reset()
-	m.mem.Reset()
-	m.tables.Reset()
-}
-
-// Reset recycles a single-core machine under the Reset/Recycle
-// contract (CONTRIBUTING.md): after Reset, the machine is
-// observationally identical to a freshly constructed machine.New(cfg)
-// — same clock base, counters, cache/TLB/walker state, DRAM window
-// bookkeeping, hole-only memory, one-root page tables, and rewound
-// flip/fault models (still bound, streams reseeded). The
-// reset-equivalence difftest in machine_reset_test.go pins the
-// contract: recycled and fresh machines produce bit-identical
-// Clock/PMC/HammerStats/Flips traces for the same workload.
-//
-// Reset is for machines that own their whole memory system (built with
-// New). Cores of a MultiMachine share theirs; recycle those with
-// MultiMachine.Reset instead.
-func (m *Machine) Reset() {
-	m.resetFrontEnd()
-	m.resetShared()
-	if m.cfg.FlipModel != nil {
-		m.cfg.FlipModel.Reset()
-	}
-	if m.cfg.FaultModel != nil {
-		m.cfg.FaultModel.Reset()
-	}
-}
+// Reset recycles the machine under the Reset/Recycle contract
+// (CONTRIBUTING.md) through MultiMachine.Reset: after Reset, the
+// machine is observationally identical to a fresh one built from the
+// same config — same clock base, counters, cache/TLB/walker state,
+// DRAM window bookkeeping, hole-only memory, one-root page tables, and
+// rewound flip/fault models (still bound, streams reseeded). The
+// reset-equivalence difftest in reset_test.go pins the contract:
+// recycled and fresh machines produce bit-identical
+// Clock/PMC/HammerStats/Flips traces for the same workload. On a core
+// of a NewMulti machine, Reset rewinds every core, since they share
+// one memory system.
+func (m *Machine) Reset() { m.multi.Reset() }
 
 // ResetWithNoiseSeed is Reset with a new noise seed: the recycled
-// machine is observationally identical to a fresh machine.New(cfg) with
-// cfg.NoiseSeed = seed, and Config reports that seed. The noise stream
-// is seeded once, at seed + core as construction seeds it. The sweep
-// engine recycles one machine per worker through it, each shard
+// machine is observationally identical to a fresh one built with
+// cfg.NoiseSeed = seed, and Config reports that seed. Each core's noise
+// stream is seeded once, at seed + core as construction seeds it. The
+// sweep engine recycles one machine per worker through it, each shard
 // bringing its own seed.
 func (m *Machine) ResetWithNoiseSeed(seed int64) {
-	m.cfg.NoiseSeed = seed
-	m.Reset()
+	m.multi.cfg.NoiseSeed = seed
+	m.multi.Reset()
 }
 
 // Flips returns the disturbance errors the configured flip model has
@@ -611,19 +622,19 @@ func (m *Machine) ResetWithNoiseSeed(seed int64) {
 // built without a FlipModel. The slice is the model's own record:
 // callers must not mutate it.
 func (m *Machine) Flips() []flip.Flip {
-	if m.cfg.FlipModel == nil {
+	if m.multi.cfg.FlipModel == nil {
 		return nil
 	}
-	return m.cfg.FlipModel.Flips()
+	return m.multi.cfg.FlipModel.Flips()
 }
 
 // FlipModel returns the machine's disturbance-error engine, nil when
 // none was configured.
-func (m *Machine) FlipModel() *flip.Model { return m.cfg.FlipModel }
+func (m *Machine) FlipModel() *flip.Model { return m.multi.cfg.FlipModel }
 
 // FaultModel returns the machine's fault-injection engine, nil when the
 // machine runs fault-free.
-func (m *Machine) FaultModel() *fault.Model { return m.cfg.FaultModel }
+func (m *Machine) FaultModel() *fault.Model { return m.multi.cfg.FaultModel }
 
 // Accessors for the shared state; algorithm code reads these the way
 // the paper's tooling reads rdtsc and the PMC kernel module.
@@ -659,4 +670,4 @@ func (m *Machine) Walker() *ptwalk.Walker { return m.walker }
 func (m *Machine) PageTables() *pagetable.Tables { return m.tables }
 
 // Config returns the configuration the machine was built with.
-func (m *Machine) Config() Config { return m.cfg }
+func (m *Machine) Config() Config { return m.multi.cfg.Config }

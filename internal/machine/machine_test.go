@@ -10,7 +10,6 @@ import (
 	"pthammer/internal/pagetable"
 	"pthammer/internal/perf"
 	"pthammer/internal/phys"
-	"pthammer/internal/ptwalk"
 	"pthammer/internal/timing"
 )
 
@@ -51,6 +50,27 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid noise config accepted")
 	}
+
+	cfg = SandyBridge()
+	cfg.DRAM.HammerThreshold = 0
+	if _, err := New(cfg); err == nil {
+		t.Error("invalid DRAM config accepted")
+	}
+
+	if _, err := New(tinyConfig()); err == nil {
+		t.Error("memory too small for its page-table pool accepted")
+	}
+	mustPanicMachine(t, "MustNew of a bad config", func() { MustNew(tinyConfig()) })
+}
+
+// tinyConfig is a coherent one-frame machine: too small to hold a
+// page-table pool beside the memory it maps.
+func tinyConfig() Config {
+	cfg := SandyBridge()
+	cfg.MemBytes = phys.FrameSize
+	cfg.DRAM.Channels, cfg.DRAM.BanksPerRank = 1, 1
+	cfg.DRAM.Rows, cfg.DRAM.RowBytes = 1, phys.FrameSize
+	return cfg
 }
 
 // TestNewRejectsUnbuildableShapes pins that every set-associative
@@ -67,7 +87,6 @@ func TestNewRejectsUnbuildableShapes(t *testing.T) {
 		{"32-way L2", func(c *Config) { c.L2.Ways = 32 }},
 		{"32-way dTLB", func(c *Config) { c.TLB.L1Ways = 32 }},
 		{"64-way sTLB", func(c *Config) { c.TLB.L2Ways = 64 }},
-		{"32-way PDE cache", func(c *Config) { c.Walk = ptwalk.Defaults(); c.Walk.PDE.Ways = 32 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -418,6 +437,11 @@ func TestLoadPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	m.Load(phys.Addr(m.Config().MemBytes))
+}
+
+func TestTranslatePanicsOutOfRange(t *testing.T) {
+	m := MustNew(SandyBridge())
+	mustPanicMachine(t, "out-of-range translate", func() { m.Translate(phys.Addr(m.Config().MemBytes)) })
 }
 
 func TestFlushPanicsOutOfRange(t *testing.T) {

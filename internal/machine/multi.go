@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"pthammer/internal/cache"
-	"pthammer/internal/core"
 	"pthammer/internal/dram"
 	"pthammer/internal/pagetable"
-	"pthammer/internal/perf"
 	"pthammer/internal/phys"
 	"pthammer/internal/timing"
 )
@@ -76,8 +74,7 @@ func (l TableLayout) String() string {
 // MultiMachine is Cores front-ends over one shared memory system. Each
 // front-end is a *Machine whose shared handles (Memory, DRAM, the LLC
 // behind Caches) alias every other core's; drive them with Run, which
-// serialises quanta under the deterministic interleaver in
-// internal/core.
+// serialises quanta under a deterministic interleaver.
 type MultiMachine struct {
 	cfg     MultiConfig
 	mem     *phys.Memory
@@ -164,12 +161,13 @@ func tenantPools(cfg Config, tenantN int, layout TableLayout) ([][]phys.Frame, e
 	return pools, nil
 }
 
-// NewMulti validates the config and wires the multi-tenant machine:
-// shared memory, DRAM and LLC first, then one front-end per core, each
-// attached to its tenant's page tables. Flip and fault models bind to
-// the shared memory system exactly as on a single-core machine — one
-// model serves every core, with reports attributed to the core whose
-// access triggered them.
+// NewMulti validates the config and wires the multi-tenant machine
+// over the per-tenant table pools tenantPools carves: shared memory,
+// DRAM and LLC, then one front-end per core, each attached to its
+// tenant's page tables. Flip and fault models bind to the shared
+// memory system exactly as on a single-core machine — one model serves
+// every core, with reports attributed to the core whose access
+// triggered them.
 func NewMulti(cfg MultiConfig) (*MultiMachine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -181,64 +179,11 @@ func NewMulti(cfg MultiConfig) (*MultiMachine, error) {
 	if err != nil {
 		return nil, err
 	}
-	tenants := cfg.Tenants
-	if tenants == nil {
-		tenants = make([]int, cfg.Cores)
-	}
-
-	pmem, err := phys.New(cfg.MemBytes)
-	if err != nil {
-		return nil, err
-	}
 	pools, err := tenantPools(cfg.Config, tenantN, cfg.Layout)
 	if err != nil {
 		return nil, err
 	}
-	tables := make([]*pagetable.Tables, tenantN)
-	for t := range tables {
-		if tables[t], err = pagetable.NewWithFrames(pmem, pools[t]); err != nil {
-			return nil, err
-		}
-	}
-
-	clocks := make([]*timing.Clock, cfg.Cores)
-	counters := make([]*perf.Counters, cfg.Cores)
-	for i := range clocks {
-		if clocks[i], err = timing.NewClock(cfg.FreqHz); err != nil {
-			return nil, err
-		}
-		counters[i] = &perf.Counters{}
-	}
-	// The shared DRAM's default port is core 0 — its bookkeeping
-	// methods (and the single-device Lookup path, which multi-core code
-	// never uses) charge core 0's clock.
-	d, err := dram.New(cfg.DRAM, clocks[0], counters[0], cfg.Lat)
-	if err != nil {
-		return nil, err
-	}
-	shared, err := cache.NewShared(cfg.LLC, cfg.Lat)
-	if err != nil {
-		return nil, err
-	}
-
-	mm := &MultiMachine{
-		cfg:     cfg,
-		mem:     pmem,
-		dram:    d,
-		shared:  shared,
-		cores:   make([]*Machine, cfg.Cores),
-		tenants: tenants,
-		tables:  tables,
-	}
-	for i := range mm.cores {
-		if mm.cores[i], err = buildCore(cfg.Config, i, pmem, clocks[i], counters[i], d, shared, tables[tenants[i]]); err != nil {
-			return nil, err
-		}
-	}
-	if err := bindModels(cfg.Config, pmem, d); err != nil {
-		return nil, err
-	}
-	return mm, nil
+	return wire(cfg, pools)
 }
 
 // MustNewMulti is NewMulti but panics on error.
@@ -304,16 +249,18 @@ func (mm *MultiMachine) AlignClocks() {
 	mm.cores[0].ResetRefreshWindow()
 }
 
-// Reset recycles the whole multi-tenant machine under the
-// Reset/Recycle contract: every front-end rewinds (clock, PMC, noise,
-// TLB, walker, private caches, privileged-op counters), the shared LLC
-// and DRAM rewind once, physical memory returns to holes, every
-// tenant's table pool is recycled in place, and any bound flip/fault
-// models rewind their streams and records. After Reset the machine is
-// observationally identical to a fresh NewMulti(cfg) — the property
-// the cohort scheduler's pool-size determinism rests on. The DRAM's
-// new window is anchored at core 0's rebased clock, matching
-// construction.
+// Reset recycles the whole machine under the Reset/Recycle contract:
+// every front-end rewinds (clock, PMC, noise, TLB, walker, private
+// caches, privileged-op counters), the shared LLC and DRAM rewind once,
+// physical memory returns to holes, every tenant's table pool is
+// recycled in place, and any bound flip/fault models rewind their
+// streams and records. After Reset the machine is observationally
+// identical to a fresh one from the same config — the property the
+// cohort scheduler's pool-size determinism rests on. Order matters:
+// the DRAM's new window is anchored at core 0's already-rebased clock,
+// matching construction, and memory is reset before the tables so the
+// re-allocated roots are the only frames the recycled machine
+// materializes, as a fresh construction does.
 func (mm *MultiMachine) Reset() {
 	for _, c := range mm.cores {
 		c.resetFrontEnd()
@@ -335,20 +282,48 @@ func (mm *MultiMachine) Reset() {
 // Run drives every core under the deterministic interleaver on the
 // caller's goroutine. It first calls body(i, core i's front-end) once
 // per core, in index order and before any quantum runs, to build that
-// core's step function; then each grant calls the step of the core
-// with the lowest clock (ties to the lowest core index), so the
-// interleaving — and everything it does to shared state — is
-// bit-identical for any GOMAXPROCS value. A step runs one quantum
-// (every few accesses) and returns false once its core is done; it
-// must not touch another core's front-end. Cores advance their clocks
-// only in their own quanta, so after AlignClocks a clock read in body
-// equals the read at that core's first grant. A panic or
-// runtime.Goexit in a step (t.Fatal included) unwinds straight out of
-// Run. See internal/core.
+// core's step function; a nil step is a wiring bug and panics. Then
+// each grant is a plain call of the step of the live core whose clock
+// is lowest, ties to the lowest core index, so the schedule is a pure
+// function of the cores' simulated clocks: the interleaving — and
+// everything it does to shared state (LLC contents, DRAM activation
+// counters, flip-engine reports) — is bit-identical for any GOMAXPROCS
+// value. Because grants go to the lowest clock, the clocks read at
+// grant time never decrease, so shared devices see simulated time move
+// forward even though each core carries its own clock; devices that
+// latch a start-of-window timestamp still guard against a core that
+// has not caught up yet (see dram.rotateWindow).
+//
+// A step runs one quantum (every few accesses, since a long quantum
+// delays cores whose clocks are behind) and returns false once its core
+// is done; that core is retired and never stepped again. A step must
+// not touch another core's front-end. Cores advance their clocks only
+// in their own quanta, so after AlignClocks a clock read in body equals
+// the read at that core's first grant. A panic or runtime.Goexit in a
+// step (t.Fatal included) unwinds straight out of Run: no core is
+// suspended, so there is nothing to tear down.
 func (mm *MultiMachine) Run(body func(i int, m *Machine) (step func() bool)) {
-	streams := make([]core.Stream, len(mm.cores))
+	steps := make([]func() bool, len(mm.cores))
 	for i, m := range mm.cores {
-		streams[i] = core.Stream{Now: m.clock.Now, Step: body(i, m)}
+		if steps[i] = body(i, m); steps[i] == nil {
+			panic(fmt.Sprintf("machine: Run body returned a nil step for core %d", i))
+		}
 	}
-	core.Run(streams)
+	for live := len(steps); live > 0; {
+		next, nextT := -1, timing.Cycles(0)
+		for i, step := range steps {
+			if step == nil {
+				continue // retired
+			}
+			// Strict < implements the tiebreak: equal clocks go to the
+			// lowest core index.
+			if t := mm.cores[i].clock.Now(); next < 0 || t < nextT {
+				next, nextT = i, t
+			}
+		}
+		if !steps[next]() {
+			steps[next] = nil
+			live--
+		}
+	}
 }

@@ -57,12 +57,15 @@ func TestNewMultiRejectsBadConfigs(t *testing.T) {
 		{Config: base, Cores: 2, Tenants: []int{0, -1}}, // negative
 		{Config: base, Cores: 2, Tenants: []int{0, 2}},  // not dense
 		{Config: base, Cores: 2, Tenants: []int{1, 1}},  // tenant 0 unused
+		{Config: base, Cores: 2, Layout: TableLayout(7)},
+		{Config: tinyConfig(), Cores: 1}, // no room for a table pool
 	}
 	for i, cfg := range cases {
 		if _, err := NewMulti(cfg); err == nil {
 			t.Fatalf("case %d: NewMulti accepted invalid config %+v", i, cfg)
 		}
 	}
+	mustPanicMachine(t, "MustNewMulti of a bad config", func() { MustNewMulti(cases[0]) })
 }
 
 // TestTenantPoolsStripeAdjacentRows pins the cross-tenant attack
@@ -103,6 +106,26 @@ func TestTenantPoolsStripeAdjacentRows(t *testing.T) {
 	}
 	if rowOf(pools[1][0])-rowOf(pools[0][0]) == 0 {
 		t.Fatal("tenant pools share a DRAM row")
+	}
+}
+
+// TestTenantPoolsBlocked: blocked layout hands each tenant one
+// contiguous run of the reserved rows, tenant 0's directly below
+// tenant 1's, ending at the top of memory.
+func TestTenantPoolsBlocked(t *testing.T) {
+	cfg := SandyBridge()
+	pools, err := tenantPools(cfg, 2, LayoutBlocked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := append(append([]phys.Frame(nil), pools[0]...), pools[1]...)
+	for k := 1; k < len(all); k++ {
+		if all[k] != all[k-1]+1 {
+			t.Fatalf("blocked pools not one contiguous run at frame %d: %#x after %#x", k, all[k].Addr(), all[k-1].Addr())
+		}
+	}
+	if top := all[len(all)-1]; uint64(top)+1 != cfg.MemBytes/phys.FrameSize {
+		t.Fatalf("blocked pools end at frame %#x, below the top of memory", top.Addr())
 	}
 }
 

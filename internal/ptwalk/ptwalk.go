@@ -60,61 +60,6 @@ import (
 	"pthammer/internal/timing"
 )
 
-// PSCacheConfig sizes one paging-structure cache in entries.
-type PSCacheConfig struct {
-	Entries int
-	Ways    int
-}
-
-// Config sizes the three paging-structure caches. The zero value
-// selects the Defaults.
-type Config struct {
-	PML4E PSCacheConfig
-	PDPTE PSCacheConfig
-	PDE   PSCacheConfig
-}
-
-// Defaults returns Sandy Bridge-class paging-structure cache shapes:
-// tiny fully-associative upper-level caches over a larger PDE cache.
-func Defaults() Config {
-	return Config{
-		PML4E: PSCacheConfig{Entries: 4, Ways: 4},
-		PDPTE: PSCacheConfig{Entries: 4, Ways: 4},
-		PDE:   PSCacheConfig{Entries: 32, Ways: 4},
-	}
-}
-
-// withDefaults fills a zero config with Defaults, so machine presets
-// need not spell the PS cache shapes out.
-func (c Config) withDefaults() Config {
-	if c == (Config{}) {
-		return Defaults()
-	}
-	return c
-}
-
-// Validate reports an error for degenerate or non-indexable shapes.
-func (c Config) Validate() error {
-	c = c.withDefaults()
-	for _, pc := range []struct {
-		name string
-		cfg  PSCacheConfig
-	}{{"PML4E", c.PML4E}, {"PDPTE", c.PDPTE}, {"PDE", c.PDE}} {
-		switch {
-		case pc.cfg.Entries <= 0 || pc.cfg.Ways <= 0:
-			return fmt.Errorf("ptwalk: %s cache entries/ways must be positive (got %d/%d)",
-				pc.name, pc.cfg.Entries, pc.cfg.Ways)
-		case pc.cfg.Entries%pc.cfg.Ways != 0:
-			return fmt.Errorf("ptwalk: %s cache entries %d not divisible by ways %d",
-				pc.name, pc.cfg.Entries, pc.cfg.Ways)
-		}
-		if err := mem.CheckShape(pc.cfg.Entries/pc.cfg.Ways, pc.cfg.Ways); err != nil {
-			return fmt.Errorf("ptwalk: %s cache %v", pc.name, err)
-		}
-	}
-	return nil
-}
-
 // walkStepEvent[level-1] is the perf event counting entry fetches at
 // that level.
 var walkStepEvent = [pagetable.Levels]perf.Event{
@@ -147,18 +92,14 @@ type Walker struct {
 
 // New builds the walker over the given tables, fetching entries
 // through memory (the cache hierarchy).
-func New(cfg Config, tables *pagetable.Tables, memory mem.Device, pmem *phys.Memory, clock *timing.Clock, counters *perf.Counters, lat timing.LatencyTable) (*Walker, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func New(tables *pagetable.Tables, memory mem.Device, pmem *phys.Memory, clock *timing.Clock, counters *perf.Counters, lat timing.LatencyTable) (*Walker, error) {
 	if err := lat.Validate(); err != nil {
 		return nil, err
 	}
 	if tables == nil || memory == nil || pmem == nil || clock == nil || counters == nil {
 		return nil, fmt.Errorf("ptwalk: tables, memory, pmem, clock and counters must be non-nil")
 	}
-	cfg = cfg.withDefaults()
-	w := &Walker{
+	return &Walker{
 		tables:   tables,
 		memory:   memory,
 		pmem:     pmem,
@@ -166,11 +107,10 @@ func New(cfg Config, tables *pagetable.Tables, memory mem.Device, pmem *phys.Mem
 		counters: counters,
 		stepCost: lat.PageWalkStep,
 		pscHit:   lat.PSCacheHit,
-	}
-	for i, pc := range []PSCacheConfig{cfg.PDE, cfg.PDPTE, cfg.PML4E} {
-		w.psc[i] = mem.NewSetAssoc(pc.Entries/pc.Ways, pc.Ways)
-	}
-	return w, nil
+		// Sandy Bridge-class shapes: a 32-entry 4-way PDE cache under
+		// tiny fully-associative PDPTE and PML4E caches.
+		psc: [...]*mem.SetAssoc{mem.NewSetAssoc(8, 4), mem.NewSetAssoc(1, 4), mem.NewSetAssoc(1, 4)},
+	}, nil
 }
 
 // pscTag returns the tag the paging-structure cache covering `level`

@@ -48,49 +48,23 @@ func newFixture(t *testing.T) *fixture {
 	ctrs := &perf.Counters{}
 	lat := timing.DefaultLatencies()
 	dev := &fakeMem{clock: clock, lat: 100, source: mem.LevelDRAM}
-	w, err := New(Config{}, tables, dev, pmem, clock, ctrs, lat)
+	w, err := New(tables, dev, pmem, clock, ctrs, lat)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	return &fixture{w: w, tables: tables, pmem: pmem, dev: dev, clock: clock, ctrs: ctrs, lat: lat}
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := (Config{}).Validate(); err != nil {
-		t.Fatalf("zero config (defaults) rejected: %v", err)
-	}
-	if err := Defaults().Validate(); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
-	}
-	bad := []Config{
-		{PML4E: PSCacheConfig{0, 1}, PDPTE: PSCacheConfig{4, 4}, PDE: PSCacheConfig{32, 4}},
-		{PML4E: PSCacheConfig{4, 4}, PDPTE: PSCacheConfig{4, 3}, PDE: PSCacheConfig{32, 4}},
-		{PML4E: PSCacheConfig{4, 4}, PDPTE: PSCacheConfig{4, 4}, PDE: PSCacheConfig{24, 4}},  // 6 sets
-		{PML4E: PSCacheConfig{4, 4}, PDPTE: PSCacheConfig{4, 4}, PDE: PSCacheConfig{32, 32}}, // past mem.MaxWays
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
-	}
-}
-
 // TestNewRejectsBadInputs covers New's validation branches: a bad
-// paging-structure cache shape, a bad latency table or a nil dependency
-// is an error, never a panic.
+// latency table or a nil dependency is an error, never a panic.
 func TestNewRejectsBadInputs(t *testing.T) {
 	f := newFixture(t)
-	wide := Defaults()
-	wide.PDE = PSCacheConfig{Entries: 32, Ways: 32} // one set, past mem.MaxWays
 	badLat := f.lat
 	badLat.PSCacheHit = 0
-	if _, err := New(wide, f.tables, f.dev, f.pmem, f.clock, f.ctrs, f.lat); err == nil {
-		t.Error("PDE cache past mem.MaxWays accepted")
-	}
-	if _, err := New(Config{}, f.tables, f.dev, f.pmem, f.clock, f.ctrs, badLat); err == nil {
+	if _, err := New(f.tables, f.dev, f.pmem, f.clock, f.ctrs, badLat); err == nil {
 		t.Error("invalid latency table accepted")
 	}
-	if _, err := New(Config{}, nil, f.dev, f.pmem, f.clock, f.ctrs, f.lat); err == nil {
+	if _, err := New(nil, f.dev, f.pmem, f.clock, f.ctrs, f.lat); err == nil {
 		t.Error("nil tables accepted")
 	}
 }

@@ -85,6 +85,10 @@ type Spec struct {
 	BaseSeed int64
 }
 
+// maxPaddings caps how many padding values one sweep expands: each is
+// a shard with its own histogram, and the paper's figures sweep 11.
+const maxPaddings = 1 << 16
+
 // validate reports an error for a sweep that cannot run.
 func (s Spec) validate() error {
 	switch {
@@ -96,6 +100,10 @@ func (s Spec) validate() error {
 		return fmt.Errorf("sweep: pad step must be positive (got %d)", s.PadStep)
 	case s.PadMin < 0 || s.PadMax < s.PadMin:
 		return fmt.Errorf("sweep: bad padding range [%d, %d]", s.PadMin, s.PadMax)
+	case (s.PadMax-s.PadMin)/s.PadStep >= maxPaddings:
+		// The count is printed unsigned: with PadStep 1 it is MaxInt+1.
+		return fmt.Errorf("sweep: %d paddings exceed the %d-padding cap",
+			uint64((s.PadMax-s.PadMin)/s.PadStep)+1, maxPaddings)
 	case s.FlushBetween && s.EvictBetween:
 		return fmt.Errorf("sweep: FlushBetween and EvictBetween are mutually exclusive")
 	case s.Machine.FlipModel != nil:
