@@ -218,7 +218,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	windows := fs.Int("windows", 4, "refresh windows per arm for the amplify and noisy scenarios")
 	xtSeed := fs.Int64("xt-seed", 1, "flip-model seed for the cross-tenant escalation")
 	xtWindows := fs.Int("xt-windows", 60, "refresh-window budget for the cross-tenant escalation")
-	pool := fs.Int("pool", 8, "front-ends in the population runs' core pool, capped at 2 x -pop-tenants (one two-core unit per tenant); the output must not depend on it")
+	pool := fs.Int("pool", 8, fmt.Sprintf("front-ends in the population runs' core pool, at most %d (two per unit, ~87 KB each) and capped at 2 x -pop-tenants (one two-core unit per tenant); the output must not depend on it", cohort.MaxFrontEnds))
 	popTenants := fs.Int("pop-tenants", 2000, "tenants per population row (6 rows: 3 classes x 2 layouts)")
 	popSeed := fs.Int64("pop-seed", 1, "population seed; per-tenant seeds are mixed from it")
 	popWindows := fs.Int("pop-windows", 3, "refresh windows per tenant slice in the population runs")
@@ -243,9 +243,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pthammer-mt: window counts must be positive (got %d, %d, %d)\n", *windows, *xtWindows, *popWindows)
 		return exitUsage
 	}
-	if *pool < 2 || *popTenants < 1 || *popTenants > cohort.MaxTenants {
-		fmt.Fprintf(stderr, "pthammer-mt: population needs -pool >= 2 and 1 <= -pop-tenants <= %d (got %d, %d)\n",
-			cohort.MaxTenants, *pool, *popTenants)
+	if *pool < 2 || *pool > cohort.MaxFrontEnds || *popTenants < 1 || *popTenants > cohort.MaxTenants {
+		fmt.Fprintf(stderr, "pthammer-mt: population needs 2 <= -pool <= %d and 1 <= -pop-tenants <= %d (got %d, %d)\n",
+			cohort.MaxFrontEnds, cohort.MaxTenants, *pool, *popTenants)
 		return exitUsage
 	}
 	if *procs < 0 {

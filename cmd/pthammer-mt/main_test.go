@@ -135,10 +135,11 @@ func TestRunPopulationScenario(t *testing.T) {
 		t.Errorf("population bytes depend on the pool size:\n--- pool 8 ---\n%s--- pool 4 ---\n%s", out, narrow)
 	}
 	// At most one unit per tenant ever draws a tenant, so a pool past
-	// two front-ends per tenant is capped before any unit is built.
-	// Uncapped, -pool 1048576 built 524288 units of ~135 KB each.
-	if huge := render("1048576"); huge != out {
-		t.Errorf("population bytes depend on a pool past the tenant count:\n--- pool 8 ---\n%s--- pool 1048576 ---\n%s", out, huge)
+	// two front-ends per tenant is capped before any unit is built:
+	// -pool 1024, the largest accepted, builds 120 units here, not 512.
+	// (A pool past 1024 is a usage error; see TestRunUsageErrors.)
+	if huge := render("1024"); huge != out {
+		t.Errorf("population bytes depend on a pool past the tenant count:\n--- pool 8 ---\n%s--- pool 1024 ---\n%s", out, huge)
 	}
 }
 
@@ -179,6 +180,9 @@ func TestRunUsageErrors(t *testing.T) {
 		// overflowed the pool cap; both are past the tenant cap.
 		{[]string{"-scenario", "population", "-pop-tenants", "2305843009213693952"}, exitUsage, "-pop-tenants <= 1048576"},
 		{[]string{"-scenario", "population", "-pop-tenants", "4611686018427387904"}, exitUsage, "-pop-tenants <= 1048576"},
+		// At the tenant cap, 2 x -pop-tenants once admitted 2^20 units,
+		// all built up front before any tenant ran.
+		{[]string{"-scenario", "population", "-pop-tenants", "1048576", "-pool", "2097152"}, exitUsage, "-pool <= 1024"},
 		{[]string{"-procs", "-2"}, exitUsage, ""},
 		{[]string{"stray"}, exitUsage, ""},
 		{[]string{"-not-a-flag"}, exitUsage, ""},

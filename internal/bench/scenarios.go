@@ -65,7 +65,7 @@ func newMachine() *machine.Machine {
 //	loadn-batch-64       batched LoadN over a reused result buffer
 //	dram-recycle-reset   cohort-turnover recycle of a large module with a
 //	                     small touched set; pins the O(banks + touched)
-//	                     epoch-lazy reset
+//	                     reset that zeroes only the touched rows' counts
 //	sweep-engine         parallel Figure 5/6 padding sweep, end to end
 func Scenarios() []Scenario {
 	return []Scenario{
@@ -333,10 +333,10 @@ func Scenarios() []Scenario {
 			// DRAM traffic (64 touched rows) followed by a recycle on a
 			// 2^16-row module. Port.Reset is contractually
 			// O(banks + touched rows); an implementation that scrubbed
-			// the per-row ACT arrays instead of epoch-bumping would be
-			// orders of magnitude slower here and trip the gate, which
-			// is how cohort turnover is kept from silently reintroducing
-			// an O(rows) scrub.
+			// the whole per-row ACT array instead of the touched rows
+			// would be orders of magnitude slower here and trip the
+			// gate, which is how cohort turnover is kept from silently
+			// reintroducing an O(rows) scrub.
 			Name:        "dram-recycle-reset",
 			LoadsPerOp:  64,
 			SteadyState: true,

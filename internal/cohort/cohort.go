@@ -169,12 +169,16 @@ type Pool struct {
 	units  []*unit
 }
 
+// MaxFrontEnds caps a pool: NewPool builds every unit up front, ~87 KB
+// of heap each, so the cap bounds a pool at ~45 MB.
+const MaxFrontEnds = 1024
+
 // NewPool builds a pool of frontEnds/2 attacker/victim units (each
 // unit consumes two core front-ends) with the given table striping.
-// frontEnds must be at least 2; odd counts round down.
+// frontEnds must be between 2 and MaxFrontEnds; odd counts round down.
 func NewPool(frontEnds int, layout machine.TableLayout) (*Pool, error) {
-	if frontEnds < 2 {
-		return nil, fmt.Errorf("cohort: a pool needs at least 2 front-ends (got %d)", frontEnds)
+	if frontEnds < 2 || frontEnds > MaxFrontEnds {
+		return nil, fmt.Errorf("cohort: a pool needs 2 to %d front-ends (got %d)", MaxFrontEnds, frontEnds)
 	}
 	p := &Pool{layout: layout}
 	for k := 0; k < frontEnds/2; k++ {

@@ -48,6 +48,22 @@ func TestPoolValidation(t *testing.T) {
 	}
 }
 
+// TestNewPoolRejectsPastCap: a pool past MaxFrontEnds is an error
+// naming the cap, raised before any unit is built (an uncapped pool of
+// 2^21 front-ends ran out of memory building its units).
+func TestNewPoolRejectsPastCap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := NewPool(MaxFrontEnds+2, machine.LayoutInterleaved)
+	runtime.ReadMemStats(&after)
+	if err == nil || p != nil || !strings.Contains(err.Error(), fmt.Sprint(MaxFrontEnds)) {
+		t.Fatalf("NewPool(MaxFrontEnds+2) = %v, %v; want nil and an error naming %d", p, err, MaxFrontEnds)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<10 {
+		t.Errorf("rejected NewPool allocated %d bytes", grew)
+	}
+}
+
 // TestPoolSizeInvariance is the scheduling half of the determinism
 // contract: tenants are observationally independent, so regrouping the
 // same population onto fewer or more units — a 2-front-end pool

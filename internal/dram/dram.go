@@ -8,16 +8,19 @@
 //
 // Lookup is the terminal hop of every simulated load, so it is written
 // to cost a handful of array operations: the address decode is pure
-// shift/mask on power-of-two geometries, activation counts live in
-// dense per-bank arrays with epoch-tagged lazy reset (no maps, no
-// per-window reallocation), and window rotation touches only bank
-// headers.
+// shift/mask on power-of-two geometries, and activation counts live in
+// one dense 4-byte-per-row array per bank (no maps, no per-window
+// reallocation). A count is zero for every row off its bank's touched
+// list, so window turnover zeroes just the rows the ended window
+// touched, and victim pressure is read straight from the neighbours'
+// counts.
 package dram
 
 import (
 	"cmp"
 	"fmt"
 	"iter"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -228,9 +231,9 @@ func (c Config) RowRange(channel, rank, bank int, row uint64) (start phys.Addr, 
 }
 
 // bank is the per-bank state: the open row and this refresh window's
-// activation counts. Counts live in dense per-row arrays tagged with
-// the window epoch they were written in — a stale tag reads as zero —
-// so rotating the refresh window never clears or reallocates them.
+// activation counts. A row's count is nonzero exactly when the row is
+// on touched, so ending a window zeroes only the touched rows and never
+// reallocates.
 type bank struct {
 	// openRow is the row latched in the row buffer, or -1 when the bank
 	// is precharged.
@@ -240,14 +243,39 @@ type bank struct {
 	// pays the bank-arbitration cost (the scheduler switching request
 	// streams), so a single-core machine can never be charged.
 	lastCore int
-	// acts[row] is the row's ACT count, valid only when epoch[row]
-	// matches the DRAM's current window epoch.
-	acts []uint64
-	// epoch[row] tags which refresh window acts[row] belongs to.
-	epoch []uint64
+	// acts[row] is the row's ACT count in the current window,
+	// saturating at math.MaxUint32; zero for every row not on touched.
+	acts []uint32
 	// touched lists the rows activated in the current window, in
-	// first-activation order. Truncated (capacity kept) on rotation.
+	// first-activation order. Truncated (capacity kept) on turnover.
 	touched []uint64
+}
+
+// activate latches row into the bank's row buffer and counts the ACT.
+// A row's first ACT of the window puts it on touched.
+//
+//pthammer:noalloc
+func (b *bank) activate(row uint64) {
+	b.openRow = int64(row)
+	n := b.acts[row]
+	if n == 0 {
+		b.touched = append(b.touched, row) //pthammer:alloc-ok amortized: capacity is retained across window turnovers
+	}
+	if n < math.MaxUint32 {
+		b.acts[row] = n + 1
+	}
+}
+
+// endWindow is a refresh of the bank: the touched rows' counts return to
+// zero, the list truncates (capacity kept) and the bank precharges.
+//
+//pthammer:noalloc
+func (b *bank) endWindow() {
+	for _, row := range b.touched {
+		b.acts[row] = 0
+	}
+	b.touched = b.touched[:0]
+	b.openRow = -1
 }
 
 // DRAM is the terminal memory device of the hierarchy: the cross-core
@@ -270,27 +298,21 @@ type DRAM struct {
 
 	banks       []bank
 	windowStart timing.Cycles
-	// windowEpoch is the tag activations written in the current refresh
-	// window carry; rotating the window just increments it. Starts at 1
-	// so the zero value in bank.epoch always reads as stale.
-	windowEpoch uint64
 	// hook, when set, receives the ended window's Stats every time the
 	// refresh window rotates naturally (the clock crossing a boundary).
 	// This is the flip engine's subscription point.
 	hook func(Stats)
 
-	// Scratch buffers reused across HammerStats calls so computing
-	// victim pressure never allocates proportionally to activity.
-	scratchPressure []uint64 // rows long; always all-zero between banks
-	scratchRows     []uint64 // candidate victim rows for the bank in hand
-	scratchVictims  []Victim // accumulated victims before the caller copy
+	// scratchVictims accumulates victims across HammerStats calls
+	// before the caller's copy, so sorting them never allocates.
+	scratchVictims []Victim
 }
 
 // New builds the DRAM device. Latencies come from the machine's
 // LatencyTable; the clock and counters are the machine-wide shared
 // instances every device charges into. Activation bookkeeping is
-// allocated up front (O(banks × rows) words) so the per-access path
-// never allocates.
+// allocated up front (one 4-byte count per bank row) so the per-access
+// path never allocates.
 func New(cfg Config, clock *timing.Clock, counters *perf.Counters, lat timing.LatencyTable) (*DRAM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -302,23 +324,20 @@ func New(cfg Config, clock *timing.Clock, counters *perf.Counters, lat timing.La
 		return nil, fmt.Errorf("dram: clock and counters must be non-nil")
 	}
 	d := &DRAM{
-		cfg:             cfg,
-		dec:             cfg.newDecoder(),
-		rowHit:          lat.DRAMRowHit,
-		rowClosed:       lat.DRAMRowClosed,
-		rowConflict:     lat.DRAMRowConflict,
-		bankArb:         lat.DRAMBankArbitration,
-		banks:           make([]bank, cfg.TotalBanks()),
-		windowStart:     clock.Now(),
-		windowEpoch:     1,
-		scratchPressure: make([]uint64, cfg.Rows),
+		cfg:         cfg,
+		dec:         cfg.newDecoder(),
+		rowHit:      lat.DRAMRowHit,
+		rowClosed:   lat.DRAMRowClosed,
+		rowConflict: lat.DRAMRowConflict,
+		bankArb:     lat.DRAMBankArbitration,
+		banks:       make([]bank, cfg.TotalBanks()),
+		windowStart: clock.Now(),
 	}
 	for i := range d.banks {
 		d.banks[i] = bank{
 			openRow:  -1,
 			lastCore: -1,
-			acts:     make([]uint64, cfg.Rows),
-			epoch:    make([]uint64, cfg.Rows),
+			acts:     make([]uint32, cfg.Rows),
 		}
 	}
 	d.def = &Port{d: d, core: 0, clock: clock, counters: counters}
@@ -392,11 +411,13 @@ func (p *Port) Lookup(a mem.Access) mem.Result {
 		rowHit = true
 	case b.openRow < 0:
 		lat = d.rowClosed
-		d.activate(b, row, p.counters)
 	default:
 		lat = d.rowConflict
 		p.counters.Inc(perf.DRAMRowConflicts)
-		d.activate(b, row, p.counters)
+	}
+	if !rowHit {
+		b.activate(row)
+		p.counters.Inc(perf.DRAMActivate)
 	}
 	if b.lastCore != p.core {
 		if b.lastCore >= 0 {
@@ -406,23 +427,6 @@ func (p *Port) Lookup(a mem.Access) mem.Result {
 	}
 	p.clock.Advance(lat)
 	return mem.Result{Latency: lat, Hit: rowHit, Source: mem.LevelDRAM}
-}
-
-// activate latches row into the bank's row buffer and counts the ACT
-// against the accessing core's counters. A row first touched this
-// window has its stale count lazily reset.
-//
-//pthammer:noalloc
-func (d *DRAM) activate(b *bank, row uint64, counters *perf.Counters) {
-	b.openRow = int64(row)
-	if b.epoch[row] == d.windowEpoch {
-		b.acts[row]++
-	} else {
-		b.epoch[row] = d.windowEpoch
-		b.acts[row] = 1
-		b.touched = append(b.touched, row) //pthammer:alloc-ok amortized: capacity is retained across window rotations
-	}
-	counters.Inc(perf.DRAMActivate)
 }
 
 // SetWindowHook subscribes fn to end-of-refresh-window reports: every
@@ -439,12 +443,12 @@ func (d *DRAM) SetWindowHook(fn func(Stats)) { d.hook = fn }
 
 // rotateWindow resets activation bookkeeping when the clock has crossed
 // a refresh-window boundary. Refresh also precharges every bank, so
-// open rows close. Bumping the window epoch invalidates every count at
-// once; per-bank work is just the row-buffer close and truncating the
-// touched list (capacity retained), so rotation is O(banks) with zero
-// allocation no matter how many rows were hammered — unless a window
-// hook is subscribed, in which case the ended window's Stats are
-// computed (O(touched rows)) and delivered first. Rotation is lazy:
+// open rows close. Each bank zeroes its touched rows' counts and
+// truncates the touched list (capacity retained), so rotation is
+// O(banks + touched rows) with zero allocation, however large the
+// module; a subscribed window hook gets the ended window's Stats,
+// computed (also O(touched rows)) before the counts are zeroed and
+// delivered after. Rotation is lazy:
 // everything counted since the previous rotation is attributed to the
 // window that just ended, however many boundaries have elapsed.
 //
@@ -483,10 +487,8 @@ func (d *DRAM) rotateWindow(now timing.Cycles, core int) {
 		}
 	}
 	d.windowStart += (elapsed / w) * w
-	d.windowEpoch++
 	for i := range d.banks {
-		d.banks[i].openRow = -1
-		d.banks[i].touched = d.banks[i].touched[:0]
+		d.banks[i].endWindow()
 	}
 	if fire {
 		d.hook(ended) //pthammer:alloc-ok subscriber callback, fires at most once per refresh window
@@ -509,10 +511,8 @@ func (d *DRAM) ResetWindow() { d.def.ResetWindow() }
 func (p *Port) ResetWindow() {
 	d := p.d
 	d.windowStart = p.clock.Now()
-	d.windowEpoch++
 	for i := range d.banks {
-		d.banks[i].openRow = -1
-		d.banks[i].touched = d.banks[i].touched[:0]
+		d.banks[i].endWindow()
 	}
 }
 
@@ -523,10 +523,10 @@ func (p *Port) ResetWindow() {
 // no stale cross-core bank-arbitration charge. The window hook stays
 // subscribed (the flip model is recycled separately, not re-bound).
 //
-// Cost is O(banks + touched rows), never O(rows): stale per-row ACT
-// counts are invalidated by the epoch bump exactly as on a window
-// rotation, not scrubbed. The dram-recycle-reset bench scenario pins
-// this — a recycle that walks the row arrays would regress it by
+// Cost is O(banks + touched rows), never O(rows): exactly as on a
+// window rotation, only the touched rows' counts are zeroed, because
+// every other count already is. The dram-recycle-reset bench scenario
+// pins this — a recycle that walks the row arrays would regress it by
 // orders of magnitude on a large-geometry module.
 func (d *DRAM) Reset() { d.def.Reset() }
 
@@ -539,22 +539,10 @@ func (d *DRAM) Reset() { d.def.Reset() }
 func (p *Port) Reset() {
 	d := p.d
 	d.windowStart = p.clock.Now()
-	d.windowEpoch++
 	for i := range d.banks {
-		b := &d.banks[i]
-		b.openRow = -1
-		b.lastCore = -1
-		b.touched = b.touched[:0]
+		d.banks[i].endWindow()
+		d.banks[i].lastCore = -1
 	}
-}
-
-// actsOf returns the current-window activation count of a row, reading
-// stale epochs as zero.
-func (b *bank) actsOf(row, epoch uint64) uint64 {
-	if b.epoch[row] != epoch {
-		return 0
-	}
-	return b.acts[row]
 }
 
 // Activations returns how many times the given row of the given bank
@@ -567,7 +555,7 @@ func (d *DRAM) Activations(l Location) uint64 { return d.def.Activations(l) }
 func (p *Port) Activations(l Location) uint64 {
 	d := p.d
 	d.rotateWindow(p.clock.Now(), p.core)
-	return d.banks[d.cfg.globalBank(l)].actsOf(l.Row, d.windowEpoch)
+	return uint64(d.banks[d.cfg.globalBank(l)].acts[l.Row])
 }
 
 // Victim is a row whose neighbours have been activated enough this
@@ -607,9 +595,9 @@ type Stats struct {
 // current refresh window reach the configured threshold — double-sided
 // hammering contributes from both sides, single-sided from one.
 //
-// The computation walks only the rows actually activated this window,
-// accumulating neighbour pressure in a scratch buffer reused across
-// calls, so its cost is O(touched rows), independent of the geometry.
+// The computation walks only the rows actually activated this window
+// and reads each candidate victim's pressure from its neighbours'
+// counts, so its cost is O(touched rows), independent of the geometry.
 func (d *DRAM) HammerStats() Stats { return d.def.HammerStats() }
 
 // HammerStats is DRAM.HammerStats with rotation checked against this
@@ -630,45 +618,43 @@ func (d *DRAM) stats() Stats {
 	d.scratchVictims = d.scratchVictims[:0]
 	for gb := range d.banks {
 		b := &d.banks[gb]
-		if len(b.touched) == 0 {
-			continue
-		}
-		press := d.scratchPressure
-		cand := d.scratchRows[:0]
 		for _, row := range b.touched {
-			n := b.acts[row]
-			s.Activations += n
-			if row > 0 {
-				if press[row-1] == 0 {
-					cand = append(cand, row-1)
-				}
-				press[row-1] += n
+			s.Activations += uint64(b.acts[row])
+			// Each candidate victim is visited once: row+1 always, row-1
+			// only when row-2 is untouched (else row-2 visits it as +1).
+			if row > 0 && (row < 2 || b.acts[row-2] == 0) {
+				d.addVictim(gb, row-1)
 			}
 			if row+1 < d.cfg.Rows {
-				if press[row+1] == 0 {
-					cand = append(cand, row+1)
-				}
-				press[row+1] += n
+				d.addVictim(gb, row+1)
 			}
 		}
-		loc := d.cfg.locOfGlobalBank(gb)
-		for _, row := range cand {
-			p := press[row]
-			press[row] = 0 // restore the all-zero invariant for the next bank
-			if p < d.cfg.HammerThreshold {
-				continue
-			}
-			d.scratchVictims = append(d.scratchVictims, Victim{
-				Channel: loc.Channel, Rank: loc.Rank, Bank: loc.Bank,
-				Row: row, Pressure: p,
-			})
-		}
-		d.scratchRows = cand[:0]
 	}
 	slices.SortFunc(d.scratchVictims, victimOrder)
 	// Copy out of scratch: the caller owns Stats.Victims.
 	s.Victims = append([]Victim(nil), d.scratchVictims...)
 	return s
+}
+
+// addVictim records row v of global bank gb as a victim when its two
+// neighbours' summed counts reach the hammer threshold.
+func (d *DRAM) addVictim(gb int, v uint64) {
+	b := &d.banks[gb]
+	var p uint64
+	if v > 0 {
+		p = uint64(b.acts[v-1])
+	}
+	if v+1 < d.cfg.Rows {
+		p += uint64(b.acts[v+1])
+	}
+	if p < d.cfg.HammerThreshold {
+		return
+	}
+	loc := d.cfg.locOfGlobalBank(gb)
+	d.scratchVictims = append(d.scratchVictims, Victim{
+		Channel: loc.Channel, Rank: loc.Rank, Bank: loc.Bank,
+		Row: v, Pressure: p,
+	})
 }
 
 // victimOrder is the total order victim lists are reported in:

@@ -354,9 +354,9 @@ func TestHammerStatsVictimsDoNotAliasScratch(t *testing.T) {
 	}
 }
 
-// TestActivationsLazyResetAcrossWindows exercises the epoch tagging:
-// counts written in an old window must read as zero after rotation
-// without any explicit clearing.
+// TestActivationsLazyResetAcrossWindows exercises lazy rotation: counts
+// written in an old window must read as zero once the clock has crossed
+// the boundary, without any explicit reset call.
 func TestActivationsLazyResetAcrossWindows(t *testing.T) {
 	cfg := testConfig()
 	cfg.RefreshWindow = 100_000

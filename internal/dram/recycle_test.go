@@ -76,9 +76,10 @@ func TestDeviceResetDelegatesToDefaultPort(t *testing.T) {
 }
 
 // TestRecycleResetIsEpochLazy pins the O(banks + touched) cost model's
-// correctness half: Reset invalidates stale per-row ACT counts by
-// epoch bump, not by scrubbing, and those stale counts must read as
-// zero and restart from one on the next activation.
+// correctness half: Reset zeroes the touched rows' ACT counts, not the
+// whole row array, and those counts must read as zero and restart from
+// one on the next activation. (The name predates the single count
+// array, when Reset bumped a window epoch instead.)
 func TestRecycleResetIsEpochLazy(t *testing.T) {
 	d, _, _ := newTestDRAM(t, testConfig())
 	p := d.def
@@ -135,11 +136,12 @@ func TestRecycleResetNoAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkRecycleReset is the satellite-6 regression pin behind the
+// BenchmarkRecycleReset is the regression pin behind the
 // dram-recycle-reset bench scenario: on a 2^16-row module with ~64
-// touched rows, a recycle must stay O(banks + touched). An
-// implementation that scrubs the per-row acts/epoch arrays would be
-// three orders of magnitude slower here and trip the bench gate.
+// touched rows, a recycle must stay O(banks + touched), zeroing only
+// the touched rows' counts. An implementation that scrubs the whole
+// per-row count array would be three orders of magnitude slower here
+// and trip the bench gate.
 func BenchmarkRecycleReset(b *testing.B) {
 	cfg := Config{
 		Channels: 1, RanksPerChannel: 1, BanksPerRank: 8,

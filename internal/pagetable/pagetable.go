@@ -107,8 +107,8 @@ func FramesToMap(memBytes uint64) uint64 {
 // whose pools interleave (the multi-tenant mode stripes tenants'
 // pools across DRAM row indices, putting different tenants' tables in
 // physically adjacent rows of the same banks — the cross-tenant attack
-// surface); the single-core machine uses the contiguous pool New
-// builds, so its layout is unchanged.
+// surface); the single-core machine hands it one contiguous pool at
+// the top of memory.
 type Tables struct {
 	mem  *phys.Memory
 	pool []phys.Frame
@@ -116,29 +116,10 @@ type Tables struct {
 	root phys.Frame
 }
 
-// New creates an address space whose table frames come from the
-// contiguous region [base, base+frames). The root table is allocated
-// (and zeroed) immediately.
-func New(m *phys.Memory, base phys.Frame, frames uint64) (*Tables, error) {
-	if m == nil {
-		return nil, fmt.Errorf("pagetable: memory must be non-nil")
-	}
-	end := (uint64(base) + frames) * phys.FrameSize
-	if frames > 0 && (end > m.Size() || end < uint64(base)*phys.FrameSize) {
-		return nil, fmt.Errorf("pagetable: region [%#x, %#x) outside %d-byte memory",
-			base.Addr(), end, m.Size())
-	}
-	pool := make([]phys.Frame, frames)
-	for i := range pool {
-		pool[i] = base + phys.Frame(i)
-	}
-	return NewWithFrames(m, pool)
-}
-
 // NewWithFrames creates an address space whose table frames come from
 // the given pool, handed out in order. The pool need not be contiguous
-// or sorted; it must be non-empty (the root is allocated immediately)
-// and every frame must lie inside memory.
+// or sorted; it must be non-empty (the root is allocated, and zeroed,
+// immediately) and every frame must lie inside memory.
 func NewWithFrames(m *phys.Memory, pool []phys.Frame) (*Tables, error) {
 	if m == nil {
 		return nil, fmt.Errorf("pagetable: memory must be non-nil")
@@ -198,8 +179,8 @@ func (t *Tables) Allocated() int { return t.next }
 func (t *Tables) Frames() []phys.Frame { return t.pool[:t.next] }
 
 // Region returns the bounding box of the table-frame pool as
-// [base, base+frames). For the contiguous pool New builds this is
-// exactly the pool; for an interleaved pool it may cover frames that
+// [base, base+frames). For a contiguous pool this is exactly the
+// pool; for an interleaved pool it may cover frames that
 // belong to other address spaces, which is the conservative direction
 // for every current caller (they use it to keep attacker surfaces
 // away from table frames).

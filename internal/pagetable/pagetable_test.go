@@ -7,16 +7,31 @@ import (
 	"pthammer/internal/phys"
 )
 
+// contiguous returns the frame list [base, base+frames), the shape of
+// pool the single-core machine hands NewWithFrames.
+func contiguous(base phys.Frame, frames uint64) []phys.Frame {
+	pool := make([]phys.Frame, frames)
+	for i := range pool {
+		pool[i] = base + phys.Frame(i)
+	}
+	return pool
+}
+
+// topPool is the contiguous pool of the top frames of a size-byte
+// memory, the placement the machine facade uses.
+func topPool(size, frames uint64) []phys.Frame {
+	return contiguous(phys.Frame(size/phys.FrameSize-frames), frames)
+}
+
 // newTables builds a 16 MiB memory with a 64-frame table pool at the
-// top, the same placement the machine facade uses.
+// top.
 func newTables(t *testing.T) (*Tables, *phys.Memory) {
 	t.Helper()
 	const size = 16 << 20
 	m := phys.MustNew(size)
-	frames := uint64(64)
-	tb, err := New(m, phys.Frame(size/phys.FrameSize-frames), frames)
+	tb, err := NewWithFrames(m, topPool(size, 64))
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewWithFrames: %v", err)
 	}
 	return tb, m
 }
@@ -189,9 +204,9 @@ func TestAllocExhaustionPanics(t *testing.T) {
 	m := phys.MustNew(size)
 	// Room for root + PDPT + PD only: the first Map must blow up on the
 	// PT allocation.
-	tb, err := New(m, phys.Frame(size/phys.FrameSize-3), 3)
+	tb, err := NewWithFrames(m, topPool(size, 3))
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewWithFrames: %v", err)
 	}
 	defer func() {
 		if recover() == nil {
@@ -203,13 +218,13 @@ func TestAllocExhaustionPanics(t *testing.T) {
 
 func TestNewRejectsBadRegions(t *testing.T) {
 	m := phys.MustNew(1 << 20)
-	if _, err := New(nil, 0, 1); err == nil {
+	if _, err := NewWithFrames(nil, contiguous(0, 1)); err == nil {
 		t.Error("nil memory accepted")
 	}
-	if _, err := New(m, 0, 0); err == nil {
+	if _, err := NewWithFrames(m, contiguous(0, 0)); err == nil {
 		t.Error("empty region accepted")
 	}
-	if _, err := New(m, phys.Frame(250), 10); err == nil {
+	if _, err := NewWithFrames(m, contiguous(250, 10)); err == nil {
 		t.Error("region past end of memory accepted")
 	}
 }
@@ -220,7 +235,7 @@ func TestFramesAndRegion(t *testing.T) {
 	const size, frames = 1 << 22, 64
 	m := phys.MustNew(size)
 	base := phys.Frame(size/phys.FrameSize - frames)
-	tb, err := New(m, base, frames)
+	tb, err := NewWithFrames(m, contiguous(base, frames))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func TestResetRecyclesPool(t *testing.T) {
 	const size = 16 << 20
 	m := phys.MustNew(size)
-	tbl, err := New(m, phys.Frame(size/phys.FrameSize-64), 64)
+	tbl, err := NewWithFrames(m, topPool(size, 64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,15 @@ func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	const size = 16 << 20
 	pmem := phys.MustNew(size)
-	tables, err := pagetable.New(pmem, phys.Frame(size/phys.FrameSize-64), 64)
+	// A contiguous 64-frame table pool at the top of memory, where the
+	// machine facade puts it.
+	pool := make([]phys.Frame, 64)
+	for i := range pool {
+		pool[i] = phys.Frame(size/phys.FrameSize-64) + phys.Frame(i)
+	}
+	tables, err := pagetable.NewWithFrames(pmem, pool)
 	if err != nil {
-		t.Fatalf("pagetable.New: %v", err)
+		t.Fatalf("pagetable.NewWithFrames: %v", err)
 	}
 	clock := timing.MustNewClock(1_000_000_000)
 	ctrs := &perf.Counters{}
