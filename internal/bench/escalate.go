@@ -170,7 +170,7 @@ func jackpotIndex(ptOf map[phys.Frame]phys.Addr, frameBits int) []int {
 // on top of the pair scan. Only demand loads are issued.
 func NewEscalationPlanner(m *machine.Machine) (*EscalationPlanner, error) {
 	span := pagetable.Span(2)
-	geom := m.DRAM().Config()
+	geom := m.Config().DRAM
 	cands := touchRegions(m, escalationSeedRegions)
 	ptOf := leafPTs(m)
 	jackpots := jackpotIndex(ptOf, bits.Len64(m.Memory().Frames()-1))
@@ -280,7 +280,7 @@ func (plan *EscalationPlan) pickThrash(m *machine.Machine) error {
 		if !ok {
 			continue
 		}
-		if plan.Pair.near(m.DRAM().Config().Map(pte)) {
+		if plan.Pair.near(m.Config().DRAM.Map(pte)) {
 			continue // this region's own PTEs are themselves corruptible
 		}
 		plan.Thrash = regionPages(base, nil)

@@ -134,7 +134,7 @@ func TestEscalationEndToEnd(t *testing.T) {
 	// sandwiched between the aggressor PTE rows. (Hammer side-traffic
 	// pressures other rows too, but those are unwritten user frames —
 	// holes — which the flip model cannot corrupt.)
-	geom := m.DRAM().Config()
+	geom := m.Config().DRAM
 	for _, f := range m.Flips() {
 		loc := geom.Map(f.Addr)
 		if !loc.SameBank(plan.Pair.Loc1) || loc.Row != plan.Pair.VictimRow {

@@ -52,7 +52,7 @@ type regionCand struct {
 // finder scans.
 func touchRegions(m *machine.Machine, n int) []regionCand {
 	span := pagetable.Span(2) // one PT covers a 2 MiB region
-	geom := m.DRAM().Config()
+	geom := m.Config().DRAM
 	poolBase, _ := m.PageTables().Region()
 	cands := make([]regionCand, 0, n)
 	for k := 0; k < n && uint64(k)*span < uint64(poolBase.Addr()); k++ {

@@ -27,7 +27,7 @@ func hammerConfig() machine.Config {
 // agreement.
 func TestPrivilegedHammerReachesThreshold(t *testing.T) {
 	m := machine.MustNew(hammerConfig())
-	geom := m.DRAM().Config()
+	geom := m.Config().DRAM
 
 	pair, ok := FindImplicitAggressors(m, 256)
 	if !ok {

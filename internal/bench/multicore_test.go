@@ -37,6 +37,26 @@ func TestColocatedAmplify(t *testing.T) {
 	}
 }
 
+// TestColocatedAmplifySevenWindows pins both arms at seed 4 and 7
+// windows, a flag set no golden covers: pthammer-mt -scenario amplify
+// -windows 7. Every core samples pressure through core 0's port; a
+// duo arm that samples through each core's own port rotates windows on
+// core 1's clock as well and reads DuoFlips 18.
+func TestColocatedAmplifySevenWindows(t *testing.T) {
+	got, err := RunColocatedAmplify(4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ColocatedAmplifyResult{
+		SoloPressure: 100, DuoPressure: 198,
+		SoloFlips: 0, DuoFlips: 19,
+		SoloIters: 349, DuoIters: 693,
+	}
+	if got != want {
+		t.Fatalf("RunColocatedAmplify(4, 7) = %+v, want %+v", got, want)
+	}
+}
+
 // TestNoisyNeighbour: the bystander tenant's DRAM churn inflates the
 // attacker's iterations enough to push pressure below the threshold
 // the quiet arm crosses.

@@ -23,7 +23,7 @@ import (
 // touched its regions, and before Next sprays anything.
 func bruteForcePairs(m *machine.Machine) []pairCand {
 	span := pagetable.Span(2)
-	geom := m.DRAM().Config()
+	geom := m.Config().DRAM
 	poolBase, _ := m.PageTables().Region()
 	limit := poolBase.Addr()
 

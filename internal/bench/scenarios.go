@@ -94,7 +94,7 @@ func Scenarios() []Scenario {
 			SteadyState: true,
 			Run: func(b *testing.B) {
 				m := newMachine()
-				geom := m.DRAM().Config()
+				geom := m.Config().DRAM
 				a1 := geom.AddrOf(dram.Location{Row: 1})
 				a2 := geom.AddrOf(dram.Location{Row: 3})
 				b.ResetTimer()
@@ -346,8 +346,11 @@ func Scenarios() []Scenario {
 					Rows: 1 << 16, RowBytes: 8192,
 					HammerThreshold: 100,
 				}
-				clock := timing.MustNewClock(3_400_000_000)
-				d, err := dram.New(cfg, clock, &perf.Counters{}, timing.DefaultLatencies())
+				d, err := dram.New(cfg, timing.DefaultLatencies())
+				if err != nil {
+					b.Fatal(err)
+				}
+				p, err := d.NewPort(0, timing.MustNewClock(3_400_000_000), &perf.Counters{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -358,15 +361,15 @@ func Scenarios() []Scenario {
 				// Warm the per-bank touched-slice capacity so the
 				// measured loop is allocation-free.
 				for _, a := range addrs {
-					d.Lookup(a)
+					p.Lookup(a)
 				}
-				d.Reset()
+				p.Reset()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, a := range addrs {
-						d.Lookup(a)
+						p.Lookup(a)
 					}
-					d.Reset()
+					p.Reset()
 				}
 			},
 		},

@@ -146,23 +146,13 @@ type Hierarchy struct {
 	l1Hit, l2Hit, llcHit, flushCost timing.Cycles
 }
 
-// New builds a single-core hierarchy: a private SharedLLC with this
-// hierarchy as its only attached core. All three levels must share one
-// line size, and the LLC must be large enough to hold the private
-// levels (the inclusive property the eviction-set algorithms rely on).
-func New(l1, l2, llc Config, next mem.Device, clock *timing.Clock, counters *perf.Counters, lat timing.LatencyTable) (*Hierarchy, error) {
-	shared, err := NewShared(llc, lat)
-	if err != nil {
-		return nil, err
-	}
-	return NewCore(l1, l2, shared, 0, next, clock, counters, lat)
-}
-
 // NewCore builds core's hierarchy over an existing shared LLC and
-// attaches it. Cores must attach in index order (core == number
-// already attached), which the machine facade guarantees; the check
-// keeps a miswired machine from silently aliasing two cores' private
-// levels under one index.
+// attaches it. All three levels must share one line size, and the LLC
+// must be large enough to hold the private levels (the inclusive
+// property the eviction-set algorithms rely on). Cores must attach in
+// index order (core == number already attached), which the machine
+// facade guarantees; the check keeps a miswired machine from silently
+// aliasing two cores' private levels under one index.
 func NewCore(l1, l2 Config, shared *SharedLLC, core int, next mem.Device, clock *timing.Clock, counters *perf.Counters, lat timing.LatencyTable) (*Hierarchy, error) {
 	if shared == nil {
 		return nil, fmt.Errorf("cache: shared LLC must be non-nil")

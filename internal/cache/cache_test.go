@@ -38,9 +38,13 @@ func newTestHierarchy(t *testing.T) (*Hierarchy, *fakeDRAM, *timing.Clock, *perf
 	counters := &perf.Counters{}
 	d := &fakeDRAM{clock: clock, lat: 200}
 	l1, l2, llc := tinyConfigs()
-	h, err := New(l1, l2, llc, d, clock, counters, timing.DefaultLatencies())
+	shared, err := NewShared(llc, timing.DefaultLatencies())
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewShared: %v", err)
+	}
+	h, err := NewCore(l1, l2, shared, 0, d, clock, counters, timing.DefaultLatencies())
+	if err != nil {
+		t.Fatalf("NewCore: %v", err)
 	}
 	return h, d, clock, counters
 }
@@ -71,26 +75,11 @@ func TestNewRejectsMismatchedHierarchy(t *testing.T) {
 	counters := &perf.Counters{}
 	d := &fakeDRAM{clock: clock, lat: 200}
 	l1, l2, llc := tinyConfigs()
-
-	l2bad := l2
-	l2bad.LineBytes = 128
-	if _, err := New(l1, l2bad, llc, d, clock, counters, timing.DefaultLatencies()); err == nil {
-		t.Error("mismatched line sizes accepted")
-	}
-	llcSmall := Config{SizeBytes: 2 * 2 * 64, Ways: 2, LineBytes: 64}
-	if _, err := New(l1, l2, llcSmall, d, clock, counters, timing.DefaultLatencies()); err == nil {
-		t.Error("non-inclusive-capable LLC accepted")
-	}
-	if _, err := New(l1, l2, llc, nil, clock, counters, timing.DefaultLatencies()); err == nil {
-		t.Error("nil next device accepted")
-	}
-
-	// The shared-LLC and per-core constructors validate on their own.
 	lat := timing.DefaultLatencies()
 	badLat := lat
 	badLat.L1Hit = 0
 	wide := Config{SizeBytes: 32 * 64, Ways: 32, LineBytes: 64} // one set, past mem.MaxWays
-	if _, err := New(l1, l2, wide, d, clock, counters, lat); err == nil {
+	if _, err := NewShared(wide, lat); err == nil {
 		t.Error("LLC past mem.MaxWays accepted")
 	}
 	if _, err := NewShared(llc, badLat); err == nil {
@@ -99,6 +88,23 @@ func TestNewRejectsMismatchedHierarchy(t *testing.T) {
 	shared, err := NewShared(llc, lat)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// A rejected core never attaches, so every case below tries core 0.
+	l2bad := l2
+	l2bad.LineBytes = 128
+	if _, err := NewCore(l1, l2bad, shared, 0, d, clock, counters, lat); err == nil {
+		t.Error("mismatched line sizes accepted")
+	}
+	small, err := NewShared(Config{SizeBytes: 2 * 2 * 64, Ways: 2, LineBytes: 64}, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCore(l1, l2, small, 0, d, clock, counters, lat); err == nil {
+		t.Error("non-inclusive-capable LLC accepted")
+	}
+	if _, err := NewCore(l1, l2, shared, 0, nil, clock, counters, lat); err == nil {
+		t.Error("nil next device accepted")
 	}
 	if _, err := NewCore(l1, l2, nil, 0, d, clock, counters, lat); err == nil {
 		t.Error("nil shared LLC accepted")
@@ -237,6 +243,51 @@ func TestLRUWithinSet(t *testing.T) {
 		t.Fatal("LRU line survived in L1")
 	}
 	_ = d
+}
+
+// TestLLCArbitrationChargesSwitchingCore: an LLC access that follows
+// another core's pays LLCArbitration on the accessing core's own clock,
+// on the hit path and the miss path alike; the first LLC access and a
+// core's repeat access pay nothing.
+func TestLLCArbitrationChargesSwitchingCore(t *testing.T) {
+	lat := timing.DefaultLatencies()
+	l1, l2, llc := tinyConfigs()
+	shared, err := NewShared(llc, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cores [2]*Hierarchy
+	var clocks [2]*timing.Clock
+	for i := range cores {
+		clocks[i] = timing.MustNewClock(1_000_000_000)
+		d := &fakeDRAM{clock: clocks[i], lat: 200}
+		if cores[i], err = NewCore(l1, l2, shared, i, d, clocks[i], &perf.Counters{}, lat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := phys.Addr(0x1000), phys.Addr(0x2000)
+	steps := []struct {
+		core int
+		addr phys.Addr
+		want timing.Cycles
+	}{
+		{0, a, 200},                             // first LLC access: a miss, no arbitration
+		{1, b, 200 + lat.LLCArbitration},        // miss behind core 0
+		{1, a, lat.LLCHit},                      // core 0's line, core 1 again: plain LLC hit
+		{0, b, lat.LLCHit + lat.LLCArbitration}, // core 1's line, behind core 1
+	}
+	var spent [2]timing.Cycles
+	for i, st := range steps {
+		if got := cores[st.core].Lookup(mem.Access{Addr: st.addr}).Latency; got != st.want {
+			t.Fatalf("step %d (core %d, %#x): latency %d, want %d", i, st.core, uint64(st.addr), got, st.want)
+		}
+		spent[st.core] += st.want
+	}
+	for i, c := range clocks {
+		if c.Now() != spent[i] {
+			t.Fatalf("core %d clock = %d, want %d (its own accesses only)", i, c.Now(), spent[i])
+		}
+	}
 }
 
 // TestSharedAccessors: each per-core hierarchy knows its shared LLC

@@ -186,7 +186,7 @@ func streamPage(k int) phys.Addr {
 // adjacent own-row pair, which pressures no victim row at all.
 func probeGeometry(mm *machine.MultiMachine) (geometry, error) {
 	var g geometry
-	geom := mm.DRAM().Config()
+	geom := mm.Config().DRAM
 	locs := make([]dram.Location, attackerRegions)
 	for r := range locs {
 		pte, ok := mm.Core(0).PTEAddr(regionBase(r), 1)
@@ -245,7 +245,6 @@ const linesPerPage = int(phys.FrameSize / 64)
 // in quanta of attackerQuantum, sampling the sandwiched victim row's
 // live pressure after each quantum.
 func (u *unit) attackerStep(m *machine.Machine, budget timing.Cycles) func() bool {
-	d := m.DRAM()
 	start := m.Clock().Now()
 	i := 0
 	return func() bool {
@@ -260,7 +259,7 @@ func (u *unit) attackerStep(m *machine.Machine, budget timing.Cycles) func() boo
 		}
 		u.out.Iterations += attackerQuantum
 		if u.geo.sandwiched {
-			if p := d.Activations(u.geo.locA) + d.Activations(u.geo.locB); p > u.out.PeakPressure {
+			if p := m.Activations(u.geo.locA) + m.Activations(u.geo.locB); p > u.out.PeakPressure {
 				u.out.PeakPressure = p
 			}
 		}

@@ -6,14 +6,18 @@
 // the current refresh window — the quantity the rowhammer threshold is
 // defined over (paper §2, Blacksmith-style activation budgeting).
 //
-// Lookup is the terminal hop of every simulated load, so it is written
-// to cost a handful of array operations: the address decode is pure
-// shift/mask on power-of-two geometries, and activation counts live in
-// one dense 4-byte-per-row array per bank (no maps, no per-window
-// reallocation). A count is zero for every row off its bank's touched
-// list, so window turnover zeroes just the rows the ended window
-// touched, and victim pressure is read straight from the neighbours'
-// counts.
+// The banks are shared by every core, and each core reaches them only
+// through its own Port, which charges that core's clock and counters:
+// accesses, window discards, recycles and pressure reads all go through
+// a Port. Port.Lookup is the terminal hop of every simulated load, so
+// it is written to cost a handful of array operations: the address
+// decode is pure shift/mask on power-of-two geometries, and activation
+// counts live in one dense 4-byte-per-row array per bank (no maps, no
+// per-window reallocation). A count is zero for every row off its
+// bank's touched list, so window turnover and a recycle zero just the
+// rows the ended window touched — O(banks + touched rows), never
+// O(rows) — and victim pressure is read straight from the neighbours'
+// counts, O(touched rows).
 package dram
 
 import (
@@ -278,18 +282,12 @@ func (b *bank) endWindow() {
 	b.openRow = -1
 }
 
-// DRAM is the terminal memory device of the hierarchy: the cross-core
-// shared state (banks, activation bookkeeping, the refresh window).
-// Cores reach it through Port values — DRAM itself is a mem.Device
-// only by delegating to its default port (core 0), which keeps the
-// single-core wiring unchanged.
+// DRAM is the cross-core shared state of the terminal memory device:
+// banks, activation bookkeeping and the refresh window. It is not a
+// mem.Device itself; every core reaches it through its own Port.
 type DRAM struct {
 	cfg Config
 	dec decoder
-	// def is the default port (core 0): the device the single-core
-	// machine wires into the cache hierarchy, and the clock bookkeeping
-	// methods on DRAM itself charge into.
-	def *Port
 
 	rowHit      timing.Cycles
 	rowClosed   timing.Cycles
@@ -308,20 +306,18 @@ type DRAM struct {
 	scratchVictims []Victim
 }
 
-// New builds the DRAM device. Latencies come from the machine's
-// LatencyTable; the clock and counters are the machine-wide shared
-// instances every device charges into. Activation bookkeeping is
-// allocated up front (one 4-byte count per bank row) so the per-access
-// path never allocates.
-func New(cfg Config, clock *timing.Clock, counters *perf.Counters, lat timing.LatencyTable) (*DRAM, error) {
+// New builds the DRAM's shared state. Latencies come from the machine's
+// LatencyTable; clocks and counters belong to the cores, which attach
+// with NewPort. The first refresh window starts at cycle 0, the reading
+// of every fresh clock. Activation bookkeeping is allocated up front
+// (one 4-byte count per bank row) so the per-access path never
+// allocates.
+func New(cfg Config, lat timing.LatencyTable) (*DRAM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := lat.Validate(); err != nil {
 		return nil, err
-	}
-	if clock == nil || counters == nil {
-		return nil, fmt.Errorf("dram: clock and counters must be non-nil")
 	}
 	d := &DRAM{
 		cfg:         cfg,
@@ -331,7 +327,6 @@ func New(cfg Config, clock *timing.Clock, counters *perf.Counters, lat timing.La
 		rowConflict: lat.DRAMRowConflict,
 		bankArb:     lat.DRAMBankArbitration,
 		banks:       make([]bank, cfg.TotalBanks()),
-		windowStart: clock.Now(),
 	}
 	for i := range d.banks {
 		d.banks[i] = bank{
@@ -340,16 +335,15 @@ func New(cfg Config, clock *timing.Clock, counters *perf.Counters, lat timing.La
 			acts:     make([]uint32, cfg.Rows),
 		}
 	}
-	d.def = &Port{d: d, core: 0, clock: clock, counters: counters}
 	return d, nil
 }
 
-// Port is one core's view of the shared DRAM: it carries the core's
+// Port is one core's view of the shared DRAM, and the mem.Device that
+// core's cache hierarchy forwards misses to: it carries the core's
 // identity, clock and counters, so every latency the shared banks
 // produce — including bank arbitration against another core's request
 // stream — is charged to the core that issued the access, keeping the
-// clock/Result/PMC agreement per core. A single-core machine uses the
-// default port DRAM builds for itself.
+// clock/Result/PMC agreement per core.
 type Port struct {
 	d        *DRAM
 	core     int
@@ -357,10 +351,9 @@ type Port struct {
 	counters *perf.Counters
 }
 
-// NewPort attaches a core's front-end to the shared DRAM. The default
-// port is core 0; additional cores take distinct indices so the
-// per-bank arbitration bookkeeping can tell their request streams
-// apart.
+// NewPort attaches a core's front-end to the shared DRAM. Cores take
+// distinct indices so the per-bank arbitration bookkeeping can tell
+// their request streams apart.
 func (d *DRAM) NewPort(core int, clock *timing.Clock, counters *perf.Counters) (*Port, error) {
 	if clock == nil || counters == nil {
 		return nil, fmt.Errorf("dram: port clock and counters must be non-nil")
@@ -379,16 +372,6 @@ func (p *Port) Core() int { return p.core }
 
 // Config returns the geometry the device was built with.
 func (d *DRAM) Config() Config { return d.cfg }
-
-// Lookup services one memory access through the default (core 0)
-// port; the port's Lookup charges the full latency to that port's
-// clock before this method returns.
-//
-//pthammer:noalloc
-func (d *DRAM) Lookup(a mem.Access) mem.Result {
-	res := d.def.Lookup(a)
-	return res
-}
 
 // Lookup services one memory access at a bank. It charges the
 // row-buffer-outcome latency — plus the bank-arbitration cost when the
@@ -435,10 +418,10 @@ func (p *Port) Lookup(a mem.Access) mem.Result {
 // flip engine is the intended subscriber — victim reports arrive at
 // refresh time, which is when accumulated disturbance either flips
 // cells or is wiped by the refresh. The hook runs after the window has
-// rotated, so it may read the device (Activations, HammerStats) and
-// sees the fresh window; it fires only for windows with activity.
-// ResetWindow discards a window without firing it. A nil fn
-// unsubscribes.
+// rotated, so it may read the device through a port (Activations,
+// HammerStats) and sees the fresh window; it fires only for windows
+// with activity. Port.ResetWindow discards a window without firing it.
+// A nil fn unsubscribes.
 func (d *DRAM) SetWindowHook(fn func(Stats)) { d.hook = fn }
 
 // rotateWindow resets activation bookkeeping when the clock has crossed
@@ -498,14 +481,11 @@ func (d *DRAM) rotateWindow(now timing.Cycles, core int) {
 // ResetWindow discards the current refresh window: activation counts
 // and victim pressure drop to zero and every bank precharges, exactly
 // as if a refresh had just completed — but the window hook does not
-// fire, so no flips can result from the discarded activity. Callers
-// use it to scrub construction traffic (demand-allocation loads,
-// eviction-set build probes) out of the bookkeeping before a measured
-// hammer phase starts from a clean window.
-func (d *DRAM) ResetWindow() { d.def.ResetWindow() }
-
-// ResetWindow is DRAM.ResetWindow anchored at this port's clock: the
-// fresh window starts at the resetting core's current cycle reading.
+// fire, so no flips can result from the discarded activity. The fresh
+// window starts at this port's clock reading. Callers use it to scrub
+// construction traffic (demand-allocation loads, eviction-set build
+// probes) out of the bookkeeping before a measured hammer phase starts
+// from a clean window.
 //
 //pthammer:noalloc
 func (p *Port) ResetWindow() {
@@ -516,24 +496,21 @@ func (p *Port) ResetWindow() {
 	}
 }
 
-// Reset recycles the device for the next cohort (the Reset/Recycle
-// contract): everything ResetWindow discards, plus the cross-window
-// state a fresh device starts with — per-bank lastCore arbitration
-// bookkeeping back to -1, so the first access of the next cohort pays
-// no stale cross-core bank-arbitration charge. The window hook stays
-// subscribed (the flip model is recycled separately, not re-bound).
+// Reset recycles the shared device for the next cohort (the
+// Reset/Recycle contract): everything ResetWindow discards, plus the
+// cross-window state a fresh device starts with — per-bank lastCore
+// arbitration bookkeeping back to -1, so the first access of the next
+// cohort pays no stale cross-core bank-arbitration charge. The window
+// hook stays subscribed (the flip model is recycled separately, not
+// re-bound). The recycled device's first window starts at this port's
+// clock reading; a machine recycle rebases that clock to 0 first,
+// matching a fresh device's window start.
 //
 // Cost is O(banks + touched rows), never O(rows): exactly as on a
 // window rotation, only the touched rows' counts are zeroed, because
 // every other count already is. The dram-recycle-reset bench scenario
 // pins this — a recycle that walks the row arrays would regress it by
 // orders of magnitude on a large-geometry module.
-func (d *DRAM) Reset() { d.def.Reset() }
-
-// Reset is DRAM.Reset anchored at this port's clock: the recycled
-// device's first window starts at the resetting core's current cycle
-// reading (a machine recycle rebases that clock to 0 first, matching a
-// fresh device's construction-time anchor).
 //
 //pthammer:noalloc
 func (p *Port) Reset() {
@@ -547,11 +524,7 @@ func (p *Port) Reset() {
 
 // Activations returns how many times the given row of the given bank
 // location has been activated in the current refresh window, checking
-// for rotation against the default port's clock.
-func (d *DRAM) Activations(l Location) uint64 { return d.def.Activations(l) }
-
-// Activations is DRAM.Activations with rotation checked against this
-// port's clock.
+// for rotation against this port's clock.
 func (p *Port) Activations(l Location) uint64 {
 	d := p.d
 	d.rotateWindow(p.clock.Now(), p.core)
@@ -590,18 +563,16 @@ type Stats struct {
 	Victims []Victim
 }
 
-// HammerStats computes which rows are hammer-eligible right now. A row
-// v is eligible when activations(v-1) + activations(v+1) within the
-// current refresh window reach the configured threshold — double-sided
-// hammering contributes from both sides, single-sided from one.
+// HammerStats computes which rows are hammer-eligible right now, with
+// rotation checked against this port's clock; the returned Stats carry
+// this port's core index. A row v is eligible when activations(v-1) +
+// activations(v+1) within the current refresh window reach the
+// configured threshold — double-sided hammering contributes from both
+// sides, single-sided from one.
 //
 // The computation walks only the rows actually activated this window
 // and reads each candidate victim's pressure from its neighbours'
 // counts, so its cost is O(touched rows), independent of the geometry.
-func (d *DRAM) HammerStats() Stats { return d.def.HammerStats() }
-
-// HammerStats is DRAM.HammerStats with rotation checked against this
-// port's clock; the returned Stats carry this port's core index.
 func (p *Port) HammerStats() Stats {
 	d := p.d
 	d.rotateWindow(p.clock.Now(), p.core)
@@ -611,7 +582,7 @@ func (p *Port) HammerStats() Stats {
 }
 
 // stats computes the current window's Stats without checking for
-// rotation — the shared body of HammerStats and the end-of-window
+// rotation — the shared body of Port.HammerStats and the end-of-window
 // report rotateWindow hands the hook.
 func (d *DRAM) stats() Stats {
 	s := Stats{WindowStart: d.windowStart}

@@ -24,15 +24,21 @@ func testConfig() Config {
 	}
 }
 
-func newTestDRAM(t *testing.T, cfg Config) (*DRAM, *timing.Clock, *perf.Counters) {
+// newTestDRAM builds a DRAM on cfg and core 0's port onto it, over a
+// fresh 1 GHz clock and PMC bank.
+func newTestDRAM(t testing.TB, cfg Config) (*Port, *timing.Clock, *perf.Counters) {
 	t.Helper()
-	clock := timing.MustNewClock(1_000_000_000)
-	counters := &perf.Counters{}
-	d, err := New(cfg, clock, counters, timing.DefaultLatencies())
+	d, err := New(cfg, timing.DefaultLatencies())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return d, clock, counters
+	clock := timing.MustNewClock(1_000_000_000)
+	counters := &perf.Counters{}
+	p, err := d.NewPort(0, clock, counters)
+	if err != nil {
+		t.Fatalf("NewPort: %v", err)
+	}
+	return p, clock, counters
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -54,6 +60,21 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// TestNewRejectsBadInputs: New refuses a degenerate geometry and an
+// invalid latency table.
+func TestNewRejectsBadInputs(t *testing.T) {
+	bad := testConfig()
+	bad.Rows = 0
+	if _, err := New(bad, timing.DefaultLatencies()); err == nil {
+		t.Error("New accepted a zero-row geometry")
+	}
+	lat := timing.DefaultLatencies()
+	lat.DRAMRowHit = 0
+	if _, err := New(testConfig(), lat); err == nil {
+		t.Error("New accepted an invalid latency table")
 	}
 }
 
@@ -93,15 +114,15 @@ func TestMapPanicsBeyondCapacity(t *testing.T) {
 }
 
 func TestRowBufferOutcomes(t *testing.T) {
-	d, clock, counters := newTestDRAM(t, testConfig())
+	p, clock, counters := newTestDRAM(t, testConfig())
 	lat := timing.DefaultLatencies()
-	cfg := d.Config()
+	cfg := p.DRAM().Config()
 
 	row0 := cfg.AddrOf(Location{Row: 0})
 	row1 := cfg.AddrOf(Location{Row: 1}) // same bank, different row
 
 	// Cold bank: closed-row activation.
-	res := d.Lookup(mem.Access{Addr: row0, Kind: mem.KindLoad})
+	res := p.Lookup(mem.Access{Addr: row0, Kind: mem.KindLoad})
 	if res.Latency != lat.DRAMRowClosed || res.Hit || res.Source != mem.LevelDRAM {
 		t.Fatalf("cold access = %+v", res)
 	}
@@ -110,7 +131,7 @@ func TestRowBufferOutcomes(t *testing.T) {
 	}
 
 	// Same row again: row-buffer hit, no new activation.
-	res = d.Lookup(mem.Access{Addr: row0 + 64, Kind: mem.KindLoad})
+	res = p.Lookup(mem.Access{Addr: row0 + 64, Kind: mem.KindLoad})
 	if res.Latency != lat.DRAMRowHit || !res.Hit {
 		t.Fatalf("row hit access = %+v", res)
 	}
@@ -119,7 +140,7 @@ func TestRowBufferOutcomes(t *testing.T) {
 	}
 
 	// Different row in the same bank: conflict.
-	res = d.Lookup(mem.Access{Addr: row1, Kind: mem.KindLoad})
+	res = p.Lookup(mem.Access{Addr: row1, Kind: mem.KindLoad})
 	if res.Latency != lat.DRAMRowConflict || res.Hit {
 		t.Fatalf("conflict access = %+v", res)
 	}
@@ -136,7 +157,7 @@ func TestRowBufferOutcomes(t *testing.T) {
 
 func TestHammerStatsDoubleSided(t *testing.T) {
 	cfg := testConfig() // threshold 10
-	d, _, _ := newTestDRAM(t, cfg)
+	p, _, _ := newTestDRAM(t, cfg)
 
 	// Double-sided pair around victim row 6 in bank (0,0,0).
 	above := cfg.AddrOf(Location{Row: 5})
@@ -144,18 +165,18 @@ func TestHammerStatsDoubleSided(t *testing.T) {
 
 	// 4 alternations = 8 activations total: below threshold.
 	for i := 0; i < 4; i++ {
-		d.Lookup(mem.Access{Addr: above})
-		d.Lookup(mem.Access{Addr: below})
+		p.Lookup(mem.Access{Addr: above})
+		p.Lookup(mem.Access{Addr: below})
 	}
-	if s := d.HammerStats(); len(s.Victims) != 0 {
+	if s := p.HammerStats(); len(s.Victims) != 0 {
 		t.Fatalf("victims before threshold: %+v", s.Victims)
 	}
 
 	// One more alternation crosses the threshold for row 6
 	// (5 activations each side = 10 combined).
-	d.Lookup(mem.Access{Addr: above})
-	d.Lookup(mem.Access{Addr: below})
-	s := d.HammerStats()
+	p.Lookup(mem.Access{Addr: above})
+	p.Lookup(mem.Access{Addr: below})
+	s := p.HammerStats()
 	if s.Activations != 10 {
 		t.Fatalf("total activations = %d, want 10", s.Activations)
 	}
@@ -168,7 +189,7 @@ func TestHammerStatsDoubleSided(t *testing.T) {
 	}
 
 	// Per-row accounting is visible too.
-	if got := d.Activations(Location{Row: 5}); got != 5 {
+	if got := p.Activations(Location{Row: 5}); got != 5 {
 		t.Fatalf("row 5 activations = %d, want 5", got)
 	}
 }
@@ -176,14 +197,14 @@ func TestHammerStatsDoubleSided(t *testing.T) {
 func TestHammerStatsSingleSidedAndOrdering(t *testing.T) {
 	cfg := testConfig()
 	cfg.HammerThreshold = 3
-	d, _, _ := newTestDRAM(t, cfg)
+	p, _, _ := newTestDRAM(t, cfg)
 	other := cfg.AddrOf(Location{Row: 9}) // forces conflicts to re-activate row 2
 	aggr := cfg.AddrOf(Location{Row: 2})
 	for i := 0; i < 4; i++ {
-		d.Lookup(mem.Access{Addr: aggr})
-		d.Lookup(mem.Access{Addr: other})
+		p.Lookup(mem.Access{Addr: aggr})
+		p.Lookup(mem.Access{Addr: other})
 	}
-	s := d.HammerStats()
+	s := p.HammerStats()
 	// Row 2 hammered 4×, row 9 hammered 4×: victims 1,3 (pressure 4)
 	// and 8,10 (pressure 4). All ties broken by row number.
 	if len(s.Victims) != 4 {
@@ -198,7 +219,7 @@ func TestHammerStatsSingleSidedAndOrdering(t *testing.T) {
 	}
 	// Sorting happens in scratch; the one allocation is the Victims
 	// copy the caller owns.
-	if n := testing.AllocsPerRun(100, func() { d.HammerStats() }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { p.HammerStats() }); n != 1 {
 		t.Errorf("HammerStats with 4 victims allocates %v times, want 1 (the caller's Victims copy)", n)
 	}
 }
@@ -206,18 +227,18 @@ func TestHammerStatsSingleSidedAndOrdering(t *testing.T) {
 func TestHammerStatsTiedVictimsDeterministicOrder(t *testing.T) {
 	cfg := testConfig()
 	cfg.HammerThreshold = 4
-	d, _, _ := newTestDRAM(t, cfg)
+	p, _, _ := newTestDRAM(t, cfg)
 
 	// Identical double-sided pattern in two different channels: two
 	// victims with equal pressure and row must come back in a fixed
 	// location order every time.
 	for i := 0; i < 2; i++ {
 		for _, ch := range []int{1, 0} {
-			d.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Channel: ch, Row: 5})})
-			d.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Channel: ch, Row: 7})})
+			p.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Channel: ch, Row: 5})})
+			p.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Channel: ch, Row: 7})})
 		}
 	}
-	s := d.HammerStats()
+	s := p.HammerStats()
 	if len(s.Victims) != 2 {
 		t.Fatalf("victims = %+v, want 2", s.Victims)
 	}
@@ -231,21 +252,21 @@ func TestHammerStatsTiedVictimsDeterministicOrder(t *testing.T) {
 func TestRefreshWindowResets(t *testing.T) {
 	cfg := testConfig()
 	cfg.RefreshWindow = 10_000
-	d, clock, _ := newTestDRAM(t, cfg)
+	p, clock, _ := newTestDRAM(t, cfg)
 
 	aggr1 := cfg.AddrOf(Location{Row: 5})
 	aggr2 := cfg.AddrOf(Location{Row: 7})
 	for i := 0; i < 6; i++ {
-		d.Lookup(mem.Access{Addr: aggr1})
-		d.Lookup(mem.Access{Addr: aggr2})
+		p.Lookup(mem.Access{Addr: aggr1})
+		p.Lookup(mem.Access{Addr: aggr2})
 	}
-	if s := d.HammerStats(); len(s.Victims) == 0 {
+	if s := p.HammerStats(); len(s.Victims) == 0 {
 		t.Fatal("expected victims before refresh")
 	}
 
 	// Crossing the refresh boundary precharges banks and clears counts.
 	clock.Advance(20_000)
-	s := d.HammerStats()
+	s := p.HammerStats()
 	if len(s.Victims) != 0 || s.Activations != 0 {
 		t.Fatalf("stats after refresh = %+v", s)
 	}
@@ -255,7 +276,7 @@ func TestRefreshWindowResets(t *testing.T) {
 
 	// Banks were precharged: next access is a closed-row activation,
 	// not a row hit or conflict.
-	res := d.Lookup(mem.Access{Addr: aggr1})
+	res := p.Lookup(mem.Access{Addr: aggr1})
 	if res.Latency != timing.DefaultLatencies().DRAMRowClosed {
 		t.Fatalf("post-refresh access latency = %d", res.Latency)
 	}
@@ -323,18 +344,18 @@ func TestDecodeMatchesGenericAcrossGeometries(t *testing.T) {
 func TestHammerStatsVictimsDoNotAliasScratch(t *testing.T) {
 	cfg := testConfig()
 	cfg.HammerThreshold = 2
-	d, _, _ := newTestDRAM(t, cfg)
+	p, _, _ := newTestDRAM(t, cfg)
 
 	hammer := func(row uint64, times int) {
 		aggr := cfg.AddrOf(Location{Row: row})
 		other := cfg.AddrOf(Location{Row: row + 2})
 		for i := 0; i < times; i++ {
-			d.Lookup(mem.Access{Addr: aggr})
-			d.Lookup(mem.Access{Addr: other})
+			p.Lookup(mem.Access{Addr: aggr})
+			p.Lookup(mem.Access{Addr: other})
 		}
 	}
 	hammer(5, 3)
-	first := d.HammerStats()
+	first := p.HammerStats()
 	if len(first.Victims) == 0 {
 		t.Fatal("no victims after hammering")
 	}
@@ -343,7 +364,7 @@ func TestHammerStatsVictimsDoNotAliasScratch(t *testing.T) {
 	// More hammering at other rows changes the victim set; the first
 	// result must be unaffected.
 	hammer(12, 5)
-	second := d.HammerStats()
+	second := p.HammerStats()
 	if len(second.Victims) <= len(first.Victims) {
 		t.Fatalf("second call found %d victims, want more than %d", len(second.Victims), len(first.Victims))
 	}
@@ -360,24 +381,24 @@ func TestHammerStatsVictimsDoNotAliasScratch(t *testing.T) {
 func TestActivationsLazyResetAcrossWindows(t *testing.T) {
 	cfg := testConfig()
 	cfg.RefreshWindow = 100_000
-	d, clock, _ := newTestDRAM(t, cfg)
+	p, clock, _ := newTestDRAM(t, cfg)
 
 	aggr := cfg.AddrOf(Location{Row: 3})
 	conflict := cfg.AddrOf(Location{Row: 8})
 	for i := 0; i < 3; i++ {
-		d.Lookup(mem.Access{Addr: aggr})
-		d.Lookup(mem.Access{Addr: conflict})
+		p.Lookup(mem.Access{Addr: aggr})
+		p.Lookup(mem.Access{Addr: conflict})
 	}
-	if got := d.Activations(Location{Row: 3}); got != 3 {
+	if got := p.Activations(Location{Row: 3}); got != 3 {
 		t.Fatalf("activations = %d, want 3", got)
 	}
 	clock.Advance(200_000)
-	if got := d.Activations(Location{Row: 3}); got != 0 {
+	if got := p.Activations(Location{Row: 3}); got != 0 {
 		t.Fatalf("activations after rotation = %d, want 0", got)
 	}
 	// Re-activating in the new window starts counting from scratch.
-	d.Lookup(mem.Access{Addr: aggr})
-	if got := d.Activations(Location{Row: 3}); got != 1 {
+	p.Lookup(mem.Access{Addr: aggr})
+	if got := p.Activations(Location{Row: 3}); got != 1 {
 		t.Fatalf("activations in new window = %d, want 1", got)
 	}
 }
@@ -392,18 +413,14 @@ func BenchmarkLookupRowConflict(b *testing.B) {
 		RefreshWindow:   timing.Cycles(217_600_000),
 		HammerThreshold: 139_000,
 	}
-	clock := timing.MustNewClock(3_400_000_000)
-	d, err := New(cfg, clock, &perf.Counters{}, timing.DefaultLatencies())
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, _, _ := newTestDRAM(b, cfg)
 	a1 := cfg.AddrOf(Location{Row: 1})
 	a2 := cfg.AddrOf(Location{Row: 3})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Lookup(mem.Access{Addr: a1})
-		d.Lookup(mem.Access{Addr: a2})
+		p.Lookup(mem.Access{Addr: a1})
+		p.Lookup(mem.Access{Addr: a2})
 	}
 }
 
@@ -415,11 +432,7 @@ func BenchmarkHammerStats(b *testing.B) {
 		Rows: 8192, RowBytes: 8192,
 		HammerThreshold: 4,
 	}
-	clock := timing.MustNewClock(3_400_000_000)
-	d, err := New(cfg, clock, &perf.Counters{}, timing.DefaultLatencies())
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, _, _ := newTestDRAM(b, cfg)
 	// Alternate each aggressor with a far row in the same bank so every
 	// access is a conflict that re-activates, spreading 4 ACTs over each
 	// of 256 aggressor rows.
@@ -427,14 +440,14 @@ func BenchmarkHammerStats(b *testing.B) {
 		far := cfg.AddrOf(Location{Row: row + 4096})
 		aggr := cfg.AddrOf(Location{Row: row})
 		for i := 0; i < 4; i++ {
-			d.Lookup(mem.Access{Addr: aggr})
-			d.Lookup(mem.Access{Addr: far})
+			p.Lookup(mem.Access{Addr: aggr})
+			p.Lookup(mem.Access{Addr: far})
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := d.HammerStats()
+		s := p.HammerStats()
 		if len(s.Victims) == 0 {
 			b.Fatal("no victims")
 		}
@@ -482,13 +495,13 @@ func TestRowRangeCoversExactlyOneRow(t *testing.T) {
 func TestWindowHookReceivesEndedWindow(t *testing.T) {
 	cfg := testConfig()
 	cfg.RefreshWindow = 10_000
-	d, clock, _ := newTestDRAM(t, cfg)
+	p, clock, _ := newTestDRAM(t, cfg)
 
 	var reports []Stats
-	d.SetWindowHook(func(s Stats) {
+	p.DRAM().SetWindowHook(func(s Stats) {
 		// The hook may read the device: it must observe the fresh,
 		// already-rotated window, not the one being reported.
-		if live := d.HammerStats(); live.Activations != 0 {
+		if live := p.HammerStats(); live.Activations != 0 {
 			t.Errorf("hook saw %d live activations, want 0 (fresh window)", live.Activations)
 		}
 		reports = append(reports, s)
@@ -497,11 +510,11 @@ func TestWindowHookReceivesEndedWindow(t *testing.T) {
 	aggr1 := cfg.AddrOf(Location{Row: 5})
 	aggr2 := cfg.AddrOf(Location{Row: 7})
 	for i := 0; i < 6; i++ {
-		d.Lookup(mem.Access{Addr: aggr1})
-		d.Lookup(mem.Access{Addr: aggr2})
+		p.Lookup(mem.Access{Addr: aggr1})
+		p.Lookup(mem.Access{Addr: aggr2})
 	}
 	clock.Advance(20_000)
-	d.Lookup(mem.Access{Addr: aggr1}) // triggers the lazy rotation
+	p.Lookup(mem.Access{Addr: aggr1}) // triggers the lazy rotation
 	if len(reports) != 1 {
 		t.Fatalf("hook fired %d times, want 1", len(reports))
 	}
@@ -523,12 +536,12 @@ func TestWindowHookReceivesEndedWindow(t *testing.T) {
 	// window) reports once more for that access; a crossing with no
 	// activity at all stays silent.
 	clock.Advance(20_000)
-	d.Lookup(mem.Access{Addr: aggr1})
+	p.Lookup(mem.Access{Addr: aggr1})
 	if len(reports) != 2 {
 		t.Fatalf("hook fired %d times after second crossing, want 2", len(reports))
 	}
 	clock.Advance(20_000)
-	if s := d.HammerStats(); s.Activations != 0 {
+	if s := p.HammerStats(); s.Activations != 0 {
 		t.Fatalf("live activations = %d, want 0", s.Activations)
 	}
 	if len(reports) != 3 {
@@ -536,7 +549,7 @@ func TestWindowHookReceivesEndedWindow(t *testing.T) {
 		t.Fatalf("hook fired %d times, want 3", len(reports))
 	}
 	clock.Advance(20_000)
-	d.HammerStats() // rotation with a completely idle window: no report
+	p.HammerStats() // rotation with a completely idle window: no report
 	if len(reports) != 3 {
 		t.Fatalf("idle window fired the hook (%d reports)", len(reports))
 	}
@@ -548,32 +561,32 @@ func TestWindowHookReceivesEndedWindow(t *testing.T) {
 func TestResetWindowDiscardsWithoutFiring(t *testing.T) {
 	cfg := testConfig()
 	cfg.RefreshWindow = 1 << 40 // far away: only ResetWindow rotates
-	d, _, _ := newTestDRAM(t, cfg)
+	p, _, _ := newTestDRAM(t, cfg)
 	fired := 0
-	d.SetWindowHook(func(Stats) { fired++ })
+	p.DRAM().SetWindowHook(func(Stats) { fired++ })
 
 	aggr1 := cfg.AddrOf(Location{Row: 5})
 	aggr2 := cfg.AddrOf(Location{Row: 7})
 	for i := 0; i < 6; i++ {
-		d.Lookup(mem.Access{Addr: aggr1})
-		d.Lookup(mem.Access{Addr: aggr2})
+		p.Lookup(mem.Access{Addr: aggr1})
+		p.Lookup(mem.Access{Addr: aggr2})
 	}
-	if s := d.HammerStats(); len(s.Victims) == 0 {
+	if s := p.HammerStats(); len(s.Victims) == 0 {
 		t.Fatal("expected victims before reset")
 	}
-	d.ResetWindow()
+	p.ResetWindow()
 	if fired != 0 {
 		t.Fatalf("ResetWindow fired the hook %d times", fired)
 	}
-	s := d.HammerStats()
+	s := p.HammerStats()
 	if s.Activations != 0 || len(s.Victims) != 0 {
 		t.Fatalf("stats after reset = %+v, want empty", s)
 	}
-	if got := d.Activations(Location{Row: 5}); got != 0 {
+	if got := p.Activations(Location{Row: 5}); got != 0 {
 		t.Fatalf("row 5 activations after reset = %d, want 0", got)
 	}
 	// Banks precharged: the next access is a closed-row activation.
-	res := d.Lookup(mem.Access{Addr: aggr1})
+	res := p.Lookup(mem.Access{Addr: aggr1})
 	if res.Latency != timing.DefaultLatencies().DRAMRowClosed {
 		t.Fatalf("post-reset access latency = %d, want closed-row", res.Latency)
 	}
@@ -583,17 +596,17 @@ func TestResetWindowDiscardsWithoutFiring(t *testing.T) {
 // natural rotation ever happens, but an explicit reset still discards.
 func TestResetWindowWorksWithWindowingDisabled(t *testing.T) {
 	cfg := testConfig() // RefreshWindow 0
-	d, _, _ := newTestDRAM(t, cfg)
+	p, _, _ := newTestDRAM(t, cfg)
 	a := cfg.AddrOf(Location{Row: 2})
 	for i := 0; i < 4; i++ {
-		d.Lookup(mem.Access{Addr: a})
-		d.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Row: 4})})
+		p.Lookup(mem.Access{Addr: a})
+		p.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Row: 4})})
 	}
-	if d.Activations(Location{Row: 2}) == 0 {
+	if p.Activations(Location{Row: 2}) == 0 {
 		t.Fatal("no activations recorded")
 	}
-	d.ResetWindow()
-	if got := d.Activations(Location{Row: 2}); got != 0 {
+	p.ResetWindow()
+	if got := p.Activations(Location{Row: 2}); got != 0 {
 		t.Fatalf("activations after reset = %d, want 0", got)
 	}
 }
@@ -602,7 +615,8 @@ func TestResetWindowWorksWithWindowingDisabled(t *testing.T) {
 // its device and core index, and NewPort rejects nil wiring and
 // negative cores.
 func TestPortAccessors(t *testing.T) {
-	d, clock, counters := newTestDRAM(t, testConfig())
+	p0, clock, counters := newTestDRAM(t, testConfig())
+	d := p0.DRAM()
 	p, err := d.NewPort(2, clock, counters)
 	if err != nil {
 		t.Fatal(err)

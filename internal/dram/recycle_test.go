@@ -15,20 +15,15 @@ import (
 // the next cohort pays no stale cross-core bank-arbitration charge.
 func TestRecycleResetClearsArbitration(t *testing.T) {
 	lat := timing.DefaultLatencies()
-	build := func() (*DRAM, *Port, *Port) {
-		d, _, _ := newTestDRAM(t, testConfig())
-		c1 := timing.MustNewClock(1_000_000_000)
-		p1, err := d.NewPort(1, c1, &perf.Counters{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d, d.def, p1
+	p0, _, _ := newTestDRAM(t, testConfig())
+	p1, err := p0.DRAM().NewPort(1, timing.MustNewClock(1_000_000_000), &perf.Counters{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	addr := testConfig().AddrOf(Location{Row: 2})
 
 	// Reference: on a fresh device the very first access is a plain
 	// closed-row activation, no arbitration.
-	d, p0, p1 := build()
 	if got := p0.Lookup(mem.Access{Addr: addr}).Latency; got != lat.DRAMRowClosed {
 		t.Fatalf("fresh first access latency = %d, want %d", got, lat.DRAMRowClosed)
 	}
@@ -51,28 +46,6 @@ func TestRecycleResetClearsArbitration(t *testing.T) {
 	if got := p0.Lookup(mem.Access{Addr: addr}).Latency; got != lat.DRAMRowClosed {
 		t.Errorf("post-Reset first access latency = %d, want fresh-device %d", got, lat.DRAMRowClosed)
 	}
-	_ = d
-}
-
-// TestDeviceResetDelegatesToDefaultPort pins the device-level recycle
-// entry point: DRAM.Reset anchors the rewind at the default port's
-// clock, so single-core consumers recycling through the device handle
-// get the same fresh-device state as a port-level Reset.
-func TestDeviceResetDelegatesToDefaultPort(t *testing.T) {
-	lat := timing.DefaultLatencies()
-	d, _, _ := newTestDRAM(t, testConfig())
-	addr := testConfig().AddrOf(Location{Row: 2})
-
-	for i := 0; i < 3; i++ {
-		d.Lookup(mem.Access{Addr: addr})
-	}
-	d.Reset()
-	if got := d.Activations(Location{Row: 2}); got != 0 {
-		t.Errorf("activations after device Reset = %d, want 0", got)
-	}
-	if got := d.Lookup(mem.Access{Addr: addr}).Latency; got != lat.DRAMRowClosed {
-		t.Errorf("post device-Reset first access latency = %d, want fresh-device %d", got, lat.DRAMRowClosed)
-	}
 }
 
 // TestRecycleResetIsEpochLazy pins the O(banks + touched) cost model's
@@ -81,8 +54,7 @@ func TestDeviceResetDelegatesToDefaultPort(t *testing.T) {
 // one on the next activation. (The name predates the single count
 // array, when Reset bumped a window epoch instead.)
 func TestRecycleResetIsEpochLazy(t *testing.T) {
-	d, _, _ := newTestDRAM(t, testConfig())
-	p := d.def
+	p, _, _ := newTestDRAM(t, testConfig())
 	cfg := testConfig()
 	a := cfg.AddrOf(Location{Row: 4})
 	b := cfg.AddrOf(Location{Row: 6})
@@ -116,12 +88,7 @@ func TestRecycleResetNoAlloc(t *testing.T) {
 		Rows: 1 << 16, RowBytes: 8192,
 		HammerThreshold: 100,
 	}
-	clock := timing.MustNewClock(1_000_000_000)
-	d, err := New(cfg, clock, &perf.Counters{}, timing.DefaultLatencies())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := d.def
+	p, _, _ := newTestDRAM(t, cfg)
 	touch := func() {
 		for r := uint64(0); r < 64; r++ {
 			p.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Row: r * 11})})
@@ -148,12 +115,7 @@ func BenchmarkRecycleReset(b *testing.B) {
 		Rows: 1 << 16, RowBytes: 8192,
 		HammerThreshold: 100,
 	}
-	clock := timing.MustNewClock(1_000_000_000)
-	d, err := New(cfg, clock, &perf.Counters{}, timing.DefaultLatencies())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := d.def
+	p, _, _ := newTestDRAM(b, cfg)
 	addrs := make([]mem.Access, 64)
 	for r := range addrs {
 		addrs[r] = mem.Access{Addr: cfg.AddrOf(Location{Row: uint64(r) * 11})}

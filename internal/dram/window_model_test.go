@@ -211,19 +211,17 @@ type windowLockstep struct {
 
 func newWindowLockstep(cfg Config) (*windowLockstep, error) {
 	l := &windowLockstep{cfg: cfg, model: newWindowModel(cfg)}
-	for i := range l.clocks {
+	d, err := New(cfg, timing.DefaultLatencies())
+	if err != nil {
+		return nil, err
+	}
+	for i := range l.ports {
 		l.clocks[i] = timing.MustNewClock(1_000_000_000)
 		l.counters[i] = &perf.Counters{}
+		if l.ports[i], err = d.NewPort(i, l.clocks[i], l.counters[i]); err != nil {
+			return nil, err
+		}
 	}
-	d, err := New(cfg, l.clocks[0], l.counters[0], timing.DefaultLatencies())
-	if err != nil {
-		return nil, err
-	}
-	p1, err := d.NewPort(1, l.clocks[1], l.counters[1])
-	if err != nil {
-		return nil, err
-	}
-	l.ports = [2]*Port{d.def, p1}
 	d.SetWindowHook(func(s Stats) { l.got = append(l.got, s) })
 	return l, nil
 }
@@ -411,17 +409,17 @@ func TestWindowBookkeepingMatchesModel(t *testing.T) {
 // wrapping to zero, and a saturated row stays on touched exactly once.
 func TestActivationCountSaturates(t *testing.T) {
 	cfg := testConfig()
-	d, _, _ := newTestDRAM(t, cfg)
+	p, _, _ := newTestDRAM(t, cfg)
 	row := Location{Row: 5}
 	other := cfg.AddrOf(Location{Row: 9})
-	d.Lookup(mem.Access{Addr: cfg.AddrOf(row)})
-	b := &d.banks[cfg.globalBank(row)]
+	p.Lookup(mem.Access{Addr: cfg.AddrOf(row)})
+	b := &p.DRAM().banks[cfg.globalBank(row)]
 	b.acts[row.Row] = math.MaxUint32 - 2
 	for i := 0; i < 3; i++ {
-		d.Lookup(mem.Access{Addr: other})
-		d.Lookup(mem.Access{Addr: cfg.AddrOf(row)})
+		p.Lookup(mem.Access{Addr: other})
+		p.Lookup(mem.Access{Addr: cfg.AddrOf(row)})
 	}
-	if got := d.Activations(row); got != math.MaxUint32 {
+	if got := p.Activations(row); got != math.MaxUint32 {
 		t.Fatalf("Activations = %d, want %d", got, uint64(math.MaxUint32))
 	}
 	n := 0
@@ -433,36 +431,42 @@ func TestActivationCountSaturates(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("row %d is on touched %d times, want 1 (touched %v)", row.Row, n, b.touched)
 	}
-	s := d.HammerStats()
+	s := p.HammerStats()
 	if s.Activations != math.MaxUint32+3 || len(s.Victims) == 0 || s.Victims[0].Row != 4 || s.Victims[0].Pressure != math.MaxUint32 {
 		t.Fatalf("HammerStats = %+v, want %d ACTs and row 4 at %d first", s, uint64(math.MaxUint32)+3, uint64(math.MaxUint32))
 	}
-	d.ResetWindow()
-	if got := d.Activations(row); got != 0 || len(b.touched) != 0 {
+	p.ResetWindow()
+	if got := p.Activations(row); got != 0 || len(b.touched) != 0 {
 		t.Fatalf("after ResetWindow: Activations = %d, touched %v", got, b.touched)
 	}
 }
 
 // TestNewFootprint pins the bookkeeping's size: on the SandyBridge
 // geometry New allocates one 4-byte count per bank row and at most
-// 4 KiB beside them.
+// 4 KiB beside them. TotalAlloc is process-wide, so a delta also holds
+// whatever the runtime itself allocated meanwhile (under load, a few
+// runtime objects of 0.4–2 KiB), which can only add bytes; New
+// allocates the same bytes on every call, so the smallest delta of
+// five calls is New's own.
 func TestNewFootprint(t *testing.T) {
 	cfg := sandyBridgeShape
-	clock := timing.MustNewClock(3_400_000_000)
-	counters := &perf.Counters{}
 	lat := timing.DefaultLatencies()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	d, err := New(cfg, clock, counters, lat)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
 	limit := uint64(cfg.TotalBanks())*cfg.Rows*4 + 4<<10
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
-		t.Errorf("New allocated %d bytes, want at most %d", grew, limit)
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := New(cfg, lat)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		runtime.KeepAlive(d)
 	}
-	runtime.KeepAlive(d)
+	if least > limit {
+		t.Errorf("New allocated %d bytes, want at most %d", least, limit)
+	}
 }
 
 // FuzzDRAMWindow decodes a small geometry and a two-port op stream and

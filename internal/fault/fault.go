@@ -62,82 +62,68 @@ func Classes() []Class {
 	return []Class{EvictionDecay, ThresholdDrift, TRRSuppress, FlipMisland, PairInvalidate}
 }
 
-// Config fixes one fault class and its knobs. The zero value of every
-// knob selects the class's default; only Class and Seed are required.
+// The classes' fixed knobs, tuned so every class is observable on the
+// escalation demo machine without being a foregone conclusion.
+const (
+	// eviction-decay: during a burst, each Prime-stream member is
+	// dropped with probability dropRate and the walk order rotates by a
+	// random offset. Bursts of burstPrimes Prime calls alternate with
+	// quiet stretches of quietPrimes, starting quiet (so initial
+	// eviction-set construction measures an honest machine and the
+	// decay hits the sets it built).
+	dropRate    = 0.3
+	burstPrimes = 2500
+	quietPrimes = 4000
+
+	// threshold-drift: each timed probe is inflated by a uniform spike
+	// in [1, driftMax] cycles with probability driftProb. Spikes only
+	// add latency, mirroring real contention.
+	driftProb = 0.25
+	driftMax  = 400
+
+	// flip-misland: a redirected attempt lands mislandRows rows away.
+	mislandRows = 8
+
+	// pair-invalidate: the first victim row the flip engine reports is
+	// the armed pair; once triggerWindows end-of-window reports have
+	// passed since arming, every attempt against that row is suppressed.
+	triggerWindows = 8
+)
+
+// Config fixes one fault class, its seed and the two rates the
+// robustness matrix varies. Only Class and Seed are required; a zero
+// rate selects the class default.
 type Config struct {
 	Class Class
 	// Seed drives the model's private random stream; the injected fault
 	// sequence is a pure function of (Config, access sequence).
 	Seed int64
 
-	// eviction-decay: during a burst, each Prime-stream member is
-	// dropped with probability DropRate and the walk order rotates by a
-	// random offset. Bursts alternate with quiet stretches, counted in
-	// Prime calls, starting quiet (so initial eviction-set construction
-	// measures an honest machine and the decay hits the sets it built).
-	DropRate    float64
-	BurstPrimes uint64
-	QuietPrimes uint64
-
-	// threshold-drift: each timed probe is inflated by a uniform spike
-	// in [1, DriftMax] cycles with probability DriftProb. Spikes only
-	// add latency, mirroring real contention.
-	DriftProb float64
-	DriftMax  timing.Cycles
-
 	// trr-suppress: each disturbance attempt is intercepted with
 	// probability SuppressRate; 1.0 is a perfect in-DRAM mitigation.
 	SuppressRate float64
 
 	// flip-misland: each disturbance attempt is redirected with
-	// probability MislandRate onto the row MislandRows away (same bank,
+	// probability MislandRate onto the row mislandRows away (same bank,
 	// same column) — attacker-owned frames outside the sprayed PTE
 	// surface; 1.0 means no flip ever lands where it is exploitable.
 	MislandRate float64
-	MislandRows uint64
-
-	// pair-invalidate: the first victim row the flip engine reports is
-	// the armed pair; once TriggerWindows end-of-window reports have
-	// passed since arming, every attempt against that row is suppressed.
-	TriggerWindows uint64
 }
 
-// WithDefaults returns the config with zero-valued knobs replaced by
-// the class defaults (tuned so every class is observable on the
-// escalation demo machine without being a foregone conclusion).
+// WithDefaults returns the config with each zero rate replaced by the
+// class default, 0.5.
 func (c Config) WithDefaults() Config {
-	if c.DropRate == 0 {
-		c.DropRate = 0.3
-	}
-	if c.BurstPrimes == 0 {
-		c.BurstPrimes = 2500
-	}
-	if c.QuietPrimes == 0 {
-		c.QuietPrimes = 4000
-	}
-	if c.DriftProb == 0 {
-		c.DriftProb = 0.25
-	}
-	if c.DriftMax == 0 {
-		c.DriftMax = 400
-	}
 	if c.SuppressRate == 0 {
 		c.SuppressRate = 0.5
 	}
 	if c.MislandRate == 0 {
 		c.MislandRate = 0.5
 	}
-	if c.MislandRows == 0 {
-		c.MislandRows = 8
-	}
-	if c.TriggerWindows == 0 {
-		c.TriggerWindows = 8
-	}
 	return c
 }
 
 // Validate reports an error for an unknown class or an out-of-range
-// knob (after defaults are applied).
+// rate (after defaults are applied).
 func (c Config) Validate() error {
 	switch c.Class {
 	case EvictionDecay, ThresholdDrift, TRRSuppress, FlipMisland, PairInvalidate:
@@ -148,8 +134,6 @@ func (c Config) Validate() error {
 		name string
 		v    float64
 	}{
-		{"drop rate", c.DropRate},
-		{"drift probability", c.DriftProb},
 		{"suppress rate", c.SuppressRate},
 		{"misland rate", c.MislandRate},
 	}
@@ -289,8 +273,7 @@ func (m *Model) PrimeStart(n int) int {
 	if m.cfg.Class != EvictionDecay || n == 0 {
 		return 0
 	}
-	period := m.cfg.QuietPrimes + m.cfg.BurstPrimes
-	m.inBurst = m.primes%period >= m.cfg.QuietPrimes
+	m.inBurst = m.primes%(quietPrimes+burstPrimes) >= quietPrimes
 	m.primes++
 	if !m.inBurst {
 		return 0
@@ -307,7 +290,7 @@ func (m *Model) DropMember() bool {
 	if m.cfg.Class != EvictionDecay || !m.inBurst {
 		return false
 	}
-	if m.rng.Float64() >= m.cfg.DropRate {
+	if m.rng.Float64() >= dropRate {
 		return false
 	}
 	m.stats.MembersDropped++
@@ -324,11 +307,11 @@ func (m *Model) ProbeJitter() timing.Cycles {
 	if m.cfg.Class != ThresholdDrift {
 		return 0
 	}
-	if m.rng.Float64() >= m.cfg.DriftProb {
+	if m.rng.Float64() >= driftProb {
 		return 0
 	}
 	m.stats.ProbesPerturbed++
-	return 1 + timing.Cycles(m.rng.Int63n(int64(m.cfg.DriftMax)))
+	return 1 + timing.Cycles(m.rng.Int63n(driftMax))
 }
 
 // OnWindow is the flip engine's window tick (flip.Injector): it drives
@@ -337,7 +320,7 @@ func (m *Model) OnWindow(window uint64) {
 	m.currentWindow = window
 	if m.cfg.Class == PairInvalidate && m.armed &&
 		m.stats.PairsInvalidated == 0 &&
-		window >= m.armedAtWindow+m.cfg.TriggerWindows {
+		window >= m.armedAtWindow+triggerWindows {
 		m.stats.PairsInvalidated = 1
 	}
 }
@@ -370,7 +353,7 @@ func (m *Model) SuppressAttempt(v dram.Victim) bool {
 // ObserveFlip is the flip engine's post-flip hook (flip.Injector):
 // pair invalidation arms on the first recorded disturbance error — the
 // simulated OS's ECC patrol spotting a corrupted page table — and,
-// TriggerWindows windows later, has migrated the table away: every
+// triggerWindows windows later, has migrated the table away: every
 // further attempt against that row is suppressed. Flips the patrol
 // never sees (suppressed or vanished attempts) never arm it.
 func (m *Model) ObserveFlip(v dram.Victim) {
@@ -385,7 +368,7 @@ func (m *Model) ObserveFlip(v dram.Victim) {
 
 // RedirectFlip is the flip engine's cell-address hook (flip.Injector):
 // under flip-misland it relocates the candidate cell onto the row
-// MislandRows away in the same bank (same column), reflecting off the
+// mislandRows away in the same bank (same column), reflecting off the
 // top of the bank when the offset runs out of rows. ok is false when
 // the attempt stays where the disturbance put it.
 func (m *Model) RedirectFlip(addr phys.Addr, bit uint) (phys.Addr, uint, bool) {
@@ -396,10 +379,10 @@ func (m *Model) RedirectFlip(addr phys.Addr, bit uint) (phys.Addr, uint, bool) {
 		return addr, bit, false
 	}
 	loc := m.geom.Map(addr)
-	if loc.Row+m.cfg.MislandRows < m.geom.Rows {
-		loc.Row += m.cfg.MislandRows
+	if loc.Row+mislandRows < m.geom.Rows {
+		loc.Row += mislandRows
 	} else {
-		loc.Row -= m.cfg.MislandRows
+		loc.Row -= mislandRows
 	}
 	m.stats.FlipsRedirected++
 	return m.geom.AddrOf(loc), bit, true

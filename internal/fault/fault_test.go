@@ -28,10 +28,8 @@ func TestConfigValidation(t *testing.T) {
 		{"unknown class", Config{Class: "cosmic-ray"}, false},
 		{"zero class", Config{}, false},
 		{"defaults valid", Config{Class: EvictionDecay}, true},
-		{"drop rate above one", Config{Class: EvictionDecay, DropRate: 1.5}, false},
 		{"suppress rate negative", Config{Class: TRRSuppress, SuppressRate: -0.1}, false},
 		{"misland rate one is valid", Config{Class: FlipMisland, MislandRate: 1}, true},
-		{"drift prob above one", Config{Class: ThresholdDrift, DriftProb: 2}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,20 +46,24 @@ func TestConfigValidation(t *testing.T) {
 
 func TestWithDefaultsFillsEveryKnob(t *testing.T) {
 	c := Config{Class: EvictionDecay, Seed: 7}.WithDefaults()
-	if c.DropRate == 0 || c.BurstPrimes == 0 || c.QuietPrimes == 0 ||
-		c.DriftProb == 0 || c.DriftMax == 0 || c.SuppressRate == 0 ||
-		c.MislandRate == 0 || c.MislandRows == 0 || c.TriggerWindows == 0 {
+	if c.SuppressRate == 0 || c.MislandRate == 0 {
 		t.Fatalf("WithDefaults left a zero knob: %+v", c)
 	}
 	if c.Class != EvictionDecay || c.Seed != 7 {
 		t.Fatalf("WithDefaults changed identity fields: %+v", c)
 	}
+	if got := MustNewModel(Config{Class: EvictionDecay, Seed: 7}).Config(); got != c {
+		t.Fatalf("Model.Config() = %+v, want the config with defaults applied %+v", got, c)
+	}
 }
 
 func TestBindIsOneShot(t *testing.T) {
 	m := MustNewModel(Config{Class: FlipMisland, Seed: 1})
+	if err := m.Bind(dram.Config{}); err == nil {
+		t.Fatal("Bind accepted a degenerate geometry")
+	}
 	if err := m.Bind(testGeom()); err != nil {
-		t.Fatalf("first Bind: %v", err)
+		t.Fatalf("first Bind after a rejected one: %v", err)
 	}
 	if err := m.Bind(testGeom()); err == nil {
 		t.Fatal("second Bind succeeded, want error")
@@ -70,8 +72,7 @@ func TestBindIsOneShot(t *testing.T) {
 
 func TestEvictionDecayStartsQuiet(t *testing.T) {
 	m := MustNewModel(Config{Class: EvictionDecay, Seed: 1})
-	quiet := m.Config().QuietPrimes
-	for i := uint64(0); i < quiet; i++ {
+	for i := 0; i < quietPrimes; i++ {
 		if off := m.PrimeStart(20); off != 0 {
 			t.Fatalf("prime %d: rotation %d during quiet head, want 0", i, off)
 		}
@@ -86,21 +87,21 @@ func TestEvictionDecayStartsQuiet(t *testing.T) {
 	}
 	// The first burst prime must start faulting.
 	dropped := false
-	for i := uint64(0); i < m.Config().BurstPrimes; i++ {
+	for i := 0; i < burstPrimes; i++ {
 		m.PrimeStart(20)
 		for j := 0; j < 20; j++ {
 			dropped = m.DropMember() || dropped
 		}
 	}
 	s := m.Stats()
-	if !dropped || s.MembersDropped == 0 || s.PrimesFaulted != m.Config().BurstPrimes {
+	if !dropped || s.MembersDropped == 0 || s.PrimesFaulted != burstPrimes {
 		t.Fatalf("burst did not fault: dropped=%v stats=%+v", dropped, s)
 	}
-	// Burst drop rate should track DropRate within a loose band.
-	total := float64(m.Config().BurstPrimes * 20)
+	// Burst drop rate should track dropRate within a loose band.
+	total := float64(burstPrimes * 20)
 	rate := float64(s.MembersDropped) / total
 	if rate < 0.2 || rate > 0.4 {
-		t.Fatalf("burst drop rate %.3f far from configured %.3f", rate, m.Config().DropRate)
+		t.Fatalf("burst drop rate %.3f far from configured %.3f", rate, dropRate)
 	}
 }
 
@@ -129,14 +130,14 @@ func TestThresholdDriftSpikesUpwardOnly(t *testing.T) {
 		j := m.ProbeJitter()
 		if j > 0 {
 			spikes++
-			if j > m.Config().DriftMax {
-				t.Fatalf("spike %d exceeds DriftMax %d", j, m.Config().DriftMax)
+			if j > driftMax {
+				t.Fatalf("spike %d exceeds driftMax %d", j, driftMax)
 			}
 		}
 	}
 	rate := float64(spikes) / 10_000
 	if rate < 0.15 || rate > 0.35 {
-		t.Fatalf("spike rate %.3f far from configured %.3f", rate, m.Config().DriftProb)
+		t.Fatalf("spike rate %.3f far from configured %.3f", rate, driftProb)
 	}
 	if got := m.Stats().ProbesPerturbed; got != uint64(spikes) {
 		t.Fatalf("ProbesPerturbed = %d, want %d", got, spikes)
@@ -171,7 +172,7 @@ func TestTRRSuppressAllIsTotal(t *testing.T) {
 }
 
 func TestPairInvalidateArmsOnFirstFlipThenKillsThatRowOnly(t *testing.T) {
-	m := MustNewModel(Config{Class: PairInvalidate, Seed: 9, TriggerWindows: 3})
+	m := MustNewModel(Config{Class: PairInvalidate, Seed: 9})
 	flipped := dram.Victim{Channel: 0, Rank: 0, Bank: 2, Row: 500, Pressure: 96}
 	other := dram.Victim{Channel: 0, Rank: 0, Bank: 2, Row: 900, Pressure: 70}
 
@@ -182,7 +183,7 @@ func TestPairInvalidateArmsOnFirstFlipThenKillsThatRowOnly(t *testing.T) {
 	}
 	// The first recorded flip arms its row at window 1.
 	m.ObserveFlip(flipped)
-	for w := uint64(2); w <= 3; w++ {
+	for w := uint64(2); w < 1+triggerWindows; w++ {
 		m.OnWindow(w)
 		if m.SuppressAttempt(flipped) || m.SuppressAttempt(other) {
 			t.Fatalf("window %d: suppressed before trigger", w)
@@ -191,9 +192,9 @@ func TestPairInvalidateArmsOnFirstFlipThenKillsThatRowOnly(t *testing.T) {
 	if m.Stats().PairsInvalidated != 0 {
 		t.Fatal("pair invalidated before trigger window count elapsed")
 	}
-	// Window 4 = armedAt(1) + TriggerWindows(3): the flipped row dies,
-	// every other row keeps flipping.
-	m.OnWindow(4)
+	// Window armedAt(1) + triggerWindows: the flipped row dies, every
+	// other row keeps flipping.
+	m.OnWindow(1 + triggerWindows)
 	if m.Stats().PairsInvalidated != 1 {
 		t.Fatal("pair not invalidated after trigger window count")
 	}
@@ -236,8 +237,8 @@ func TestRedirectFlipMovesRowsNotBanks(t *testing.T) {
 		if to.Channel != from.Channel || to.Rank != from.Rank || to.Bank != from.Bank {
 			t.Fatalf("redirect crossed banks: %+v -> %+v", from, to)
 		}
-		if to.Row != from.Row+m.Config().MislandRows {
-			t.Fatalf("redirect row %d, want %d", to.Row, from.Row+m.Config().MislandRows)
+		if to.Row != from.Row+mislandRows {
+			t.Fatalf("redirect row %d, want %d", to.Row, from.Row+mislandRows)
 		}
 	}
 	if got := m.Stats().FlipsRedirected; got != 100 {
@@ -257,8 +258,8 @@ func TestRedirectFlipReflectsAtBankTop(t *testing.T) {
 	if !ok {
 		t.Fatal("MislandRate 1.0 did not redirect")
 	}
-	if to := geom.Map(got); to.Row != topRow-m.Config().MislandRows {
-		t.Fatalf("top-of-bank redirect row %d, want %d", to.Row, topRow-m.Config().MislandRows)
+	if to := geom.Map(got); to.Row != topRow-mislandRows {
+		t.Fatalf("top-of-bank redirect row %d, want %d", to.Row, topRow-mislandRows)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // row, the trigger window, the fired latch and the window counter are
 // all gone.
 func TestResetDisarmsLeakedFault(t *testing.T) {
-	m := MustNewModel(Config{Class: PairInvalidate, Seed: 9, TriggerWindows: 2})
+	m := MustNewModel(Config{Class: PairInvalidate, Seed: 9})
 	if err := m.Bind(testGeom()); err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestResetDisarmsLeakedFault(t *testing.T) {
 	// Cohort 1: arm on the first flip, reach the trigger, fire.
 	m.OnWindow(1)
 	m.ObserveFlip(flipped)
-	m.OnWindow(3)
+	m.OnWindow(1 + triggerWindows)
 	if m.Stats().PairsInvalidated != 1 || !m.SuppressAttempt(flipped) {
 		t.Fatalf("cohort 1 setup failed to fire the armed fault: %+v", m.Stats())
 	}
@@ -34,7 +34,8 @@ func TestResetDisarmsLeakedFault(t *testing.T) {
 	if got := m.Stats(); got != (Stats{}) {
 		t.Fatalf("stats survived Reset: %+v", got)
 	}
-	for w := uint64(1); w <= 10; w++ {
+	last := uint64(2 * triggerWindows)
+	for w := uint64(1); w <= last; w++ {
 		m.OnWindow(w)
 		if m.SuppressAttempt(flipped) {
 			t.Fatalf("window %d: leaked armed fault suppressed the next cohort's attempt", w)
@@ -47,7 +48,7 @@ func TestResetDisarmsLeakedFault(t *testing.T) {
 	// The recycled model must still work from scratch: a fresh flip in
 	// the new cohort arms and fires as on a fresh model.
 	m.ObserveFlip(flipped)
-	m.OnWindow(12)
+	m.OnWindow(last + triggerWindows)
 	if m.Stats().PairsInvalidated != 1 {
 		t.Fatal("recycled model no longer arms on a fresh flip")
 	}

@@ -120,7 +120,6 @@ type Machine struct {
 	walker *ptwalk.Walker
 	tables *pagetable.Tables
 	caches *cache.Hierarchy
-	dram   *dram.DRAM
 	dport  *dram.Port
 
 	// noisy caches NoiseProb != 0 so the quiet (deterministic) hot path
@@ -180,10 +179,10 @@ func New(cfg Config) (*Machine, error) {
 
 // wire builds a machine from a validated config and one page-table
 // frame pool per tenant — the only difference between New and
-// NewMulti: physical memory and every tenant's tables, a clock and
-// PMC bank per core, the DRAM and shared LLC, one front-end per core
-// attached to its tenant's tables, and last the flip/fault model
-// bindings. A nil cfg.Tenants puts every core in tenant 0.
+// NewMulti: physical memory and every tenant's tables, the DRAM and
+// shared LLC, one front-end per core attached to its tenant's tables,
+// and last the flip/fault model bindings. A nil cfg.Tenants puts every
+// core in tenant 0.
 func wire(cfg MultiConfig, pools [][]phys.Frame) (*MultiMachine, error) {
 	pmem, err := phys.New(cfg.MemBytes)
 	if err != nil {
@@ -195,18 +194,7 @@ func wire(cfg MultiConfig, pools [][]phys.Frame) (*MultiMachine, error) {
 			return nil, err
 		}
 	}
-	clocks := make([]*timing.Clock, cfg.Cores)
-	counters := make([]*perf.Counters, cfg.Cores)
-	for i := range clocks {
-		if clocks[i], err = timing.NewClock(cfg.FreqHz); err != nil {
-			return nil, err
-		}
-		counters[i] = &perf.Counters{}
-	}
-	// The DRAM's default port is core 0: its bookkeeping methods (and
-	// the single-device Lookup path, which the cores never use) charge
-	// core 0's clock.
-	d, err := dram.New(cfg.DRAM, clocks[0], counters[0], cfg.Lat)
+	d, err := dram.New(cfg.DRAM, cfg.Lat)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +215,7 @@ func wire(cfg MultiConfig, pools [][]phys.Frame) (*MultiMachine, error) {
 		mm.tenants = make([]int, cfg.Cores)
 	}
 	for i := range mm.cores {
-		if mm.cores[i], err = buildCore(mm, i, clocks[i], counters[i]); err != nil {
+		if mm.cores[i], err = buildCore(mm, i); err != nil {
 			return nil, err
 		}
 	}
@@ -237,13 +225,18 @@ func wire(cfg MultiConfig, pools [][]phys.Frame) (*MultiMachine, error) {
 	return mm, nil
 }
 
-// buildCore wires core i's front-end — noise source, DRAM port,
-// private cache levels over the shared LLC, page walker and TLB chain
-// — over mm's shared memory system and core i's tenant tables,
-// charging everything to the given clock and counters.
-func buildCore(mm *MultiMachine, i int, clock *timing.Clock, counters *perf.Counters) (*Machine, error) {
+// buildCore wires core i's front-end — clock, PMC bank, noise source,
+// DRAM port, private cache levels over the shared LLC, page walker and
+// TLB chain — over mm's shared memory system and core i's tenant
+// tables, charging everything to the core's own clock and counters.
+func buildCore(mm *MultiMachine, i int) (*Machine, error) {
 	cfg := mm.cfg.Config
 	tables := mm.tables[mm.tenants[i]]
+	clock, err := timing.NewClock(cfg.FreqHz)
+	if err != nil {
+		return nil, err
+	}
+	counters := &perf.Counters{}
 	// Offset the seed per core so noisy cores draw independent spike
 	// streams; with NoiseProb 0 (the multi-core determinism default)
 	// the source is never sampled.
@@ -284,7 +277,6 @@ func buildCore(mm *MultiMachine, i int, clock *timing.Clock, counters *perf.Coun
 		walker:   walker,
 		tables:   tables,
 		caches:   caches,
-		dram:     mm.dram,
 		dport:    dport,
 		noisy:    cfg.NoiseProb != 0,
 		faulty:   cfg.FaultModel != nil,
@@ -567,6 +559,12 @@ func (m *Machine) Flush(a phys.Addr) timing.Cycles {
 // Window rotation is checked against this core's clock.
 func (m *Machine) HammerStats() dram.Stats { return m.dport.HammerStats() }
 
+// Activations reports how many times loc's row has been activated in
+// the current refresh window — the live pressure one aggressor row
+// puts on its neighbours. Window rotation is checked against this
+// core's clock.
+func (m *Machine) Activations(loc dram.Location) uint64 { return m.dport.Activations(loc) }
+
 // ResetRefreshWindow discards the DRAM's current refresh window —
 // activation counts and victim pressure drop to zero, banks precharge,
 // and no flip-model report fires for the discarded activity. Scenario
@@ -653,9 +651,6 @@ func (m *Machine) Counters() *perf.Counters { return m.counters }
 
 // Memory returns the backing physical memory.
 func (m *Machine) Memory() *phys.Memory { return m.mem }
-
-// DRAM returns the DRAM device (for address mapping and stats).
-func (m *Machine) DRAM() *dram.DRAM { return m.dram }
 
 // Caches returns the cache hierarchy.
 func (m *Machine) Caches() *cache.Hierarchy { return m.caches }

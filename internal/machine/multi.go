@@ -72,9 +72,10 @@ func (l TableLayout) String() string {
 }
 
 // MultiMachine is Cores front-ends over one shared memory system. Each
-// front-end is a *Machine whose shared handles (Memory, DRAM, the LLC
-// behind Caches) alias every other core's; drive them with Run, which
-// serialises quanta under a deterministic interleaver.
+// front-end is a *Machine whose shared state (Memory, the LLC behind
+// Caches, the DRAM banks behind its port) aliases every other core's;
+// drive them with Run, which serialises quanta under a deterministic
+// interleaver.
 type MultiMachine struct {
 	cfg     MultiConfig
 	mem     *phys.Memory
@@ -215,9 +216,6 @@ func (mm *MultiMachine) Tables(t int) *pagetable.Tables { return mm.tables[t] }
 // Memory returns the shared physical memory.
 func (mm *MultiMachine) Memory() *phys.Memory { return mm.mem }
 
-// DRAM returns the shared DRAM device.
-func (mm *MultiMachine) DRAM() *dram.DRAM { return mm.dram }
-
 // Config returns the configuration the machine was built with.
 func (mm *MultiMachine) Config() MultiConfig { return mm.cfg }
 
@@ -225,7 +223,7 @@ func (mm *MultiMachine) Config() MultiConfig { return mm.cfg }
 // allocated so far sits in loc's DRAM row (loc.Col is ignored): the
 // row a disturbance error must land in to corrupt t's translations.
 func (mm *MultiMachine) TablesInRow(t int, loc dram.Location) bool {
-	geom := mm.dram.Config()
+	geom := mm.cfg.DRAM
 	for _, f := range mm.tables[t].Frames() {
 		if l := geom.Map(f.Addr()); l.SameBank(loc) && l.Row == loc.Row {
 			return true
@@ -257,10 +255,11 @@ func (mm *MultiMachine) AlignClocks() {
 // streams and records. After Reset the machine is observationally
 // identical to a fresh one from the same config — the property the
 // cohort scheduler's pool-size determinism rests on. Order matters:
-// the DRAM's new window is anchored at core 0's already-rebased clock,
-// matching construction, and memory is reset before the tables so the
-// re-allocated roots are the only frames the recycled machine
-// materializes, as a fresh construction does.
+// the DRAM recycles through core 0's port after that core's clock is
+// rebased, so its new window starts at cycle 0 as a fresh DRAM's does,
+// and memory is reset before the tables so the re-allocated roots are
+// the only frames the recycled machine materializes, as a fresh
+// construction does.
 func (mm *MultiMachine) Reset() {
 	for _, c := range mm.cores {
 		c.resetFrontEnd()

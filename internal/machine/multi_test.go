@@ -23,8 +23,8 @@ func TestNewMultiWiring(t *testing.T) {
 		if c.Core() != i {
 			t.Fatalf("core %d reports index %d", i, c.Core())
 		}
-		if c.Memory() != mm.Memory() || c.DRAM() != mm.DRAM() {
-			t.Fatalf("core %d does not share memory/DRAM", i)
+		if c.Memory() != mm.Memory() || c.dport.DRAM() != mm.dram || c.dport.Core() != i {
+			t.Fatalf("core %d does not share memory/DRAM through its own port", i)
 		}
 		if c.PageTables() != mm.Tables(mm.Tenant(i)) {
 			t.Fatalf("core %d not attached to tenant %d's tables", i, mm.Tenant(i))
@@ -330,7 +330,7 @@ func TestMultiFlipMislandInvariant(t *testing.T) {
 	cfg.FaultModel = fm
 
 	mm := MustNewMulti(MultiConfig{Config: cfg, Cores: 2, Tenants: []int{0, 1}})
-	geom := mm.DRAM().Config()
+	geom := mm.Config().DRAM
 	// Core 0 hammers rows 100/102 (victim 101); core 1 probes row 101's
 	// frames while hammering its own pair two banks over — the row a
 	// mislanded flip can be redirected onto is in core 1's working set.
@@ -416,7 +416,7 @@ func TestAlignClocks(t *testing.T) {
 func TestTablesInRow(t *testing.T) {
 	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 2, Tenants: []int{0, 1}})
 	mm.Core(1).Load(0)
-	geom := mm.DRAM().Config()
+	geom := mm.Config().DRAM
 	own := geom.Map(mm.Tables(1).Frames()[0].Addr())
 	other := geom.Map(mm.Tables(0).Frames()[0].Addr())
 	if !own.SameBank(other) || own.Row == other.Row {

@@ -107,7 +107,7 @@ func buildResetMachine(t *testing.T, v resetVariant) *Machine {
 // land in), flush-hammer traffic across refresh windows, translations,
 // probes, an invlpg — and returns the machine's trace.
 func resetWorkload(m *Machine, seed int64) resetTrace {
-	geom := m.DRAM().Config()
+	geom := m.Config().DRAM
 	rowA := uint64(100 + seed%7)
 	above := geom.AddrOf(dram.Location{Row: rowA})
 	below := geom.AddrOf(dram.Location{Row: rowA + 2})
