@@ -52,10 +52,10 @@ const (
 	exitWrite   = 3
 )
 
-// simMillis converts simulated cycles to milliseconds at the demo
-// machine's clock rate.
+// simMillis converts simulated cycles to milliseconds at the machine
+// clock rate.
 func simMillis(cycles uint64) float64 {
-	return float64(cycles) / float64(machine.SandyBridge().FreqHz) * 1e3
+	return float64(cycles) / float64(machine.FreqHz) * 1e3
 }
 
 // render runs the per-class flip-rate table, the class-A escalation

@@ -225,6 +225,9 @@ func TestRunFlipRateDeterministicAndOrdered(t *testing.T) {
 	if a1.FlipsPerMillionIters() <= 0 {
 		t.Fatalf("rate = %v, want positive", a1.FlipsPerMillionIters())
 	}
+	if r := (FlipRun{}).FlipsPerMillionIters(); r != 0 {
+		t.Fatalf("rate of an empty run = %v, want 0", r)
+	}
 }
 
 // TestEscalationPlannerRanksPairs pins the contract the replan tier

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"pthammer/internal/dram"
 	"pthammer/internal/evset"
 	"pthammer/internal/machine"
 	"pthammer/internal/perf"
@@ -221,4 +222,84 @@ func TestPrivilegedHammerSteadyStateZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { pair.HammerOncePrivileged(m) }); allocs != 0 {
 		t.Fatalf("steady-state privileged hammer allocates %.1f per iteration, want 0", allocs)
 	}
+}
+
+// TestFullPresetWindowPressure pins what one 64 ms refresh window of
+// each hammer loop puts on its aggressor pair on the full SandyBridge
+// preset. Pressure is the pair's summed activations, sampled after
+// every iteration that ends inside the window the loop starts in; the
+// iteration that crosses the window's end is not sampled. Against the
+// preset's HammerThreshold of 139,000 the flush-free loop reaches
+// 0.43×, the privileged invlpg+clflush loop 6.1× and the explicit
+// clflush loop 6.8×, which is why every reported flip comes from a
+// scaled machine.
+func TestFullPresetWindowPressure(t *testing.T) {
+	cfg := machine.SandyBridge()
+	window := cfg.DRAM.RefreshWindow
+	if window != 217_600_000 {
+		t.Fatalf("RefreshWindow = %d cycles, want 217,600,000 (64 ms at machine.FreqHz)", window)
+	}
+	windowPeak := func(m *machine.Machine, loc1, loc2 dram.Location, iter func()) uint64 {
+		start := m.HammerStats().WindowStart
+		var peak uint64
+		for {
+			iter()
+			if m.Clock().Now()-start >= window {
+				return peak
+			}
+			peak = max(peak, m.Activations(loc1)+m.Activations(loc2))
+		}
+	}
+	check := func(loop string, peak, want uint64) {
+		t.Helper()
+		if peak != want {
+			t.Errorf("%s loop: peak pair pressure %d, want %d", loop, peak, want)
+		}
+	}
+
+	m := machine.MustNew(cfg)
+	h, err := NewImplicitHammer(m, 256, evset.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := [4]int{len(h.TLB1.Pages), len(h.TLB2.Pages), len(h.LLC1.Addrs), len(h.LLC2.Addrs)}; got != [4]int{7, 7, 8, 16} {
+		t.Fatalf("eviction set sizes (TLB1, TLB2, LLC1, LLC2) = %v, want [7 7 8 16]", got)
+	}
+	check("flush-free", windowPeak(m, h.Pair.Loc1, h.Pair.Loc2, func() { h.HammerOnce(m) }), 59_944)
+
+	// One steady-state iteration after the window: 33 of its 35 ACTs
+	// are eviction-stream traffic, 2 are the aggressor PTE fetches.
+	snap := m.Counters().Snapshot()
+	if it := h.HammerOnce(m); it.Cycles != 7_260 {
+		t.Errorf("steady-state iteration costs %d cycles, want 7,260", it.Cycles)
+	}
+	for ev, want := range map[perf.Event]uint64{
+		perf.DTLBLoadMissesWalk:  40,
+		perf.LLCReference:        42,
+		perf.LongestLatCacheMiss: 35,
+		perf.DRAMActivate:        35,
+		perf.DRAMRowConflicts:    35,
+		perf.L1PTEMemoryFetch:    2,
+	} {
+		if got := snap.Delta(m.Counters(), ev); got != want {
+			t.Errorf("steady-state iteration: %v = %d, want %d", ev, got, want)
+		}
+	}
+
+	m = machine.MustNew(cfg)
+	pair, ok := FindImplicitAggressors(m, 256)
+	if !ok {
+		t.Fatal("no implicit aggressor pair found")
+	}
+	check("privileged", windowPeak(m, pair.Loc1, pair.Loc2, func() { pair.HammerOncePrivileged(m) }), 843_408)
+
+	m = machine.MustNew(cfg)
+	row1, row3 := dram.Location{Row: 1}, dram.Location{Row: 3}
+	a1, a3 := cfg.DRAM.AddrOf(row1), cfg.DRAM.AddrOf(row3)
+	check("explicit", windowPeak(m, row1, row3, func() {
+		m.Flush(a1)
+		m.Flush(a3)
+		m.Load(a1)
+		m.Load(a3)
+	}), 941_988)
 }

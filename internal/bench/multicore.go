@@ -24,6 +24,7 @@ package bench
 import (
 	"fmt"
 
+	"pthammer/internal/cache"
 	"pthammer/internal/evset"
 	"pthammer/internal/flip"
 	"pthammer/internal/machine"
@@ -207,7 +208,7 @@ func noisyArm(seed int64, noisy bool, windows int) (pressure uint64, flips int, 
 	// The pages are premapped so its steady state is pure load traffic,
 	// not page-table construction.
 	llc := mm.Config().LLC
-	waySpan := llc.Sets() * llc.LineBytes
+	waySpan := llc.Sets() * cache.LineBytes
 	ring := llc.Ways + 1
 	mm.Core(1).Premap(bystanderBase, uint64(ring)*waySpan)
 	mm.AlignClocks()

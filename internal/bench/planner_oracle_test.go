@@ -112,7 +112,6 @@ func TestPlannerMatchesBruteForce(t *testing.T) {
 		return func(model *flip.Model) machine.Config {
 			cfg := EscalationConfig(model)
 			mutate(&cfg)
-			cfg.MemBytes = cfg.DRAM.Capacity()
 			return cfg
 		}
 	}

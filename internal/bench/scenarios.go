@@ -350,7 +350,7 @@ func Scenarios() []Scenario {
 				if err != nil {
 					b.Fatal(err)
 				}
-				p, err := d.NewPort(0, timing.MustNewClock(3_400_000_000), &perf.Counters{})
+				p, err := d.NewPort(0, &timing.Clock{}, &perf.Counters{})
 				if err != nil {
 					b.Fatal(err)
 				}

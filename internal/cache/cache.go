@@ -19,7 +19,6 @@ package cache
 
 import (
 	"fmt"
-	"math/bits"
 
 	"pthammer/internal/mem"
 	"pthammer/internal/perf"
@@ -27,27 +26,27 @@ import (
 	"pthammer/internal/timing"
 )
 
+// LineBytes is the line size of every cache level.
+const LineBytes = 64
+
 // Config sizes one cache level.
 type Config struct {
 	SizeBytes uint64
 	Ways      int
-	LineBytes uint64
 }
 
 // Sets returns the number of sets implied by the config.
 func (c Config) Sets() uint64 {
-	return c.SizeBytes / (uint64(c.Ways) * c.LineBytes)
+	return c.SizeBytes / (uint64(c.Ways) * LineBytes)
 }
 
 // Validate reports an error for degenerate or non-indexable geometry.
 func (c Config) Validate() error {
 	switch {
-	case c.SizeBytes == 0 || c.Ways <= 0 || c.LineBytes == 0:
-		return fmt.Errorf("cache: size/ways/line must be positive (got %d/%d/%d)", c.SizeBytes, c.Ways, c.LineBytes)
-	case c.LineBytes&(c.LineBytes-1) != 0:
-		return fmt.Errorf("cache: line size %d must be a power of two", c.LineBytes)
-	case c.SizeBytes%(uint64(c.Ways)*c.LineBytes) != 0:
-		return fmt.Errorf("cache: size %d not divisible by ways*line (%d*%d)", c.SizeBytes, c.Ways, c.LineBytes)
+	case c.SizeBytes == 0 || c.Ways <= 0:
+		return fmt.Errorf("cache: size/ways must be positive (got %d/%d)", c.SizeBytes, c.Ways)
+	case c.SizeBytes%(uint64(c.Ways)*LineBytes) != 0:
+		return fmt.Errorf("cache: size %d not divisible by ways*line (%d*%d)", c.SizeBytes, c.Ways, LineBytes)
 	}
 	if err := mem.CheckShape(int(c.Sets()), c.Ways); err != nil {
 		return fmt.Errorf("cache: %v", err)
@@ -135,24 +134,22 @@ func (s *SharedLLC) backInvalidate(line uint64) {
 // clock, so N hierarchies over one SharedLLC keep N independent
 // clock/Result/PMC agreements.
 type Hierarchy struct {
-	l1, l2    *mem.SetAssoc
-	shared    *SharedLLC
-	core      int
-	lineShift uint
-	next      mem.Device
-	clock     *timing.Clock
-	counters  *perf.Counters
+	l1, l2   *mem.SetAssoc
+	shared   *SharedLLC
+	core     int
+	next     mem.Device
+	clock    *timing.Clock
+	counters *perf.Counters
 
 	l1Hit, l2Hit, llcHit, flushCost timing.Cycles
 }
 
 // NewCore builds core's hierarchy over an existing shared LLC and
-// attaches it. All three levels must share one line size, and the LLC
-// must be large enough to hold the private levels (the inclusive
-// property the eviction-set algorithms rely on). Cores must attach in
-// index order (core == number already attached), which the machine
-// facade guarantees; the check keeps a miswired machine from silently
-// aliasing two cores' private levels under one index.
+// attaches it. The LLC must be large enough to hold the private levels
+// (the inclusive property the eviction-set algorithms rely on). Cores
+// must attach in index order (core == number already attached), which
+// the machine facade guarantees; the check keeps a miswired machine
+// from silently aliasing two cores' private levels under one index.
 func NewCore(l1, l2 Config, shared *SharedLLC, core int, next mem.Device, clock *timing.Clock, counters *perf.Counters, lat timing.LatencyTable) (*Hierarchy, error) {
 	if shared == nil {
 		return nil, fmt.Errorf("cache: shared LLC must be non-nil")
@@ -161,9 +158,6 @@ func NewCore(l1, l2 Config, shared *SharedLLC, core int, next mem.Device, clock 
 		if err := c.Validate(); err != nil {
 			return nil, err
 		}
-	}
-	if l1.LineBytes != l2.LineBytes || l2.LineBytes != shared.cfg.LineBytes {
-		return nil, fmt.Errorf("cache: line sizes differ (L1 %d, L2 %d, LLC %d)", l1.LineBytes, l2.LineBytes, shared.cfg.LineBytes)
 	}
 	if shared.cfg.SizeBytes < l1.SizeBytes+l2.SizeBytes {
 		return nil, fmt.Errorf("cache: inclusive LLC (%d B) smaller than L1+L2 (%d B)", shared.cfg.SizeBytes, l1.SizeBytes+l2.SizeBytes)
@@ -182,7 +176,6 @@ func NewCore(l1, l2 Config, shared *SharedLLC, core int, next mem.Device, clock 
 		l2:        newLevel(l2),
 		shared:    shared,
 		core:      core,
-		lineShift: uint(bits.TrailingZeros64(l1.LineBytes)),
 		next:      next,
 		clock:     clock,
 		counters:  counters,
@@ -211,7 +204,7 @@ func (h *Hierarchy) Reset() {
 // lineOf returns the line number containing the address.
 //
 //pthammer:noalloc
-func (h *Hierarchy) lineOf(a phys.Addr) uint64 { return uint64(a) >> h.lineShift }
+func (h *Hierarchy) lineOf(a phys.Addr) uint64 { return uint64(a) / LineBytes }
 
 // Lookup walks L1→L2→LLC and forwards a full miss to the next device,
 // filling the line into every level on the way (inclusive fill). Each

@@ -26,15 +26,15 @@ func (f *fakeDRAM) Lookup(mem.Access) mem.Result {
 // tiny configs: L1 2 sets × 2 ways, L2 4 sets × 2 ways, LLC 4 sets × 4
 // ways, 64 B lines.
 func tinyConfigs() (l1, l2, llc Config) {
-	l1 = Config{SizeBytes: 2 * 2 * 64, Ways: 2, LineBytes: 64}
-	l2 = Config{SizeBytes: 4 * 2 * 64, Ways: 2, LineBytes: 64}
-	llc = Config{SizeBytes: 4 * 4 * 64, Ways: 4, LineBytes: 64}
+	l1 = Config{SizeBytes: 2 * 2 * 64, Ways: 2}
+	l2 = Config{SizeBytes: 4 * 2 * 64, Ways: 2}
+	llc = Config{SizeBytes: 4 * 4 * 64, Ways: 4}
 	return
 }
 
 func newTestHierarchy(t *testing.T) (*Hierarchy, *fakeDRAM, *timing.Clock, *perf.Counters) {
 	t.Helper()
-	clock := timing.MustNewClock(1_000_000_000)
+	clock := &timing.Clock{}
 	counters := &perf.Counters{}
 	d := &fakeDRAM{clock: clock, lat: 200}
 	l1, l2, llc := tinyConfigs()
@@ -50,18 +50,16 @@ func newTestHierarchy(t *testing.T) (*Hierarchy, *fakeDRAM, *timing.Clock, *perf
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := Config{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64}
+	good := Config{SizeBytes: 32 << 10, Ways: 8}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []Config{
-		{SizeBytes: 0, Ways: 8, LineBytes: 64},
-		{SizeBytes: 32 << 10, Ways: 0, LineBytes: 64},
-		{SizeBytes: 32 << 10, Ways: 8, LineBytes: 0},
-		{SizeBytes: 32 << 10, Ways: 8, LineBytes: 48},   // not a power of two
-		{SizeBytes: 100, Ways: 3, LineBytes: 64},        // not divisible
-		{SizeBytes: 3 * 8 * 64, Ways: 8, LineBytes: 64}, // 3 sets
-		{SizeBytes: 32 << 10, Ways: 32, LineBytes: 64},  // past mem.MaxWays
+		{SizeBytes: 0, Ways: 8},
+		{SizeBytes: 32 << 10, Ways: 0},
+		{SizeBytes: 100, Ways: 3},        // not divisible
+		{SizeBytes: 3 * 8 * 64, Ways: 8}, // 3 sets
+		{SizeBytes: 32 << 10, Ways: 32},  // past mem.MaxWays
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -71,14 +69,14 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewRejectsMismatchedHierarchy(t *testing.T) {
-	clock := timing.MustNewClock(1_000_000_000)
+	clock := &timing.Clock{}
 	counters := &perf.Counters{}
 	d := &fakeDRAM{clock: clock, lat: 200}
 	l1, l2, llc := tinyConfigs()
 	lat := timing.DefaultLatencies()
 	badLat := lat
 	badLat.L1Hit = 0
-	wide := Config{SizeBytes: 32 * 64, Ways: 32, LineBytes: 64} // one set, past mem.MaxWays
+	wide := Config{SizeBytes: 32 * 64, Ways: 32} // one set, past mem.MaxWays
 	if _, err := NewShared(wide, lat); err == nil {
 		t.Error("LLC past mem.MaxWays accepted")
 	}
@@ -91,12 +89,7 @@ func TestNewRejectsMismatchedHierarchy(t *testing.T) {
 	}
 
 	// A rejected core never attaches, so every case below tries core 0.
-	l2bad := l2
-	l2bad.LineBytes = 128
-	if _, err := NewCore(l1, l2bad, shared, 0, d, clock, counters, lat); err == nil {
-		t.Error("mismatched line sizes accepted")
-	}
-	small, err := NewShared(Config{SizeBytes: 2 * 2 * 64, Ways: 2, LineBytes: 64}, lat)
+	small, err := NewShared(Config{SizeBytes: 2 * 2 * 64, Ways: 2}, lat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +252,7 @@ func TestLLCArbitrationChargesSwitchingCore(t *testing.T) {
 	var cores [2]*Hierarchy
 	var clocks [2]*timing.Clock
 	for i := range cores {
-		clocks[i] = timing.MustNewClock(1_000_000_000)
+		clocks[i] = &timing.Clock{}
 		d := &fakeDRAM{clock: clocks[i], lat: 200}
 		if cores[i], err = NewCore(l1, l2, shared, i, d, clocks[i], &perf.Counters{}, lat); err != nil {
 			t.Fatal(err)
@@ -293,7 +286,7 @@ func TestLLCArbitrationChargesSwitchingCore(t *testing.T) {
 // TestSharedAccessors: each per-core hierarchy knows its shared LLC
 // slice, and the slice counts its attached cores.
 func TestSharedAccessors(t *testing.T) {
-	clock := timing.MustNewClock(1_000_000_000)
+	clock := &timing.Clock{}
 	counters := &perf.Counters{}
 	d := &fakeDRAM{clock: clock, lat: 200}
 	l1, l2, llc := tinyConfigs()

@@ -259,7 +259,7 @@ func TestUnitPanicSurfacesOnCaller(t *testing.T) {
 	}
 	for _, u := range p.units {
 		ring := append([]phys.Addr(nil), u.geo.ring...)
-		ring[0] = phys.Addr(tenantMemBytes)
+		ring[0] = phys.Addr(tenantConfig(nil).DRAM.Capacity())
 		u.geo.ring = ring
 	}
 

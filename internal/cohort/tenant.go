@@ -37,11 +37,6 @@ import (
 )
 
 const (
-	// tenantMemBytes must equal the micro DRAM geometry's capacity:
-	// 1 channel × 1 rank × 4 banks × 1024 rows × 8 KiB.
-	tenantMemBytes = 32 << 20
-	tenantFreq     = 3_400_000_000
-
 	// tenantWindow is the micro refresh window: long enough for the
 	// attacker to land ~130 aggressor activations per window, short
 	// enough that a whole tenant run is a few hundred microseconds.
@@ -102,14 +97,13 @@ const (
 	victimIdleStep = timing.Cycles(600)
 )
 
-// tenantConfig is the micro machine one cohort unit is built from.
+// tenantConfig is the micro machine one cohort unit is built from:
+// 32 MiB of memory (1 channel × 1 rank × 4 banks × 1024 rows × 8 KiB).
 // Caches and TLBs are scaled with the memory so the attack's working
 // set behaves as on the full preset: the ring overflows every level.
 func tenantConfig(model *flip.Model) machine.Config {
 	return machine.Config{
-		MemBytes: tenantMemBytes,
-		FreqHz:   tenantFreq,
-		Lat:      timing.DefaultLatencies(),
+		Lat: timing.DefaultLatencies(),
 		DRAM: dram.Config{
 			Channels:        1,
 			RanksPerChannel: 1,
@@ -119,9 +113,9 @@ func tenantConfig(model *flip.Model) machine.Config {
 			RefreshWindow:   tenantWindow,
 			HammerThreshold: tenantThreshold,
 		},
-		L1:        cache.Config{SizeBytes: 1 << 10, Ways: 4, LineBytes: 64},
-		L2:        cache.Config{SizeBytes: 2 << 10, Ways: 4, LineBytes: 64},
-		LLC:       cache.Config{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64},
+		L1:        cache.Config{SizeBytes: 1 << 10, Ways: 4},
+		L2:        cache.Config{SizeBytes: 2 << 10, Ways: 4},
+		LLC:       cache.Config{SizeBytes: 4 << 10, Ways: 4},
 		TLB:       tlb.Config{L1Entries: 8, L1Ways: 4, L2Entries: 16, L2Ways: 4},
 		FlipModel: model,
 	}
@@ -145,10 +139,9 @@ type geometry struct {
 	// locA/locB are the aggressor rows (the pair PTs' bank-rows).
 	locA, locB dram.Location
 	// sandwiched reports whether a victim table bank-row lies between
-	// the aggressor rows; victimRow is its row index when it does.
-	// Blocked striping yields no sandwich — the defensive case.
+	// the aggressor rows. Blocked striping yields no sandwich — the
+	// defensive case.
 	sandwiched bool
-	victimRow  uint64
 	// spray is every page of the victim's premapped regions, the
 	// surface scanned for breached translations after the run.
 	spray []phys.Addr
@@ -213,9 +206,6 @@ func probeGeometry(mm *machine.MultiMachine) (geometry, error) {
 		return g, fmt.Errorf("cohort: no same-bank attacker PT pair among %d regions", attackerRegions)
 	}
 	g.locA, g.locB = locs[a], locs[b]
-	if g.sandwiched {
-		g.victimRow = g.locA.Row + 1
-	}
 
 	// The hammer ring: pages of the two pair regions interleaved, PTE
 	// lines 64 bytes apart so they cycle the LLC's sets.
@@ -233,13 +223,13 @@ func probeGeometry(mm *machine.MultiMachine) (geometry, error) {
 	g.stream = make([]phys.Addr, 0, victimStreamPages*linesPerPage)
 	for k := 0; k < victimStreamPages; k++ {
 		for l := 0; l < linesPerPage; l++ {
-			g.stream = append(g.stream, streamPage(k)+phys.Addr(uint64(l)*64))
+			g.stream = append(g.stream, streamPage(k)+phys.Addr(uint64(l)*cache.LineBytes))
 		}
 	}
 	return g, nil
 }
 
-const linesPerPage = int(phys.FrameSize / 64)
+const linesPerPage = int(phys.FrameSize / cache.LineBytes)
 
 // attackerStep returns the attacker's step for one tenant: ring loads
 // in quanta of attackerQuantum, sampling the sandwiched victim row's

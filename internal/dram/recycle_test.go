@@ -16,7 +16,7 @@ import (
 func TestRecycleResetClearsArbitration(t *testing.T) {
 	lat := timing.DefaultLatencies()
 	p0, _, _ := newTestDRAM(t, testConfig())
-	p1, err := p0.DRAM().NewPort(1, timing.MustNewClock(1_000_000_000), &perf.Counters{})
+	p1, err := p0.DRAM().NewPort(1, &timing.Clock{}, &perf.Counters{})
 	if err != nil {
 		t.Fatal(err)
 	}

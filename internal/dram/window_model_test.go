@@ -216,7 +216,7 @@ func newWindowLockstep(cfg Config) (*windowLockstep, error) {
 		return nil, err
 	}
 	for i := range l.ports {
-		l.clocks[i] = timing.MustNewClock(1_000_000_000)
+		l.clocks[i] = &timing.Clock{}
 		l.counters[i] = &perf.Counters{}
 		if l.ports[i], err = d.NewPort(i, l.clocks[i], l.counters[i]); err != nil {
 			return nil, err

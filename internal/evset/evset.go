@@ -29,7 +29,9 @@ package evset
 import (
 	"fmt"
 
+	"pthammer/internal/cache"
 	"pthammer/internal/machine"
+	"pthammer/internal/pagetable"
 	"pthammer/internal/phys"
 	"pthammer/internal/timing"
 )
@@ -47,6 +49,10 @@ type Options struct {
 // associativity + 2 addresses, giving group reduction room to work
 // with.
 const poolScale = 3
+
+// ptesPerLine is how many leaf PTEs share one cache line: a page's
+// PTE-line block is its vpn / ptesPerLine.
+const ptesPerLine = cache.LineBytes / pagetable.EntryBytes
 
 func (o Options) withDefaults() Options {
 	if o.Trials <= 0 {
@@ -147,10 +153,10 @@ func userLimit(m *machine.Machine) phys.Addr {
 // pages whose virtual page numbers are congruent with the target's
 // modulo both TLB levels' set counts (both powers of two, so one
 // stride covers both), at the target's page offset, skipping the
-// excluded pages, any page whose leaf PTE shares a cache line (eight
-// entries, vpn>>3) with the target's or an excluded page's PTE — the
-// attacker knows this from the same linear VA→PTE layout the paper
-// exploits — and everything at or above the kernel region.
+// excluded pages, any page whose leaf PTE shares a cache line (the
+// block vpn / ptesPerLine) with the target's or an excluded page's
+// PTE — the attacker knows this from the same linear VA→PTE layout
+// the paper exploits — and everything at or above the kernel region.
 func tlbCandidates(m *machine.Machine, target phys.Addr, exclude map[phys.Frame]bool, pteBlocks map[uint64]bool, pool int) []phys.Addr {
 	cfg := m.Config().TLB
 	dSets := uint64(cfg.L1Entries / cfg.L1Ways)
@@ -169,7 +175,7 @@ func tlbCandidates(m *machine.Machine, target phys.Addr, exclude map[phys.Frame]
 		if a >= limit {
 			break
 		}
-		if pteBlocks[vpn>>3] || exclude[phys.FrameOf(a)] {
+		if pteBlocks[vpn/ptesPerLine] || exclude[phys.FrameOf(a)] {
 			continue
 		}
 		out = append(out, a+off)
@@ -184,7 +190,7 @@ func tlbCandidates(m *machine.Machine, target phys.Addr, exclude map[phys.Frame]
 // page's PTE, and the kernel region.
 func llcCandidates(m *machine.Machine, pte phys.Addr, exclude map[phys.Frame]bool, pteBlocks map[uint64]bool, pool int) []phys.Addr {
 	llc := m.Config().LLC
-	stride := llc.Sets() * llc.LineBytes
+	stride := llc.Sets() * cache.LineBytes
 	limit := userLimit(m)
 
 	out := make([]phys.Addr, 0, pool)
@@ -193,7 +199,7 @@ func llcCandidates(m *machine.Machine, pte phys.Addr, exclude map[phys.Frame]boo
 			break
 		}
 		vpn := uint64(a) >> phys.FrameShift
-		if pteBlocks[vpn>>3] || exclude[phys.FrameOf(a)] {
+		if pteBlocks[vpn/ptesPerLine] || exclude[phys.FrameOf(a)] {
 			continue
 		}
 		out = append(out, a)
@@ -324,17 +330,17 @@ func minimize(set []phys.Addr, assoc int, evicts func([]phys.Addr) bool) []phys.
 
 // excludeSets turns the target and the caller's exclude list into the
 // two sets candidate generation skips: the pages themselves, and the
-// leaf-PTE-line blocks (vpn>>3) of every one of them. The second set
-// is what keeps multi-target setups sound: a candidate sharing a PTE
-// line with any excluded page would refetch that line on its own
-// walks, silently undoing the eviction another set is maintaining for
-// it.
+// leaf-PTE-line blocks (vpn / ptesPerLine) of every one of them. The
+// second set is what keeps multi-target setups sound: a candidate
+// sharing a PTE line with any excluded page would refetch that line on
+// its own walks, silently undoing the eviction another set is
+// maintaining for it.
 func excludeSets(target phys.Addr, exclude []phys.Addr) (frames map[phys.Frame]bool, pteBlocks map[uint64]bool) {
 	frames = make(map[phys.Frame]bool, len(exclude)+1)
 	pteBlocks = make(map[uint64]bool, len(exclude)+1)
 	for _, a := range append([]phys.Addr{target}, exclude...) {
 		frames[phys.FrameOf(a)] = true
-		pteBlocks[uint64(phys.FrameOf(a))>>3] = true
+		pteBlocks[uint64(phys.FrameOf(a))/ptesPerLine] = true
 	}
 	return frames, pteBlocks
 }

@@ -31,13 +31,11 @@ func randomConfig(r *rand.Rand) machine.Config {
 		HammerThreshold: 1 << 20, // victims are irrelevant here
 	}
 	return machine.Config{
-		MemBytes: d.Capacity(),
-		FreqHz:   3_000_000_000,
-		Lat:      timing.DefaultLatencies(),
-		DRAM:     d,
-		L1:       cache.Config{SizeBytes: 8 << 10, Ways: 2, LineBytes: 64},
-		L2:       cache.Config{SizeBytes: 32 << 10, Ways: 4, LineBytes: 64},
-		LLC:      cache.Config{SizeBytes: uint64(64<<10) << r.Intn(2), Ways: 4 << r.Intn(2), LineBytes: 64},
+		Lat:  timing.DefaultLatencies(),
+		DRAM: d,
+		L1:   cache.Config{SizeBytes: 8 << 10, Ways: 2},
+		L2:   cache.Config{SizeBytes: 32 << 10, Ways: 4},
+		LLC:  cache.Config{SizeBytes: uint64(64<<10) << r.Intn(2), Ways: 4 << r.Intn(2)},
 		TLB: tlb.Config{
 			L1Entries: 8 << r.Intn(2), L1Ways: 2,
 			L2Entries: 64 << r.Intn(2), L2Ways: 4,
@@ -59,7 +57,7 @@ func TestMinimizedSetsLoseEvictionWithoutAnyElement(t *testing.T) {
 		}
 		// A target somewhere in the low quarter of memory, page 2+, at a
 		// non-zero page offset so offset handling is exercised too.
-		pages := cfg.MemBytes / phys.FrameSize
+		pages := cfg.DRAM.Capacity() / phys.FrameSize
 		target := phys.Addr((2 + r.Uint64()%(pages/4)) << phys.FrameShift)
 		target += phys.Addr(uint64(r.Intn(64)) * 64)
 

@@ -33,14 +33,13 @@ import (
 	"pthammer/internal/tlb"
 )
 
-// Config fully describes one simulated machine.
-type Config struct {
-	// MemBytes is the physical memory size; it must equal the DRAM
-	// geometry's capacity so every physical address maps to a bank.
-	MemBytes uint64
-	// FreqHz is the core clock frequency.
-	FreqHz uint64
+// FreqHz is the core clock rate of every simulated machine.
+const FreqHz = 3_400_000_000
 
+// Config fully describes one simulated machine. Physical memory is
+// the DRAM geometry's capacity, so every physical address maps to a
+// bank.
+type Config struct {
 	Lat  timing.LatencyTable
 	DRAM dram.Config
 	L1   cache.Config
@@ -75,28 +74,25 @@ type Config struct {
 // SandyBridge returns a preset modelled on the paper's Sandy
 // Bridge-class test machine: 1 GiB of DDR3 across 2 channels × 1 rank
 // × 8 banks with 8 KiB rows, 32 KiB/256 KiB/8 MiB caches, a 64-entry
-// dTLB over a 512-entry sTLB, and a 64 ms refresh window at 3.4 GHz.
+// dTLB over a 512-entry sTLB, and a 64 ms refresh window at FreqHz.
 func SandyBridge() Config {
-	const freq = 3_400_000_000
 	return Config{
-		MemBytes: 1 << 30,
-		FreqHz:   freq,
-		Lat:      timing.DefaultLatencies(),
+		Lat: timing.DefaultLatencies(),
 		DRAM: dram.Config{
 			Channels:        2,
 			RanksPerChannel: 1,
 			BanksPerRank:    8,
 			Rows:            8192,
 			RowBytes:        8192,
-			// 64 ms at 3.4 GHz.
-			RefreshWindow: timing.Cycles(freq * 64 / 1000),
+			// 64 ms at FreqHz.
+			RefreshWindow: timing.Cycles(FreqHz * 64 / 1000),
 			// First-flip activation count reported for the paper's
 			// weakest module class.
 			HammerThreshold: 139_000,
 		},
-		L1:  cache.Config{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64},
-		L2:  cache.Config{SizeBytes: 256 << 10, Ways: 8, LineBytes: 64},
-		LLC: cache.Config{SizeBytes: 8 << 20, Ways: 16, LineBytes: 64},
+		L1:  cache.Config{SizeBytes: 32 << 10, Ways: 8},
+		L2:  cache.Config{SizeBytes: 256 << 10, Ways: 8},
+		LLC: cache.Config{SizeBytes: 8 << 20, Ways: 16},
 		TLB: tlb.Config{L1Entries: 64, L1Ways: 4, L2Entries: 512, L2Ways: 4},
 	}
 }
@@ -141,13 +137,7 @@ func (cfg Config) validate() error {
 	if err := cfg.Lat.Validate(); err != nil {
 		return err
 	}
-	if err := cfg.DRAM.Validate(); err != nil {
-		return err
-	}
-	if cap := cfg.DRAM.Capacity(); cap != cfg.MemBytes {
-		return fmt.Errorf("machine: DRAM capacity %d != memory size %d", cap, cfg.MemBytes)
-	}
-	return nil
+	return cfg.DRAM.Validate()
 }
 
 // New validates the config and wires a single-core machine: core 0
@@ -160,11 +150,12 @@ func New(cfg Config) (*Machine, error) {
 	}
 	// The kernel's page-table pool sits at the top of physical memory,
 	// sized so identity-mapping the whole machine can never exhaust it.
-	tableFrames := pagetable.FramesToMap(cfg.MemBytes)
-	totalFrames := cfg.MemBytes / phys.FrameSize
+	memBytes := cfg.DRAM.Capacity()
+	tableFrames := pagetable.FramesToMap(memBytes)
+	totalFrames := memBytes / phys.FrameSize
 	if tableFrames >= totalFrames {
 		return nil, fmt.Errorf("machine: %d-byte memory too small for its %d-frame page-table pool",
-			cfg.MemBytes, tableFrames)
+			memBytes, tableFrames)
 	}
 	pool := make([]phys.Frame, tableFrames)
 	for i := range pool {
@@ -184,7 +175,7 @@ func New(cfg Config) (*Machine, error) {
 // and last the flip/fault model bindings. A nil cfg.Tenants puts every
 // core in tenant 0.
 func wire(cfg MultiConfig, pools [][]phys.Frame) (*MultiMachine, error) {
-	pmem, err := phys.New(cfg.MemBytes)
+	pmem, err := phys.New(cfg.DRAM.Capacity())
 	if err != nil {
 		return nil, err
 	}
@@ -232,10 +223,7 @@ func wire(cfg MultiConfig, pools [][]phys.Frame) (*MultiMachine, error) {
 func buildCore(mm *MultiMachine, i int) (*Machine, error) {
 	cfg := mm.cfg.Config
 	tables := mm.tables[mm.tenants[i]]
-	clock, err := timing.NewClock(cfg.FreqHz)
-	if err != nil {
-		return nil, err
-	}
+	clock := &timing.Clock{}
 	counters := &perf.Counters{}
 	// Offset the seed per core so noisy cores draw independent spike
 	// streams; with NoiseProb 0 (the multi-core determinism default)

@@ -18,8 +18,8 @@ func TestSandyBridgeConfigIsCoherent(t *testing.T) {
 	if err := cfg.Lat.Validate(); err != nil {
 		t.Fatalf("preset latency table invalid: %v", err)
 	}
-	if got := cfg.DRAM.Capacity(); got != cfg.MemBytes {
-		t.Fatalf("DRAM capacity %d != MemBytes %d", got, cfg.MemBytes)
+	if got := cfg.DRAM.Capacity(); got != 1<<30 {
+		t.Fatalf("preset memory = %d bytes, want 1 GiB", got)
 	}
 	if _, err := New(cfg); err != nil {
 		t.Fatalf("New(SandyBridge()): %v", err)
@@ -28,21 +28,9 @@ func TestSandyBridgeConfigIsCoherent(t *testing.T) {
 
 func TestNewRejectsBadConfigs(t *testing.T) {
 	cfg := SandyBridge()
-	cfg.MemBytes /= 2 // no longer matches the DRAM geometry
-	if _, err := New(cfg); err == nil {
-		t.Error("capacity mismatch accepted")
-	}
-
-	cfg = SandyBridge()
 	cfg.Lat.TLBL1Hit = 0
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid latency table accepted")
-	}
-
-	cfg = SandyBridge()
-	cfg.FreqHz = 0
-	if _, err := New(cfg); err == nil {
-		t.Error("zero frequency accepted")
 	}
 
 	cfg = SandyBridge()
@@ -63,11 +51,10 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	mustPanicMachine(t, "MustNew of a bad config", func() { MustNew(tinyConfig()) })
 }
 
-// tinyConfig is a coherent one-frame machine: too small to hold a
-// page-table pool beside the memory it maps.
+// tinyConfig is a one-frame machine: too small to hold a page-table
+// pool beside the memory it maps.
 func tinyConfig() Config {
 	cfg := SandyBridge()
-	cfg.MemBytes = phys.FrameSize
 	cfg.DRAM.Channels, cfg.DRAM.BanksPerRank = 1, 1
 	cfg.DRAM.Rows, cfg.DRAM.RowBytes = 1, phys.FrameSize
 	return cfg
@@ -441,12 +428,12 @@ func TestLoadPanicsOutOfRange(t *testing.T) {
 			t.Fatal("out-of-range load did not panic")
 		}
 	}()
-	m.Load(phys.Addr(m.Config().MemBytes))
+	m.Load(phys.Addr(m.Config().DRAM.Capacity()))
 }
 
 func TestTranslatePanicsOutOfRange(t *testing.T) {
 	m := MustNew(SandyBridge())
-	mustPanicMachine(t, "out-of-range translate", func() { m.Translate(phys.Addr(m.Config().MemBytes)) })
+	mustPanicMachine(t, "out-of-range translate", func() { m.Translate(phys.Addr(m.Config().DRAM.Capacity())) })
 }
 
 func TestFlushPanicsOutOfRange(t *testing.T) {
@@ -456,7 +443,7 @@ func TestFlushPanicsOutOfRange(t *testing.T) {
 			t.Fatal("out-of-range flush did not panic")
 		}
 	}()
-	m.Flush(phys.Addr(m.Config().MemBytes))
+	m.Flush(phys.Addr(m.Config().DRAM.Capacity()))
 }
 
 func TestFlushDoesNotTouchTLB(t *testing.T) {

@@ -125,13 +125,14 @@ func tenantCount(cores int, tenants []int) (int, error) {
 func tenantPools(cfg Config, tenantN int, layout TableLayout) ([][]phys.Frame, error) {
 	rowSpan := uint64(cfg.DRAM.TotalBanks()) * cfg.DRAM.RowBytes
 	rowFrames := rowSpan / phys.FrameSize
-	framesPerTenant := pagetable.FramesToMap(cfg.MemBytes)
+	memBytes := cfg.DRAM.Capacity()
+	framesPerTenant := pagetable.FramesToMap(memBytes)
 	rowsPerTenant := (framesPerTenant + rowFrames - 1) / rowFrames
-	totalRows := cfg.MemBytes / rowSpan
+	totalRows := memBytes / rowSpan
 	reservedRows := rowsPerTenant * uint64(tenantN)
 	if reservedRows >= totalRows {
 		return nil, fmt.Errorf("machine: %d-byte memory too small for %d tenants × %d table rows",
-			cfg.MemBytes, tenantN, rowsPerTenant)
+			memBytes, tenantN, rowsPerTenant)
 	}
 	if layout != LayoutInterleaved && layout != LayoutBlocked {
 		return nil, fmt.Errorf("machine: unknown table layout %v", layout)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pthammer/internal/cache"
 	"pthammer/internal/dram"
 	"pthammer/internal/fault"
 	"pthammer/internal/flip"
@@ -46,12 +47,10 @@ func TestNewMultiWiring(t *testing.T) {
 
 func TestNewMultiRejectsBadConfigs(t *testing.T) {
 	base := SandyBridge()
-	halfMem, noClock := base, base
-	halfMem.MemBytes /= 2 // no longer matches the DRAM geometry
-	noClock.FreqHz = 0
+	badDRAM := base
+	badDRAM.DRAM.HammerThreshold = 0
 	cases := []MultiConfig{
-		{Config: halfMem, Cores: 2},
-		{Config: noClock, Cores: 2},
+		{Config: badDRAM, Cores: 2},
 		{Config: base, Cores: 0},
 		{Config: base, Cores: 2, Tenants: []int{0}},     // wrong length
 		{Config: base, Cores: 2, Tenants: []int{0, -1}}, // negative
@@ -124,7 +123,7 @@ func TestTenantPoolsBlocked(t *testing.T) {
 			t.Fatalf("blocked pools not one contiguous run at frame %d: %#x after %#x", k, all[k].Addr(), all[k-1].Addr())
 		}
 	}
-	if top := all[len(all)-1]; uint64(top)+1 != cfg.MemBytes/phys.FrameSize {
+	if top := all[len(all)-1]; uint64(top)+1 != cfg.DRAM.Capacity()/phys.FrameSize {
 		t.Fatalf("blocked pools end at frame %#x, below the top of memory", top.Addr())
 	}
 }
@@ -147,7 +146,7 @@ func TestCrossCoreLLCInclusivity(t *testing.T) {
 	// twice the associativity guarantees the target's way is recycled
 	// whatever the PTE-fetch traffic does to the set's LRU order.
 	llc := mm.Config().LLC
-	stride := phys.Addr(llc.Sets() * llc.LineBytes)
+	stride := phys.Addr(llc.Sets() * cache.LineBytes)
 	for k := 1; k <= 2*llc.Ways; k++ {
 		a.Load(target + phys.Addr(k)*stride)
 	}

@@ -75,6 +75,10 @@ func TestEventStrings(t *testing.T) {
 		PageWalkCompleted:   "page_walker.walks_completed",
 		PSCacheHit:          "page_walker.pscache_hit",
 		L1PTEMemoryFetch:    "page_walker.l1pte_memory_fetch",
+		WalkStepPML4E:       "page_walker.step_pml4e",
+		WalkStepPDPTE:       "page_walker.step_pdpte",
+		WalkStepPDE:         "page_walker.step_pde",
+		WalkStepPTE:         "page_walker.step_pte",
 	}
 	for e, s := range want {
 		if got := e.String(); got != s {

@@ -50,7 +50,7 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatalf("pagetable.NewWithFrames: %v", err)
 	}
-	clock := timing.MustNewClock(1_000_000_000)
+	clock := &timing.Clock{}
 	ctrs := &perf.Counters{}
 	lat := timing.DefaultLatencies()
 	dev := &fakeMem{clock: clock, lat: 100, source: mem.LevelDRAM}

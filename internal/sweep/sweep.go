@@ -111,9 +111,10 @@ func (s Spec) validate() error {
 	case s.Machine.FaultModel != nil:
 		return fmt.Errorf("sweep: Machine.FaultModel must be nil (a model binds to one machine)")
 	}
+	memBytes := s.Machine.DRAM.Capacity()
 	for _, a := range s.Addrs {
-		if uint64(a) >= s.Machine.MemBytes {
-			return fmt.Errorf("sweep: address %#x outside %d-byte memory", uint64(a), s.Machine.MemBytes)
+		if uint64(a) >= memBytes {
+			return fmt.Errorf("sweep: address %#x outside %d-byte memory", uint64(a), memBytes)
 		}
 	}
 	return nil

@@ -60,7 +60,7 @@ func TestRunValidatesSpec(t *testing.T) {
 		func(s *Spec) { s.PadStep = 0 },
 		func(s *Spec) { s.PadMin = -1 },
 		func(s *Spec) { s.PadMax = s.PadMin - 1 },
-		func(s *Spec) { s.Machine.FreqHz = 0 },
+		func(s *Spec) { s.Machine.DRAM.HammerThreshold = 0 },
 		func(s *Spec) { s.EvictBetween = true }, // both modes at once
 		// More paddings than the cap, and a count that overflows int:
 		// errors, never a panic from expanding them.
@@ -68,10 +68,10 @@ func TestRunValidatesSpec(t *testing.T) {
 		func(s *Spec) { s.PadMin, s.PadMax, s.PadStep = 0, math.MaxInt, 1 },
 		// An address past the end of memory, in both modes: an error,
 		// never a panic from the shard's first load or Algorithm 1.
-		func(s *Spec) { s.Addrs = append(s.Addrs, phys.Addr(s.Machine.MemBytes)) },
+		func(s *Spec) { s.Addrs = append(s.Addrs, phys.Addr(s.Machine.DRAM.Capacity())) },
 		func(s *Spec) {
 			s.FlushBetween, s.EvictBetween = false, true
-			s.Addrs = append(s.Addrs, phys.Addr(s.Machine.MemBytes))
+			s.Addrs = append(s.Addrs, phys.Addr(s.Machine.DRAM.Capacity()))
 		},
 	}
 	for i, mutate := range bad {

@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"time"
 )
 
 // Cycles counts CPU core cycles.
@@ -31,28 +30,10 @@ func Horizon(start Cycles, n uint64, window Cycles) (Cycles, error) {
 	return Cycles(end), nil
 }
 
-// Clock is the global cycle counter for one simulated machine.
+// Clock is the global cycle counter for one simulated machine. Its
+// zero value is a fresh clock reading cycle 0.
 type Clock struct {
 	now Cycles
-	// freqHz converts cycles to wall time (e.g. 2.6e9 for a 2.6 GHz part).
-	freqHz uint64
-}
-
-// NewClock creates a clock for a core running at freqHz cycles per second.
-func NewClock(freqHz uint64) (*Clock, error) {
-	if freqHz == 0 {
-		return nil, fmt.Errorf("timing: frequency must be positive")
-	}
-	return &Clock{freqHz: freqHz}, nil
-}
-
-// MustNewClock is NewClock but panics on error.
-func MustNewClock(freqHz uint64) *Clock {
-	c, err := NewClock(freqHz)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // Now returns the current cycle count (the simulated rdtsc).
@@ -65,29 +46,13 @@ func (c *Clock) Now() Cycles { return c.now }
 //pthammer:noalloc
 func (c *Clock) Advance(n Cycles) { c.now += n }
 
-// Reset rebases the clock to cycle 0, the value a fresh NewClock
-// starts at. Part of the Reset/Recycle contract: a recycled machine's
-// phase timings are cycle deltas from zero, exactly as on a freshly
+// Reset rebases the clock to cycle 0, the value a fresh clock starts
+// at. Part of the Reset/Recycle contract: a recycled machine's phase
+// timings are cycle deltas from zero, exactly as on a freshly
 // constructed one.
 //
 //pthammer:noalloc
 func (c *Clock) Reset() { c.now = 0 }
-
-// FreqHz returns the core frequency in Hz.
-func (c *Clock) FreqHz() uint64 { return c.freqHz }
-
-// Duration converts a cycle count to simulated wall time.
-func (c *Clock) Duration(n Cycles) time.Duration {
-	// n / freq seconds; compute in float to avoid overflow for large n.
-	sec := float64(n) / float64(c.freqHz)
-	return time.Duration(sec * float64(time.Second))
-}
-
-// CyclesFor converts a wall-time duration into cycles at this clock's
-// frequency.
-func (c *Clock) CyclesFor(d time.Duration) Cycles {
-	return Cycles(d.Seconds() * float64(c.freqHz))
-}
 
 // LatencyTable holds the cost in cycles of each microarchitectural event.
 // The values are per-machine and calibrated so the simulated distributions

@@ -5,15 +5,11 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestClockBasics(t *testing.T) {
-	if _, err := NewClock(0); err == nil {
-		t.Fatal("NewClock(0) accepted")
-	}
-	c := MustNewClock(2_600_000_000)
-	if c.Now() != 0 || c.FreqHz() != 2_600_000_000 {
+	c := &Clock{}
+	if c.Now() != 0 {
 		t.Fatal("fresh clock state wrong")
 	}
 	c.Advance(100)
@@ -66,20 +62,6 @@ func TestHorizon(t *testing.T) {
 		if want := fmt.Sprintf("%d windows", tc.n); !strings.Contains(err.Error(), want) {
 			t.Errorf("Horizon(%d, %d, %d) error %q does not name the count", tc.start, tc.n, tc.window, err)
 		}
-	}
-}
-
-func TestDurationCyclesRoundTrip(t *testing.T) {
-	c := MustNewClock(1_000_000_000) // 1 GHz: 1 cycle == 1 ns
-	if d := c.Duration(1000); d != time.Microsecond {
-		t.Fatalf("Duration(1000) = %v, want 1µs", d)
-	}
-	if n := c.CyclesFor(time.Millisecond); n != 1_000_000 {
-		t.Fatalf("CyclesFor(1ms) = %d, want 1e6", n)
-	}
-	// Round trip.
-	if n := c.CyclesFor(c.Duration(123_456)); n != 123_456 {
-		t.Fatalf("round trip = %d, want 123456", n)
 	}
 }
 

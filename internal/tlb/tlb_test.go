@@ -38,7 +38,7 @@ func tinyConfig() Config {
 
 func newTestTLB(t *testing.T) (*TLB, *fakeWalker, *timing.Clock, *perf.Counters) {
 	t.Helper()
-	clock := timing.MustNewClock(1_000_000_000)
+	clock := &timing.Clock{}
 	counters := &perf.Counters{}
 	w := &fakeWalker{clock: clock, cost: 50}
 	tl, err := New(tinyConfig(), w, clock, counters, timing.DefaultLatencies())
@@ -72,7 +72,7 @@ func TestConfigValidate(t *testing.T) {
 // TestNewRejectsBadInputs covers New's validation branches: a bad shape,
 // a bad latency table or a nil dependency is an error, never a panic.
 func TestNewRejectsBadInputs(t *testing.T) {
-	clock := timing.MustNewClock(1_000_000_000)
+	clock := &timing.Clock{}
 	counters := &perf.Counters{}
 	w := &fakeWalker{clock: clock, cost: 50}
 	lat := timing.DefaultLatencies()
