@@ -59,18 +59,46 @@ type Config struct {
 	HammerThreshold uint64
 }
 
-// Validate reports an error if the geometry is degenerate.
+// MaxBanks caps a geometry's bank count, channels × ranks × banks per
+// rank: New builds every bank up front. A large real system reaches it
+// (8 channels × 4 ranks × 32 DDR5 banks is 1,024); the presets sit far
+// below it: SandyBridge has 16 banks, and the most the tree builds is
+// 48 (the planner oracle's three-rank module).
+const MaxBanks = 1 << 10
+
+// MaxCapacity caps a geometry's capacity at 64 GiB. A machine's
+// physical memory is its DRAM capacity, and both phys's frame table and
+// the banks' ACT counts cost 4 B per 4 KiB of it at most, so a machine
+// at the cap asks for at most 64 MiB of each. The presets sit far
+// below it: SandyBridge is 1 GiB, and the largest geometry the tree
+// builds is 4 GiB (8 banks × 65,536 rows × 8 KiB, dram's recycle
+// tests and the dram-recycle-reset scenario).
+const MaxCapacity = 1 << 36
+
+// Validate reports an error if the geometry is degenerate or past
+// MaxBanks or MaxCapacity.
 func (c Config) Validate() error {
 	switch {
 	case c.Channels <= 0 || c.RanksPerChannel <= 0 || c.BanksPerRank <= 0:
 		return fmt.Errorf("dram: channels/ranks/banks must be positive (got %d/%d/%d)",
 			c.Channels, c.RanksPerChannel, c.BanksPerRank)
+	case c.Channels > MaxBanks || c.RanksPerChannel > MaxBanks || c.BanksPerRank > MaxBanks ||
+		c.TotalBanks() > MaxBanks: // factors within the cap keep TotalBanks from overflowing
+		return fmt.Errorf("dram: %d channels × %d ranks × %d banks exceed the %d-bank cap",
+			c.Channels, c.RanksPerChannel, c.BanksPerRank, MaxBanks)
 	case c.Rows == 0:
 		return fmt.Errorf("dram: rows per bank must be positive")
 	case c.RowBytes == 0 || c.RowBytes%phys.FrameSize != 0:
 		return fmt.Errorf("dram: row bytes %d must be a positive multiple of the %d-byte frame", c.RowBytes, phys.FrameSize)
 	case c.HammerThreshold == 0:
 		return fmt.Errorf("dram: hammer threshold must be positive")
+	}
+	// At most MaxBanks banks of at most MaxCapacity bytes each: the
+	// last product cannot overflow.
+	if hi, bankBytes := bits.Mul64(c.Rows, c.RowBytes); hi != 0 || bankBytes > MaxCapacity ||
+		uint64(c.TotalBanks())*bankBytes > MaxCapacity {
+		return fmt.Errorf("dram: %d banks × %d rows × %d-byte rows exceed the %d-byte capacity cap",
+			c.TotalBanks(), c.Rows, c.RowBytes, uint64(MaxCapacity))
 	}
 	return nil
 }

@@ -45,6 +45,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := testConfig().Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	atCap := testConfig()
+	atCap.Rows = MaxCapacity / (uint64(atCap.TotalBanks()) * atCap.RowBytes)
+	if err := atCap.Validate(); err != nil || atCap.Capacity() != MaxCapacity {
+		t.Fatalf("config at the %d-byte cap (%d bytes) rejected: %v", uint64(MaxCapacity), atCap.Capacity(), err)
+	}
 	bad := []func(*Config){
 		func(c *Config) { c.Channels = 0 },
 		func(c *Config) { c.RanksPerChannel = -1 },
@@ -53,6 +58,14 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.RowBytes = 0 },
 		func(c *Config) { c.RowBytes = phys.FrameSize + 1 },
 		func(c *Config) { c.HammerThreshold = 0 },
+		// Past the caps: a bank count over MaxBanks (and one whose
+		// product overflows int), rows × row bytes wrapping uint64 to
+		// 16 MiB, and 2^31 rows of 4 KiB (8 TiB) in one bank.
+		func(c *Config) { c.BanksPerRank = MaxBanks/2 + 1 },
+		func(c *Config) { c.Channels, c.RanksPerChannel, c.BanksPerRank = 1<<31, 1<<31, 4 },
+		func(c *Config) { c.Channels, c.BanksPerRank, c.Rows, c.RowBytes = 1, 1, 1<<52+1<<12, 4096 },
+		func(c *Config) { c.Channels, c.BanksPerRank, c.Rows, c.RowBytes = 1, 1, 1<<31, 4096 },
+		func(c *Config) { c.Rows = MaxCapacity/(uint64(c.TotalBanks())*c.RowBytes) + 1 },
 	}
 	for i, mutate := range bad {
 		c := testConfig()

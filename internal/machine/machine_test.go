@@ -61,9 +61,10 @@ func tinyConfig() Config {
 }
 
 // TestNewRejectsUnbuildableShapes pins that every set-associative
-// structure's shape is a config error from both constructors: an
-// associativity past mem.MaxWays must fail validation, never reach
-// mem.NewSetAssoc's panic.
+// structure's shape and the DRAM geometry are config errors from both
+// constructors: an associativity past mem.MaxWays, an array past
+// mem.MaxEntries and a capacity that wraps uint64 must fail validation,
+// never reach mem.NewSetAssoc's panic or a make that cannot be met.
 func TestNewRejectsUnbuildableShapes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -74,6 +75,14 @@ func TestNewRejectsUnbuildableShapes(t *testing.T) {
 		{"32-way L2", func(c *Config) { c.L2.Ways = 32 }},
 		{"32-way dTLB", func(c *Config) { c.TLB.L1Ways = 32 }},
 		{"64-way sTLB", func(c *Config) { c.TLB.L2Ways = 64 }},
+		// 2^50 sets: make panicked with len out of range.
+		{"2^60-byte LLC", func(c *Config) { c.LLC.SizeBytes = 1 << 60 }},
+		// The capacity wraps to 16 MiB, but one bank holds 2^52+2^12
+		// rows: dram.New's count array could not be made.
+		{"capacity wrapping to 16 MiB", func(c *Config) {
+			c.DRAM.Channels, c.DRAM.RanksPerChannel, c.DRAM.BanksPerRank = 1, 1, 1
+			c.DRAM.Rows, c.DRAM.RowBytes = 1<<52+1<<12, 4096
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

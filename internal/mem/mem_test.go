@@ -84,7 +84,14 @@ func TestSetAssocLRUAndInvalidate(t *testing.T) {
 }
 
 func TestNewSetAssocPanicsOnBadShape(t *testing.T) {
-	for _, shape := range [][2]int{{0, 2}, {2, 0}, {3, 2}, {-4, 2}, {1, MaxWays + 1}} {
+	for _, shape := range [][2]int{{MaxEntries, 1}, {MaxEntries / MaxWays, MaxWays}} {
+		if err := CheckShape(shape[0], shape[1]); err != nil {
+			t.Errorf("CheckShape(%d, %d) at the entry cap: %v", shape[0], shape[1], err)
+		}
+	}
+	// The last two are past MaxEntries: a 2^21-entry array, and the
+	// 2^50 sets of a 2^60-byte LLC, which would panic in make instead.
+	for _, shape := range [][2]int{{0, 2}, {2, 0}, {3, 2}, {-4, 2}, {1, MaxWays + 1}, {MaxEntries / 2, 4}, {1 << 50, 16}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -108,16 +108,26 @@ const (
 	deadFP = 0x80
 )
 
+// MaxEntries caps an array's sets × ways. An array costs the host a
+// 32-byte header per set and 8 bytes of tag (plus 8 of payload) per
+// entry, so one at the cap asks for at most 48 MiB. The largest array
+// a preset builds is SandyBridge's 8 MiB LLC, 2^17 entries; the cap is
+// a 64 MiB LLC.
+const MaxEntries = 1 << 20
+
 // CheckShape reports why sets × ways is not a shape NewSetAssoc builds,
-// or nil if it is: ways must be 1..MaxWays and the set count a positive
-// power of two. Config validators call it, so a config they accept never
-// reaches NewSetAssoc's panic.
+// or nil if it is: ways must be 1..MaxWays, the set count a positive
+// power of two, and sets × ways at most MaxEntries. Config validators
+// call it, so a config they accept never reaches NewSetAssoc's panic.
 func CheckShape(sets, ways int) error {
 	if ways < 1 || ways > MaxWays {
 		return fmt.Errorf("ways %d outside 1..%d", ways, MaxWays)
 	}
 	if sets <= 0 || sets&(sets-1) != 0 {
 		return fmt.Errorf("set count %d must be a positive power of two", sets)
+	}
+	if sets > MaxEntries/ways {
+		return fmt.Errorf("%d sets × %d ways exceed the %d-entry cap", sets, ways, MaxEntries)
 	}
 	return nil
 }

@@ -1,7 +1,10 @@
 // Package phys models the machine's physical memory as a sparse array of
-// 4 KiB frames. Frames are allocated lazily on first touch, so an 8 GiB
-// machine costs host memory only for the frames the simulation actually
-// writes. All simulated state that must survive a rowhammer bit flip —
+// 4 KiB frames whose bytes are held in 64-byte lines. A frame
+// materializes on its first write and a line on the first write into
+// it; every other byte reads as zero. The host cost is 4 B per modelled
+// frame, 264 B per materialized frame (a 256 B line table and an owner
+// entry) and 64 B per written line, in pointer-free slices the GC never
+// scans. All simulated state that must survive a rowhammer bit flip —
 // most importantly page tables — lives in these bytes: the DRAM flip
 // engine mutates them directly and the MMU later reads the corrupted
 // values back, exactly as on real hardware.
@@ -17,6 +20,14 @@ const FrameSize = 4096
 
 // FrameShift is log2(FrameSize).
 const FrameShift = 12
+
+// lineBytes is the unit Memory materializes bytes in: one 64-byte
+// cache line, the span of eight page-table entries.
+const (
+	lineBytes     = 64
+	lineShift     = 6
+	linesPerFrame = FrameSize / lineBytes
+)
 
 // Addr is a physical byte address.
 type Addr uint64
@@ -42,24 +53,40 @@ func Offset(a Addr) uint64 { return uint64(a) & (FrameSize - 1) }
 // Memory is a sparse physical memory of a fixed size. The zero value is
 // not usable; create one with New.
 //
-// The frame table is a flat per-frame slot array rather than a map: a
-// frame lookup sits under every simulated page-table read, so a hole
-// must cost one indexed load, not a hash probe. The slots are uint32
-// indices, not pointers: the table costs 4 bytes per frame (1 MiB for
-// a 1 GiB machine), the GC never scans it, and only the materialized
-// frames' backing arrays are pointer-reachable.
+// A byte is found in three dependent loads and no branch: the frame's
+// slot, the line's entry in that frame's line table, and the line's
+// bytes. Entry 0 of each slab is a sentinel: a hole's slot is 0, which
+// names an all-unwritten line table, and an unwritten line's entry is
+// 0, which names an all-zero line that nothing ever writes. The frame
+// table is a flat per-frame slot array rather than a map: a frame
+// lookup sits under every simulated page-table read, so it must cost
+// one indexed load, not a hash probe. Slots and line-table entries are
+// uint32 indices, not pointers: the slot array costs 4 B per frame
+// (1 MiB for a 1 GiB machine), a materialized frame's line table 256 B,
+// a written line 64 B, and Memory holds no pointer but its four slice
+// headers, so the GC never scans its contents. A sprayed page table
+// with a handful of written entries thus costs a few hundred bytes,
+// not 4 KiB.
+//
+// Materializing appends to the tables and lines slabs, and appending
+// may move a slab: no code may hold a line pointer across a call that
+// can materialize one.
 type Memory struct {
 	size uint64
-	// slot maps each frame to its backing array: 0 for a hole, else 1 +
-	// the frame's index in data and owner.
+	// slot maps each frame to its line table's index in tables: 0 for
+	// a hole.
 	slot []uint32
-	// data and owner list the materialized frames in first-touch order:
-	// data[i] backs frame owner[i]. Their length is the materialized
-	// count, and owner is the list of slots Reset must clear. Past its
-	// length, data's capacity keeps the arrays a Reset released (a
-	// non-nil prefix), for frame to reuse before it allocates.
-	data  []*[FrameSize]byte
-	owner []Frame
+	// tables lists the sentinel and then the materialized frames' line
+	// tables in first-touch order; tables[i] belongs to frame
+	// owner[i-1]. A line table maps each of its frame's lines to the
+	// line's index in lines: 0 while the line is unwritten. owner is
+	// the list of slots Reset must clear.
+	tables [][linesPerFrame]uint32
+	owner  []Frame
+	// lines lists the sentinel and then the written lines' bytes in
+	// first-write order. A uint32 index caps it at 2^32−1 lines,
+	// 256 GiB of written bytes.
+	lines [][lineBytes]byte
 	// writes counts byte-granularity stores, used by tests to assert
 	// that simulated devices really touch memory.
 	writes uint64
@@ -76,7 +103,12 @@ func New(size uint64) (*Memory, error) {
 	if frames > math.MaxUint32 {
 		return nil, fmt.Errorf("phys: %d frames exceed the frame table's limit of %d", frames, uint64(math.MaxUint32))
 	}
-	return &Memory{size: size, slot: make([]uint32, frames)}, nil
+	return &Memory{
+		size:   size,
+		slot:   make([]uint32, frames),
+		tables: make([][linesPerFrame]uint32, 1),
+		lines:  make([][lineBytes]byte, 1),
+	}, nil
 }
 
 // MustNew is New but panics on error; intended for tests and presets with
@@ -102,63 +134,91 @@ func (m *Memory) Frames() uint64 { return m.size / FrameSize }
 //pthammer:noalloc
 func (m *Memory) Contains(a Addr) bool { return uint64(a) < m.size }
 
-// frame returns the backing array for f, materializing it (zeroed) on
-// first touch: it reuses the next array a Reset released, cleared, and
-// allocates only once those run out. Panics if f is out of range:
-// callers are simulated hardware, and an out-of-range physical access
-// is a simulator bug, not a runtime condition to handle.
+// frame returns f's slot, materializing the frame with an all-unwritten
+// line table on first touch. Panics if f is out of range: callers are
+// simulated hardware, and an out-of-range physical access is a
+// simulator bug, not a runtime condition to handle.
 //
 //pthammer:noalloc
-func (m *Memory) frame(f Frame) *[FrameSize]byte {
-	fr := m.peek(f)
-	if fr == nil {
-		if n := len(m.data); n < cap(m.data) && m.data[:n+1][n] != nil {
-			m.data = m.data[:n+1]
-			fr = m.data[n]
-			clear(fr[:])
-		} else {
-			fr = new([FrameSize]byte)   //pthammer:alloc-ok lazy first-touch materialization, once per array past the released ones
-			m.data = append(m.data, fr) //pthammer:alloc-ok amortized growth, capacity kept across Reset
-		}
-		m.owner = append(m.owner, f) //pthammer:alloc-ok amortized growth, capacity kept across Reset
-		m.slot[f] = uint32(len(m.data))
+func (m *Memory) frame(f Frame) uint32 {
+	s := m.peek(f)
+	if s == 0 {
+		s = uint32(len(m.tables))
+		m.tables = append(m.tables, [linesPerFrame]uint32{}) //pthammer:alloc-ok amortized slab growth, capacity kept across Reset
+		m.owner = append(m.owner, f)                         //pthammer:alloc-ok amortized growth, capacity kept across Reset
+		m.slot[f] = s
 	}
-	return fr
+	return s
 }
 
-// peek returns the backing array for f, or nil if the frame has never
-// been written. Read paths use it so sweeping loads over a large
-// address space do not materialize host memory. Panics like frame on
-// out-of-range frames.
+// peek returns f's slot: 0 if the frame has never been written. Read
+// paths use it so sweeping loads over a large address space do not
+// materialize host memory. Panics like frame on out-of-range frames.
 //
 //pthammer:noalloc
-func (m *Memory) peek(f Frame) *[FrameSize]byte {
+func (m *Memory) peek(f Frame) uint32 {
 	if uint64(f) >= uint64(len(m.slot)) {
-		panic(fmt.Sprintf("phys: frame %#x out of range (%d frames)", uint64(f), m.Frames()))
+		panic(m.outOfRange(f))
 	}
-	s := m.slot[f]
-	if s == 0 {
-		return nil
+	return m.slot[f]
+}
+
+// outOfRange is peek's panic message, built out of line so peek
+// inlines into the read paths.
+//
+//go:noinline
+func (m *Memory) outOfRange(f Frame) string {
+	return fmt.Sprintf("phys: frame %#x out of range (%d frames)", uint64(f), m.Frames())
+}
+
+// line returns the line holding a for writing, materializing its
+// frame and then the line itself (zeroed) on first write, so it never
+// returns the sentinel. The pointer is valid only until the next
+// materialization.
+//
+//pthammer:noalloc
+func (m *Memory) line(a Addr) *[lineBytes]byte {
+	t := &m.tables[m.frame(FrameOf(a))]
+	i := Offset(a) >> lineShift
+	if t[i] == 0 {
+		t[i] = uint32(len(m.lines))
+		m.lines = append(m.lines, [lineBytes]byte{}) //pthammer:alloc-ok amortized slab growth, capacity kept across Reset
 	}
-	return m.data[s-1]
+	return &m.lines[t[i]]
+}
+
+// peekLine returns the line holding a for reading: the all-zero
+// sentinel if it has never been written. Like peek, it never
+// materializes anything, and its result must not be written.
+//
+//pthammer:noalloc
+func (m *Memory) peekLine(a Addr) *[lineBytes]byte {
+	return &m.lines[m.tables[m.peek(FrameOf(a))][Offset(a)>>lineShift]]
+}
+
+// zeroLines clears the written lines of the frame in slot s in place.
+//
+//pthammer:noalloc
+func (m *Memory) zeroLines(s uint32) {
+	for _, l := range &m.tables[s] {
+		if l != 0 {
+			m.lines[l] = [lineBytes]byte{}
+		}
+	}
 }
 
 // Materialized returns how many frames have been lazily allocated so far.
 func (m *Memory) Materialized() int { return len(m.owner) }
 
 // Read8 returns the byte at physical address a. Reading a never-written
-// frame returns zero without materializing it.
+// line returns zero without materializing it.
 func (m *Memory) Read8(a Addr) byte {
-	fr := m.peek(FrameOf(a))
-	if fr == nil {
-		return 0
-	}
-	return fr[Offset(a)]
+	return m.peekLine(a)[a&(lineBytes-1)]
 }
 
 // Write8 stores b at physical address a.
 func (m *Memory) Write8(a Addr, b byte) {
-	m.frame(FrameOf(a))[Offset(a)] = b
+	m.line(a)[a&(lineBytes-1)] = b
 	m.writes++
 }
 
@@ -170,14 +230,11 @@ func (m *Memory) Read64(a Addr) uint64 {
 	if a&7 != 0 {
 		panic(fmt.Sprintf("phys: unaligned 64-bit read at %#x", uint64(a)))
 	}
-	fr := m.peek(FrameOf(a))
-	if fr == nil {
-		return 0
-	}
-	off := Offset(a)
-	// Written as one little-endian expression so the compiler fuses it
-	// into a single 8-byte load; this sits under every page-walk step.
-	b := fr[off : off+8 : off+8]
+	// The mask keeps the word inside the line without a bounds check,
+	// and the one little-endian expression fuses into a single 8-byte
+	// load; this sits under every page-walk step.
+	off := a & (lineBytes - 8)
+	b := m.peekLine(a)[off : off+8 : off+8]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
@@ -190,57 +247,58 @@ func (m *Memory) Write64(a Addr, v uint64) {
 	if a&7 != 0 {
 		panic(fmt.Sprintf("phys: unaligned 64-bit write at %#x", uint64(a)))
 	}
-	fr := m.frame(FrameOf(a))
-	off := Offset(a)
-	b := fr[off : off+8 : off+8]
+	off := a & (lineBytes - 8)
+	b := m.line(a)[off : off+8 : off+8]
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
 	m.writes += 8
 }
 
 // ReadFrame copies the contents of frame f into dst and returns the number
-// of bytes copied (always FrameSize when dst is large enough). A
-// never-written frame reads as zeros without materializing.
+// of bytes copied (always FrameSize when dst is large enough). Unwritten
+// lines read as zeros, and nothing is materialized.
 func (m *Memory) ReadFrame(f Frame, dst []byte) int {
-	fr := m.peek(f)
-	if fr == nil {
-		var zero [FrameSize]byte
-		return copy(dst, zero[:])
+	s := m.peek(f)
+	dst = dst[:min(len(dst), FrameSize)]
+	for i, l := range &m.tables[s] {
+		if off := i * lineBytes; off < len(dst) {
+			copy(dst[off:], m.lines[l][:])
+		}
 	}
-	return copy(dst, fr[:])
+	return len(dst)
 }
 
-// WriteFrame copies src into frame f starting at offset 0.
+// WriteFrame copies src into frame f starting at offset 0, materializing
+// the frame and the lines it covers.
 func (m *Memory) WriteFrame(f Frame, src []byte) int {
-	n := copy(m.frame(f)[:], src)
-	m.writes += uint64(n)
-	return n
+	m.frame(f)
+	src = src[:min(len(src), FrameSize)]
+	for off := 0; off < len(src); off += lineBytes {
+		copy(m.line(f.Addr() + Addr(off))[:], src[off:])
+	}
+	m.writes += uint64(len(src))
+	return len(src)
 }
 
-// ZeroFrame clears frame f. The kernel uses this when handing out pages.
+// ZeroFrame clears frame f, materializing the frame but no line: its
+// written lines are zeroed in place. The kernel uses this when handing
+// out pages.
 func (m *Memory) ZeroFrame(f Frame) {
-	fr := m.frame(f)
-	for i := range fr {
-		fr[i] = 0
-	}
+	m.zeroLines(m.frame(f))
 	m.writes += FrameSize
 }
 
-// ScrubFrame zeroes frame f in place if it has been materialized,
-// counting the writes; a hole is left untouched. Recycling paths
-// (pagetable.Tables.Reset) use this instead of ZeroFrame so that
-// scrubbing a pool never materializes frames the simulation has not
-// defined — a hole already reads as zero, and materializing it would
-// silently change FlipBit's hole semantics for the next cohort.
+// ScrubFrame zeroes frame f's written lines in place if the frame has
+// been materialized, counting the writes; a hole is left untouched.
+// Recycling paths (pagetable.Tables.Reset) use this instead of ZeroFrame
+// so that scrubbing a pool never materializes frames the simulation has
+// not defined — a hole already reads as zero, and materializing it
+// would silently change FlipBit's hole semantics for the next cohort.
 func (m *Memory) ScrubFrame(f Frame) {
-	fr := m.peek(f)
-	if fr == nil {
-		return
+	if s := m.peek(f); s != 0 {
+		m.zeroLines(s)
+		m.writes += FrameSize
 	}
-	for i := range fr {
-		fr[i] = 0
-	}
-	m.writes += FrameSize
 }
 
 // Reset returns the memory to its just-built state: every materialized
@@ -251,15 +309,16 @@ func (m *Memory) ScrubFrame(f Frame) {
 // miss, so a recycled machine must present the same holes or its flip
 // model's attempt/miss accounting would diverge from a fresh one's.
 // Cost is one slot store per materialized frame, O(live state) rather
-// than O(capacity), and no allocation. The released arrays stay in
-// data's capacity and frame clears and reuses them, so re-materializing
-// up to the previous count allocates nothing either.
+// than O(capacity), and no allocation. The slabs keep their capacity,
+// and materializing appends zeroed entries, so re-materializing up to
+// the previous counts allocates nothing either.
 func (m *Memory) Reset() {
 	for _, f := range m.owner {
 		m.slot[f] = 0
 	}
-	m.data = m.data[:0]
+	m.tables = m.tables[:1]
 	m.owner = m.owner[:0]
+	m.lines = m.lines[:1]
 	m.writes = 0
 }
 
@@ -276,33 +335,31 @@ func (m *Memory) Reset() {
 // WriteCount with frames the simulation never defined. Flips only ever
 // land in frames the simulation has written (page tables, filled
 // victim pages), exactly the cells whose content a real disturbance
-// error corrupts.
+// error corrupts. Within such a frame every line is defined: a flip
+// into a line no store reached lands on its zero bytes and
+// materializes the line.
 func (m *Memory) FlipBit(a Addr, bit uint) (byte, bool) {
 	if bit > 7 {
 		panic(fmt.Sprintf("phys: bit index %d out of range", bit))
 	}
-	fr := m.peek(FrameOf(a))
-	if fr == nil {
+	if m.peek(FrameOf(a)) == 0 {
 		return 0, false
 	}
-	off := Offset(a)
-	fr[off] ^= 1 << bit
+	ln := m.line(a)
+	off := a & (lineBytes - 1)
+	ln[off] ^= 1 << bit
 	m.writes++
-	return (fr[off] >> bit) & 1, true
+	return (ln[off] >> bit) & 1, true
 }
 
 // Bit returns the current value (0 or 1) of the given bit. Reading a
-// never-written frame reports 0 without materializing it — the same
-// hole semantics FlipBit applies on the mutation side.
+// never-written line reports 0 without materializing it — the same
+// read-side view FlipBit's hole semantics build on.
 func (m *Memory) Bit(a Addr, bit uint) byte {
 	if bit > 7 {
 		panic(fmt.Sprintf("phys: bit index %d out of range", bit))
 	}
-	fr := m.peek(FrameOf(a))
-	if fr == nil {
-		return 0
-	}
-	return (fr[Offset(a)] >> bit) & 1
+	return (m.peekLine(a)[a&(lineBytes-1)] >> bit) & 1
 }
 
 // WriteCount returns the number of byte stores performed so far.

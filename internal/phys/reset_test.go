@@ -42,8 +42,9 @@ func TestScrubFrameZeroesInPlaceAndSkipsHoles(t *testing.T) {
 // previously written, now-reset frame must again be the hole no-op.
 // Frames written after Reset materialize zeroed and are the only ones
 // counted, and a second round behaves exactly like the first. Every
-// round fills its frames with non-zero bytes, so an array frame reuses
-// after a Reset without clearing it shows up as stale content.
+// round fills its frames with non-zero bytes, so a line-table or line
+// slab entry reused after a Reset without clearing shows up as stale
+// content.
 func TestMemoryResetRestoresHoles(t *testing.T) {
 	m := MustNew(4 * FrameSize)
 	full := make([]byte, FrameSize)
@@ -90,7 +91,7 @@ func TestMemoryResetRestoresHoles(t *testing.T) {
 
 		// A new write materializes only its own frame, zeroed: the
 		// old contents of a released frame never come back, although
-		// its array is reused.
+		// the slabs' capacity is reused.
 		m.Write8(Frame(3).Addr(), 7)
 		m.Write8(Frame(1).Addr(), 9)
 		for _, f := range []Frame{3, 1} {
