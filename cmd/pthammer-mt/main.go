@@ -218,7 +218,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	windows := fs.Int("windows", 4, "refresh windows per arm for the amplify and noisy scenarios")
 	xtSeed := fs.Int64("xt-seed", 1, "flip-model seed for the cross-tenant escalation")
 	xtWindows := fs.Int("xt-windows", 60, "refresh-window budget for the cross-tenant escalation")
-	pool := fs.Int("pool", 8, fmt.Sprintf("front-ends in the population runs' core pool, at most %d (two per unit, ~78 KB each) and capped at 2 x -pop-tenants (one two-core unit per tenant); the output must not depend on it", cohort.MaxFrontEnds))
+	pool := fs.Int("pool", 8, fmt.Sprintf("front-ends in the population runs' core pool, at most %d (two per unit, ~34 KB each) and capped at 2 x -pop-tenants (one two-core unit per tenant); the output must not depend on it", cohort.MaxFrontEnds))
 	popTenants := fs.Int("pop-tenants", 2000, "tenants per population row (6 rows: 3 classes x 2 layouts)")
 	popSeed := fs.Int64("pop-seed", 1, "population seed; per-tenant seeds are mixed from it")
 	popWindows := fs.Int("pop-windows", 3, "refresh windows per tenant slice in the population runs")

@@ -169,8 +169,8 @@ type Pool struct {
 	units  []*unit
 }
 
-// MaxFrontEnds caps a pool: NewPool builds every unit up front, ~78 KB
-// of heap each, so the cap bounds a pool at ~40 MB.
+// MaxFrontEnds caps a pool: NewPool builds every unit up front, ~34 KB
+// of heap each, so the cap bounds a pool at ~17 MB.
 const MaxFrontEnds = 1024
 
 // NewPool builds a pool of frontEnds/2 attacker/victim units (each

@@ -12,25 +12,28 @@
 // a Port. Port.Lookup is the terminal hop of every simulated load, so
 // it is written to cost a handful of array operations: the address
 // decode is pure shift/mask on power-of-two geometries, and activation
-// counts live in one dense 4-byte-per-row array per bank (no maps, no
-// per-window reallocation). A count is zero for every row off its
-// bank's touched list, so window turnover and a recycle zero just the
-// rows the ended window touched — O(banks + touched rows), never
-// O(rows) — and victim pressure is read straight from the neighbours'
-// counts, O(touched rows).
+// counts live in one two-level sparse.Array over every bank row, found
+// in two dependent loads and no branch (no maps, no per-window
+// reallocation). The host cost is 4 B per sparse.ChunkLen bank rows
+// (the directory) and 512 B per chunk of sparse.ChunkLen rows of one
+// bank once any of them is activated — nothing per modelled row. A
+// count is zero for every row off its bank's touched list, so window
+// turnover and a recycle zero just the rows the ended window touched —
+// O(banks + touched rows), never O(rows) — and victim pressure is read
+// straight from the neighbours' counts, O(touched rows).
 package dram
 
 import (
 	"cmp"
 	"fmt"
 	"iter"
-	"math"
 	"math/bits"
 	"slices"
 
 	"pthammer/internal/mem"
 	"pthammer/internal/perf"
 	"pthammer/internal/phys"
+	"pthammer/internal/sparse"
 	"pthammer/internal/timing"
 )
 
@@ -67,12 +70,16 @@ type Config struct {
 const MaxBanks = 1 << 10
 
 // MaxCapacity caps a geometry's capacity at 64 GiB. A machine's
-// physical memory is its DRAM capacity, and both phys's frame table and
-// the banks' ACT counts cost 4 B per 4 KiB of it at most, so a machine
-// at the cap asks for at most 64 MiB of each. The presets sit far
-// below it: SandyBridge is 1 GiB, and the largest geometry the tree
-// builds is 4 GiB (8 banks × 65,536 rows × 8 KiB, dram's recycle
-// tests and the dram-recycle-reset scenario).
+// physical memory is its DRAM capacity, and what it still sizes up
+// front is two directories: phys's frame directory and the DRAM's row
+// directory, 4 B per sparse.ChunkLen frames or rows, at most 512 KiB
+// each at the cap. Chunks grow with what a run touches, so the cap
+// stays to bound the worst case: a run that writes every frame and
+// activates every row materializes 4 B per frame and per row, at most
+// 64 MiB of each. The presets sit far below it: SandyBridge is 1 GiB,
+// and the largest geometry the tree builds is 4 GiB (8 banks × 65,536
+// rows × 8 KiB, dram's recycle tests and the dram-recycle-reset
+// scenario).
 const MaxCapacity = 1 << 36
 
 // Validate reports an error if the geometry is degenerate or past
@@ -262,10 +269,10 @@ func (c Config) RowRange(channel, rank, bank int, row uint64) (start phys.Addr, 
 	return c.AddrOf(loc), c.RowBytes
 }
 
-// bank is the per-bank state: the open row and this refresh window's
-// activation counts. A row's count is nonzero exactly when the row is
-// on touched, so ending a window zeroes only the touched rows and never
-// reallocates.
+// bank is the per-bank state: the open row and the rows activated this
+// refresh window, whose counts DRAM.acts holds. A row's count is
+// nonzero exactly when the row is on touched, so ending a window zeroes
+// only the touched rows and never reallocates.
 type bank struct {
 	// openRow is the row latched in the row buffer, or -1 when the bank
 	// is precharged.
@@ -275,36 +282,53 @@ type bank struct {
 	// pays the bank-arbitration cost (the scheduler switching request
 	// streams), so a single-core machine can never be charged.
 	lastCore int
-	// acts[row] is the row's ACT count in the current window,
-	// saturating at math.MaxUint32; zero for every row not on touched.
-	acts []uint32
+	// base is the index of the bank's row 0 in DRAM.acts.
+	base uint64
 	// touched lists the rows activated in the current window, in
 	// first-activation order. Truncated (capacity kept) on turnover.
 	touched []uint64
 }
 
-// activate latches row into the bank's row buffer and counts the ACT.
-// A row's first ACT of the window puts it on touched.
+// count returns row's ACT count in b this window: 0 through the
+// sentinel chunk for a row in a range never activated.
 //
 //pthammer:noalloc
-func (b *bank) activate(row uint64) {
-	b.openRow = int64(row)
-	n := b.acts[row]
-	if n == 0 {
+func (d *DRAM) count(b *bank, row uint64) uint32 { return d.acts.Get(b.base + row) }
+
+// activate counts an ACT of row, which Lookup has latched into b's row
+// buffer; a row's first ACT of the window puts it on touched. It
+// reports false, counting nothing, when the row's chunk of counts has
+// never been written: Lookup hands that ACT to firstChunkACT. Free of
+// calls, activate inlines into Lookup.
+//
+//pthammer:noalloc
+func (d *DRAM) activate(b *bank, row uint64) bool {
+	n, ok := d.acts.Inc(b.base + row)
+	if n == 0 && ok {
 		b.touched = append(b.touched, row) //pthammer:alloc-ok amortized: capacity is retained across window turnovers
 	}
-	if n < math.MaxUint32 {
-		b.acts[row] = n + 1
-	}
+	return ok
 }
 
-// endWindow is a refresh of the bank: the touched rows' counts return to
-// zero, the list truncates (capacity kept) and the bank precharges.
+// firstChunkACT counts the first ACT ever into row's chunk of counts:
+// it materializes the chunk, so it is reached once per chunk, and puts
+// the row on touched with a count of one. It stays out of line, so
+// Lookup does not carry the slab's growth code.
+//
+//go:noinline
+//pthammer:noalloc
+func (d *DRAM) firstChunkACT(b *bank, row uint64) {
+	*d.acts.Ref(b.base + row) = 1
+	b.touched = append(b.touched, row) //pthammer:alloc-ok amortized: capacity is retained across window turnovers
+}
+
+// endWindow is a refresh of b: the touched rows' counts return to zero,
+// the list truncates (capacity kept) and the bank precharges.
 //
 //pthammer:noalloc
-func (b *bank) endWindow() {
+func (d *DRAM) endWindow(b *bank) {
 	for _, row := range b.touched {
-		b.acts[row] = 0
+		d.acts.Clear(b.base + row)
 	}
 	b.touched = b.touched[:0]
 	b.openRow = -1
@@ -322,7 +346,12 @@ type DRAM struct {
 	rowConflict timing.Cycles
 	bankArb     timing.Cycles
 
-	banks       []bank
+	banks []bank
+	// acts holds bank b's row r's ACT count in the current window at
+	// banks[b].base + r, saturating at math.MaxUint32; zero for every
+	// row not on its bank's touched list. One array serves every bank,
+	// so the banks share one sentinel chunk.
+	acts        sparse.Array
 	windowStart timing.Cycles
 	// hook, when set, receives the ended window's Stats every time the
 	// refresh window rotates naturally (the clock crossing a boundary).
@@ -337,9 +366,11 @@ type DRAM struct {
 // New builds the DRAM's shared state. Latencies come from the machine's
 // LatencyTable; clocks and counters belong to the cores, which attach
 // with NewPort. The first refresh window starts at cycle 0, the reading
-// of every fresh clock. Activation bookkeeping is allocated up front
-// (one 4-byte count per bank row) so the per-access path never
-// allocates.
+// of every fresh clock. New allocates the count array's directory,
+// 4 B per sparse.ChunkLen bank rows, and its sentinel chunk; a chunk of
+// counts costs host memory only once one of its rows is activated, and
+// the per-access path allocates only while the touched lists and the
+// chunks first grow.
 func New(cfg Config, lat timing.LatencyTable) (*DRAM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -355,12 +386,13 @@ func New(cfg Config, lat timing.LatencyTable) (*DRAM, error) {
 		rowConflict: lat.DRAMRowConflict,
 		bankArb:     lat.DRAMBankArbitration,
 		banks:       make([]bank, cfg.TotalBanks()),
+		acts:        sparse.Make(uint64(cfg.TotalBanks()) * cfg.Rows),
 	}
 	for i := range d.banks {
 		d.banks[i] = bank{
 			openRow:  -1,
 			lastCore: -1,
-			acts:     make([]uint32, cfg.Rows),
+			base:     uint64(i) * cfg.Rows,
 		}
 	}
 	return d, nil
@@ -427,7 +459,10 @@ func (p *Port) Lookup(a mem.Access) mem.Result {
 		p.counters.Inc(perf.DRAMRowConflicts)
 	}
 	if !rowHit {
-		b.activate(row)
+		b.openRow = int64(row)
+		if !d.activate(b, row) {
+			d.firstChunkACT(b, row)
+		}
 		p.counters.Inc(perf.DRAMActivate)
 	}
 	if b.lastCore != p.core {
@@ -499,7 +534,7 @@ func (d *DRAM) rotateWindow(now timing.Cycles, core int) {
 	}
 	d.windowStart += (elapsed / w) * w
 	for i := range d.banks {
-		d.banks[i].endWindow()
+		d.endWindow(&d.banks[i])
 	}
 	if fire {
 		d.hook(ended) //pthammer:alloc-ok subscriber callback, fires at most once per refresh window
@@ -520,7 +555,7 @@ func (p *Port) ResetWindow() {
 	d := p.d
 	d.windowStart = p.clock.Now()
 	for i := range d.banks {
-		d.banks[i].endWindow()
+		d.endWindow(&d.banks[i])
 	}
 }
 
@@ -536,27 +571,50 @@ func (p *Port) ResetWindow() {
 //
 // Cost is O(banks + touched rows), never O(rows): exactly as on a
 // window rotation, only the touched rows' counts are zeroed, because
-// every other count already is. The dram-recycle-reset bench scenario
-// pins this — a recycle that walks the row arrays would regress it by
-// orders of magnitude on a large-geometry module.
+// every other count already is. The chunks of counts stay
+// materialized, so the next cohort's ACTs into them allocate nothing. The
+// dram-recycle-reset bench scenario pins this — a recycle that walked
+// every row would regress it by orders of magnitude on a
+// large-geometry module.
 //
 //pthammer:noalloc
 func (p *Port) Reset() {
 	d := p.d
 	d.windowStart = p.clock.Now()
 	for i := range d.banks {
-		d.banks[i].endWindow()
+		d.endWindow(&d.banks[i])
 		d.banks[i].lastCore = -1
 	}
 }
 
 // Activations returns how many times the given row of the given bank
 // location has been activated in the current refresh window, checking
-// for rotation against this port's clock.
+// for rotation against this port's clock. Panics if any field of the
+// location is outside the geometry: callers are simulated hardware and
+// pass decoded locations, so one outside it is a simulator bug.
 func (p *Port) Activations(l Location) uint64 {
 	d := p.d
+	c := &d.cfg
+	if l.Channel < 0 || l.Channel >= c.Channels || l.Rank < 0 || l.Rank >= c.RanksPerChannel ||
+		l.Bank < 0 || l.Bank >= c.BanksPerRank || l.Row >= c.Rows || l.Col >= c.RowBytes {
+		panic(locationError{l, c})
+	}
 	d.rotateWindow(p.clock.Now(), p.core)
-	return uint64(d.banks[d.cfg.globalBank(l)].acts[l.Row])
+	return uint64(d.count(&d.banks[c.globalBank(l)], l.Row))
+}
+
+// locationError is Activations' panic value. The message is formatted
+// only when printed, which keeps the formatting out of Activations, a
+// pressure read cohort tenants make on every attacker step.
+type locationError struct {
+	l Location
+	c *Config
+}
+
+func (e locationError) Error() string {
+	c := e.c
+	return fmt.Sprintf("dram: location %+v outside %d channels × %d ranks × %d banks × %d rows × %d-byte rows",
+		e.l, c.Channels, c.RanksPerChannel, c.BanksPerRank, c.Rows, c.RowBytes)
 }
 
 // Victim is a row whose neighbours have been activated enough this
@@ -618,10 +676,10 @@ func (d *DRAM) stats() Stats {
 	for gb := range d.banks {
 		b := &d.banks[gb]
 		for _, row := range b.touched {
-			s.Activations += uint64(b.acts[row])
+			s.Activations += uint64(d.count(b, row))
 			// Each candidate victim is visited once: row+1 always, row-1
 			// only when row-2 is untouched (else row-2 visits it as +1).
-			if row > 0 && (row < 2 || b.acts[row-2] == 0) {
+			if row > 0 && (row < 2 || d.count(b, row-2) == 0) {
 				d.addVictim(gb, row-1)
 			}
 			if row+1 < d.cfg.Rows {
@@ -641,10 +699,10 @@ func (d *DRAM) addVictim(gb int, v uint64) {
 	b := &d.banks[gb]
 	var p uint64
 	if v > 0 {
-		p = uint64(b.acts[v-1])
+		p = uint64(d.count(b, v-1))
 	}
 	if v+1 < d.cfg.Rows {
-		p += uint64(b.acts[v+1])
+		p += uint64(d.count(b, v+1))
 	}
 	if p < d.cfg.HammerThreshold {
 		return

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"pthammer/internal/mem"
 	"pthammer/internal/perf"
 	"pthammer/internal/phys"
+	"pthammer/internal/sparse"
 	"pthammer/internal/timing"
 )
 
@@ -719,5 +721,49 @@ func TestPairs(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("loop body ran %d times after a break at 2", n)
+	}
+}
+
+// TestActivationsRejectsLocationsOutsideGeometry: Activations panics,
+// naming the location and the geometry, for a location with any field
+// outside the geometry. Flattened into a global bank index, channel 2
+// of a two-channel module and rank 1 of a one-rank module named
+// channel 0 / bank 1, and read its count; and a row past the last one
+// of a bank whose row count is not a multiple of sparse.ChunkLen sits
+// inside the bank's last, partial chunk of counts, where it would read
+// 0 instead of failing.
+func TestActivationsRejectsLocationsOutsideGeometry(t *testing.T) {
+	odd := sandyBridgeShape
+	odd.Rows = 2*sparse.ChunkLen + 3
+	for _, cfg := range []Config{sandyBridgeShape, odd} {
+		p, _, _ := newTestDRAM(t, cfg)
+		hot := Location{Bank: 1, Row: 5}
+		for range 10 {
+			p.Lookup(mem.Access{Addr: cfg.AddrOf(hot)})
+			p.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Bank: 1, Row: 9})})
+		}
+		if got := p.Activations(hot); got != 10 {
+			t.Fatalf("%d rows: Activations(%+v) = %d, want 10", cfg.Rows, hot, got)
+		}
+		for _, l := range []Location{
+			{Channel: cfg.Channels, Row: 5},
+			{Rank: cfg.RanksPerChannel, Row: 5},
+			{Row: cfg.Rows},
+			{Bank: cfg.BanksPerRank},
+			{Channel: -1},
+			{Bank: 1, Row: 5, Col: cfg.RowBytes},
+		} {
+			want := fmt.Sprintf("dram: location %+v outside %d channels × %d ranks × %d banks × %d rows × %d-byte rows",
+				l, cfg.Channels, cfg.RanksPerChannel, cfg.BanksPerRank, cfg.Rows, cfg.RowBytes)
+			func() {
+				defer func() {
+					if r := recover(); fmt.Sprint(r) != want {
+						t.Errorf("%d rows: Activations(%+v) panicked with %v, want %q", cfg.Rows, l, r, want)
+					}
+				}()
+				n := p.Activations(l)
+				t.Errorf("%d rows: Activations(%+v) = %d, want a panic", cfg.Rows, l, n)
+			}()
+		}
 	}
 }

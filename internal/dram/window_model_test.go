@@ -11,6 +11,7 @@ import (
 
 	"pthammer/internal/mem"
 	"pthammer/internal/perf"
+	"pthammer/internal/sparse"
 	"pthammer/internal/timing"
 )
 
@@ -321,14 +322,20 @@ func sameStats(what string, got, want Stats) string {
 
 // seededStream draws n steps on cfg. Most are accesses that hammer a
 // focus pair — two rows of one bank, one or two apart: the bank's end
-// rows, adjacent rows, rows sharing a victim — with strays to other hot
-// rows mixed in; the rest move the focus, jump a port's clock within a
-// window or across one or several boundaries, or discard or recycle
-// the window. Every op goes through a randomly drawn port.
+// rows, adjacent rows, rows sharing a victim, and on a bank of more
+// than one chunk of counts the rows either side of the first chunk
+// boundary, whose victim is the next chunk's first row — with strays
+// to other hot rows mixed in; the rest move the focus, jump a port's
+// clock within a window or across one or several boundaries, or
+// discard or recycle the window. Every op goes through a randomly
+// drawn port.
 func seededStream(cfg Config, seed uint64, n int) []windowOp {
 	rng := rand.New(rand.NewPCG(seed, cfg.Rows))
 	last, mid := cfg.Rows-1, cfg.Rows/2
 	pairs := [][2]uint64{{0, 2}, {1, 0}, {last, last - 2}, {last - 1, last}, {mid, mid + 2}, {mid + 1, mid + 2}, {mid + 2, mid + 4}}
+	if c := uint64(sparse.ChunkLen); cfg.Rows > c+1 {
+		pairs = append(pairs, [2]uint64{c - 1, c + 1})
+	}
 	banks := []int{0, cfg.TotalBanks() - 1, cfg.TotalBanks() / 2}
 	at := func(gb int, row uint64) Location {
 		l := cfg.locOfGlobalBank(gb)
@@ -413,8 +420,9 @@ func TestActivationCountSaturates(t *testing.T) {
 	row := Location{Row: 5}
 	other := cfg.AddrOf(Location{Row: 9})
 	p.Lookup(mem.Access{Addr: cfg.AddrOf(row)})
-	b := &p.DRAM().banks[cfg.globalBank(row)]
-	b.acts[row.Row] = math.MaxUint32 - 2
+	d := p.DRAM()
+	b := &d.banks[cfg.globalBank(row)]
+	*d.acts.Ref(b.base + row.Row) = math.MaxUint32 - 2
 	for i := 0; i < 3; i++ {
 		p.Lookup(mem.Access{Addr: other})
 		p.Lookup(mem.Access{Addr: cfg.AddrOf(row)})
@@ -442,16 +450,18 @@ func TestActivationCountSaturates(t *testing.T) {
 }
 
 // TestNewFootprint pins the bookkeeping's size: on the SandyBridge
-// geometry New allocates one 4-byte count per bank row and at most
-// 4 KiB beside them. TotalAlloc is process-wide, so a delta also holds
-// whatever the runtime itself allocated meanwhile (under load, a few
-// runtime objects of 0.4–2 KiB), which can only add bytes; New
-// allocates the same bytes on every call, so the smallest delta of
-// five calls is New's own.
+// geometry New allocates the count array's directory (4 B per
+// sparse.ChunkLen bank rows), its sentinel chunk and at most 4 KiB
+// beside them — nothing per bank row. TotalAlloc is process-wide, so a
+// delta also holds whatever the runtime itself allocated meanwhile
+// (under load, a few runtime objects of 0.4–2 KiB), which can only add
+// bytes; New allocates the same bytes on every call, so the smallest
+// delta of five calls is New's own.
 func TestNewFootprint(t *testing.T) {
 	cfg := sandyBridgeShape
 	lat := timing.DefaultLatencies()
-	limit := uint64(cfg.TotalBanks())*cfg.Rows*4 + 4<<10
+	rows := uint64(cfg.TotalBanks()) * cfg.Rows
+	limit := (rows+sparse.ChunkLen-1)/sparse.ChunkLen*4 + sparse.ChunkLen*4 + 4<<10
 	least := uint64(math.MaxUint64)
 	for range 5 {
 		var before, after runtime.MemStats
@@ -473,12 +483,15 @@ func TestNewFootprint(t *testing.T) {
 // runs it in lockstep with the reference model. Input: byte 0 picks
 // channels (1 + b%3) and ranks (1 + b/3%2); byte 1 banks per rank
 // (1 + b%4) and row bytes (b/4%3 into 4, 8 or 12 KiB); byte 2 rows
-// (1 + b%32); byte 3 the threshold (1 + b%8) and the refresh window
-// (b/8%4 into none, 700, 3,000 or 60,000 cycles). Then every three
-// bytes are one step: the first picks the port (bit 0) and the op
-// (b/2%8: 0–4 access, 5 clock jump, 6 ResetWindow, 7 Reset); an access
-// takes the global bank and row from the next two, a jump
-// a×(window/8+1)+b cycles.
+// (1 + b%32 + b/32 × sparse.ChunkLen/2: banks of up to 32 rows, then
+// banks that reach up to three boundaries between chunks of counts, most
+// ending in a partial chunk); byte 3 the threshold (1 + b%8) and the
+// refresh window (b/8%4 into none, 700, 3,000 or 60,000 cycles). Then
+// every three bytes are one step: the first picks the port (bit 0) and
+// the op (b/2%8: 0–4 access, 5 clock jump, 6 ResetWindow, 7 Reset); an
+// access takes the global bank from the next byte and the row, modulo
+// the bank's rows, from the first byte's high nibble and the last
+// byte (nibble×256 + b); a jump takes a×(window/8+1)+b cycles.
 func FuzzDRAMWindow(f *testing.F) {
 	access := func(port byte, gb, row byte) []byte { return []byte{port, gb, row} }
 	seed := func(geo [4]byte, steps ...[]byte) []byte {
@@ -508,6 +521,19 @@ func FuzzDRAMWindow(f *testing.F) {
 	}
 	adj = append(adj, []byte{11, 9, 0}, access(0, 1, 2), access(1, 1, 4), []byte{15, 0, 0}, access(0, 1, 3))
 	f.Add(seed([4]byte{0, 5, 11, 17}, adj...))
+	// Chunk boundaries: one bank of 2.75 chunks of counts (byte 2 = 5×32
+	// + 31), threshold 4, no window. Rows chunk−1 and chunk+1 alternate
+	// (victim: the second chunk's first row), then rows either side of
+	// the second boundary, the upper one past the row byte's range.
+	c := byte(sparse.ChunkLen)
+	var bound [][]byte
+	for i := 0; i < 4; i++ {
+		bound = append(bound, access(0, 0, c-1), access(1, 0, c+1))
+	}
+	for i := 0; i < 4; i++ {
+		bound = append(bound, access(0, 0, 2*c-1), access(1|1<<4, 0, 1))
+	}
+	f.Add(seed([4]byte{0, 0, 5*32 + 31, 3}, bound...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
@@ -518,7 +544,7 @@ func FuzzDRAMWindow(f *testing.F) {
 			RanksPerChannel: 1 + int(data[0]/3%2),
 			BanksPerRank:    1 + int(data[1]%4),
 			RowBytes:        []uint64{4096, 8192, 12288}[data[1]/4%3],
-			Rows:            1 + uint64(data[2]%32),
+			Rows:            1 + uint64(data[2]%32) + uint64(data[2]/32)*sparse.ChunkLen/2,
 			HammerThreshold: 1 + uint64(data[3]%8),
 			RefreshWindow:   []timing.Cycles{0, 700, 3_000, 60_000}[data[3]/8%4],
 		}
@@ -531,7 +557,7 @@ func FuzzDRAMWindow(f *testing.F) {
 			switch k := data[i] / 2 % 8; {
 			case k < 5:
 				op.loc = cfg.locOfGlobalBank(int(data[i+1]) % cfg.TotalBanks())
-				op.loc.Row = uint64(data[i+2]) % cfg.Rows
+				op.loc.Row = (uint64(data[i]>>4)<<8 | uint64(data[i+2])) % cfg.Rows
 			case k == 5:
 				op.kind = opJump
 				op.cycles = timing.Cycles(data[i+1])*(cfg.RefreshWindow/8+1) + timing.Cycles(data[i+2])

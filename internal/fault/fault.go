@@ -233,13 +233,19 @@ func (m *Model) Stats() Stats { return m.stats }
 // Bind attaches the model to one machine's DRAM geometry (needed to
 // relocate mislanded flips). The machine facade calls it during
 // construction; binding twice is an error because the model's random
-// stream must belong to exactly one simulated run.
+// stream must belong to exactly one simulated run. Under flip-misland
+// a bank needs at least 2 × mislandRows rows, so that every row has a
+// row mislandRows above or below it to land on.
 func (m *Model) Bind(geom dram.Config) error {
 	if m.bound {
 		return fmt.Errorf("fault: model already bound to a machine")
 	}
 	if err := geom.Validate(); err != nil {
 		return err
+	}
+	if m.cfg.Class == FlipMisland && geom.Rows < 2*mislandRows {
+		return fmt.Errorf("fault: %s moves a flip %d rows, so a bank needs at least %d rows (got %d)",
+			FlipMisland, mislandRows, 2*mislandRows, geom.Rows)
 	}
 	m.geom = geom
 	m.bound = true

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 
 	"pthammer/internal/dram"
@@ -330,5 +331,44 @@ func TestStatsTotalAndClass(t *testing.T) {
 	m := MustNewModel(Config{Class: TRRSuppress, Seed: 1})
 	if m.Class() != TRRSuppress {
 		t.Fatalf("Class() = %v, want TRRSuppress", m.Class())
+	}
+}
+
+// TestBindRejectsMislandOnShortBanks: a flip-misland model cannot bind
+// to banks of fewer than 2 × mislandRows rows. On 12 rows, rows 4 to 7
+// have neither a row eight above nor one eight below, and redirecting
+// row 5 wrapped its row number below 0, to 0xffffffffffff6040. Other
+// classes never move a flip and bind as before; on 16 rows every
+// redirect stays in the flip's own bank.
+func TestBindRejectsMislandOnShortBanks(t *testing.T) {
+	geom := func(rows uint64) dram.Config {
+		return dram.Config{
+			Channels: 1, RanksPerChannel: 1, BanksPerRank: 2,
+			Rows: rows, RowBytes: 8 << 10,
+			HammerThreshold: 64,
+		}
+	}
+	misland := Config{Class: FlipMisland, Seed: 1, MislandRate: 1}
+	err := MustNewModel(misland).Bind(geom(12))
+	if err == nil || !strings.Contains(err.Error(), "at least 16 rows (got 12)") {
+		t.Fatalf("Bind(12 rows) = %v, want the 16-row minimum", err)
+	}
+	if err := MustNewModel(Config{Class: TRRSuppress, Seed: 1}).Bind(geom(12)); err != nil {
+		t.Fatalf("trr-suppress Bind(12 rows): %v", err)
+	}
+	g := geom(16)
+	m := MustNewModel(misland)
+	if err := m.Bind(g); err != nil {
+		t.Fatalf("Bind(16 rows): %v", err)
+	}
+	for row := uint64(0); row < g.Rows; row++ {
+		from, _ := g.RowRange(0, 0, 1, row)
+		to, _, ok := m.RedirectFlip(from+0x40, 3)
+		if !ok || uint64(to) >= g.Capacity() {
+			t.Fatalf("row %d redirected to %#x (ok=%v), outside the %d-byte module", row, uint64(to), ok, g.Capacity())
+		}
+		if l := g.Map(to); l.Bank != 1 || l.Col != 0x40 || (l.Row != row+mislandRows && l.Row+mislandRows != row) {
+			t.Fatalf("row %d redirected to %+v", row, l)
+		}
 	}
 }

@@ -1,8 +1,11 @@
 package machine
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"pthammer/internal/cache"
 	"pthammer/internal/dram"
 	"pthammer/internal/fault"
 	"pthammer/internal/flip"
@@ -886,5 +889,70 @@ func TestFaultSuppressAllKillsFlips(t *testing.T) {
 	}
 	if len(m.Flips()) != 0 {
 		t.Fatalf("flips recorded under total suppression: %d", len(m.Flips()))
+	}
+}
+
+// TestNewRejectsMislandOnShortBanks: flip-misland moves a flip eight
+// rows up, or down at the top of a bank, so a bank of fewer than 16
+// rows has rows with neither neighbour. New must reject such a
+// geometry with the fault model's error; relocating a flip from one of
+// those rows wrapped below row 0 to an address far outside memory, and
+// the flip engine then panicked writing it. 16 rows is enough.
+func TestNewRejectsMislandOnShortBanks(t *testing.T) {
+	for _, tc := range []struct {
+		rows uint64
+		ok   bool
+	}{{12, false}, {16, true}} {
+		cfg := SandyBridge()
+		cfg.DRAM.Channels, cfg.DRAM.RanksPerChannel, cfg.DRAM.BanksPerRank = 1, 1, 2
+		cfg.DRAM.Rows = tc.rows
+		cfg.FaultModel = fault.MustNewModel(fault.Config{Class: fault.FlipMisland, Seed: 1, MislandRate: 1})
+		_, err := New(cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("%d-row banks: New error %v, want ok=%v", tc.rows, err, tc.ok)
+		}
+	}
+}
+
+// TestNewFootprint pins machine.New's host cost on the SandyBridge
+// preset: it allocates the cache, TLB and paging-structure arrays its
+// config sizes, plus at most 64 KiB for everything else — the frame and
+// row directories of the physical memory and DRAM included, not one
+// host word per modelled frame or row. An array of sets × ways costs a
+// 32-byte header per set and an 8-byte tag per entry, and the TLBs' and
+// paging-structure caches' arrays 8 bytes more per entry for the
+// payload (the walker's three caches are 8 × 4, 1 × 4 and 1 × 4).
+// TotalAlloc is process-wide and New allocates the same bytes on every
+// call, so the smallest delta of five builds is New's own.
+func TestNewFootprint(t *testing.T) {
+	cfg := SandyBridge()
+	array := func(sets, ways uint64, payload bool) uint64 {
+		per := uint64(8)
+		if payload {
+			per += 8
+		}
+		return sets*32 + sets*ways*per
+	}
+	cacheArray := func(c cache.Config) uint64 { return array(c.Sets(), uint64(c.Ways), false) }
+	arrays := cacheArray(cfg.L1) + cacheArray(cfg.L2) + cacheArray(cfg.LLC) +
+		array(uint64(cfg.TLB.L1Entries/cfg.TLB.L1Ways), uint64(cfg.TLB.L1Ways), true) +
+		array(uint64(cfg.TLB.L2Entries/cfg.TLB.L2Ways), uint64(cfg.TLB.L2Ways), true) +
+		array(8, 4, true) + 2*array(1, 4, true)
+	limit := arrays + 64<<10
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := New(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		runtime.KeepAlive(m)
+	}
+	t.Logf("New allocated %d bytes: %d in cache, TLB and paging-structure arrays", least, arrays)
+	if least > limit {
+		t.Errorf("New allocated %d bytes, want at most %d (%d in arrays + 64 KiB)", least, limit, arrays)
 	}
 }

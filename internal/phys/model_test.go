@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"pthammer/internal/sparse"
 )
 
 // refMemory is the reference model Memory runs against. It shares no
@@ -56,27 +58,42 @@ func (r *refMemory) reset() {
 	r.writes = 0
 }
 
-// modelFrames is the size of the memory the lockstep runs use: small,
-// so an op stream keeps revisiting the same frames and lines.
-const modelFrames = 4
+// physShape is a memory the lockstep runs use and the four frames its
+// op streams address: few, so a stream keeps revisiting the same
+// frames and lines.
+type physShape struct {
+	name   string
+	frames uint64
+	pick   [4]uint64
+}
+
+// physShapes are a four-frame memory, and one whose frames straddle
+// the boundary between the first two chunks of slots — the last frame
+// of one and the first of the next — and whose frame count leaves the
+// second chunk partial, its third frame the memory's last.
+var physShapes = []physShape{
+	{"four-frame", 4, [4]uint64{0, 1, 2, 3}},
+	{"chunk-straddling", sparse.ChunkLen + 3, [4]uint64{0, sparse.ChunkLen - 1, sparse.ChunkLen, sparse.ChunkLen + 2}},
+}
 
 // physOpBytes is the width of one encoded op in runPhysOps's input.
 const physOpBytes = 5
 
-// runPhysOps decodes data into ops and runs them on a Memory and a
-// refMemory in lockstep. Each op is five bytes: the op (b0 % 11), the
-// frame (b1 % modelFrames), a 16-byte chunk of the frame (b2) and a
+// runPhysOps decodes data into ops and runs them on a Memory of
+// shape's size and a refMemory in lockstep. Each op is five bytes: the
+// op (b0 % 11), the frame (shape.pick[b1 % 4]), a 16-byte chunk of the
+// frame (b2) and a
 // byte within it (b3 & 15), a bit (b3 >> 4 & 7) and a value (b4).
 // ReadFrame and WriteFrame take 17 × b2 bytes, 0 to 4,335, so lengths
 // end mid-line and past the frame. After every op it compares the
 // op's results, WriteCount, Materialized and the number of lines held,
 // and returns a description of the first disagreement, or "".
-func runPhysOps(data []byte) string {
-	m := MustNew(modelFrames * FrameSize)
+func runPhysOps(shape physShape, data []byte) string {
+	m := MustNew(shape.frames * FrameSize)
 	r := newRefMemory()
 	for i := 0; i+physOpBytes <= len(data); i += physOpBytes {
 		b := data[i : i+physOpBytes]
-		code, f := b[0]%11, uint64(b[1]%modelFrames)
+		code, f := b[0]%11, shape.pick[b[1]%4]
 		a := f*4096 + (uint64(b[2])<<4 | uint64(b[3]&15))
 		a8 := a &^ 7
 		bit := uint(b[3] >> 4 & 7)
@@ -164,8 +181,8 @@ func runPhysOps(data []byte) string {
 		if diff != "" {
 			names := [...]string{"Write8", "Write64", "Read8", "Read64", "Bit", "FlipBit",
 				"ZeroFrame", "ScrubFrame", "ReadFrame", "WriteFrame", "Reset"}
-			return fmt.Sprintf("op %d %s(addr %#x, frame %d, bit %d, value %#x, %d bytes): %s",
-				i/physOpBytes, names[code], a, f, bit, v, n, diff)
+			return fmt.Sprintf("%s: op %d %s(addr %#x, frame %d, bit %d, value %#x, %d bytes): %s",
+				shape.name, i/physOpBytes, names[code], a, f, bit, v, n, diff)
 		}
 	}
 	return ""
@@ -180,20 +197,22 @@ func physOp(code, frame byte, off int, bit, v byte) []byte {
 
 // TestMemoryMatchesModel runs seeded random op streams — every
 // operation, Reset included — through Memory and the reference model
-// in lockstep.
+// in lockstep, on every shape.
 func TestMemoryMatchesModel(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		data := make([]byte, 3000*physOpBytes)
-		rng.Read(data)
-		if msg := runPhysOps(data); msg != "" {
-			t.Fatalf("seed %d: %s", seed, msg)
+	for _, shape := range physShapes {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			data := make([]byte, 3000*physOpBytes)
+			rng.Read(data)
+			if msg := runPhysOps(shape, data); msg != "" {
+				t.Fatalf("seed %d: %s", seed, msg)
+			}
 		}
 	}
 }
 
 // FuzzPhys decodes an op stream (see runPhysOps) and runs it on Memory
-// and the reference model in lockstep.
+// and the reference model in lockstep, on every shape.
 func FuzzPhys(f *testing.F) {
 	seed := func(ops ...[]byte) []byte {
 		var data []byte
@@ -233,9 +252,26 @@ func FuzzPhys(f *testing.F) {
 		physOp(8, 1, 241<<4, 0, 0),   // ReadFrame frame 1
 		physOp(8, 3, 241<<4, 0, 0),   // ReadFrame frame 3
 	))
+	// Frames 1 and 2 of the chunk-straddling shape sit in different
+	// chunks of slots: a write into each, then reads, flips and frame
+	// copies on both sides of the boundary, then Reset.
+	f.Add(seed(
+		physOp(1, 1, 4064, 0, 0x3C), // Write64 near the end of frame 1
+		physOp(5, 2, 3, 2, 0),       // FlipBit into frame 2: a hole there
+		physOp(0, 2, 0, 0, 0x77),    // Write8 the first byte of frame 2
+		physOp(3, 1, 4064, 0, 0),    // Read64 back on the far side
+		physOp(5, 2, 3, 2, 0),       // FlipBit into frame 2 lands now
+		physOp(8, 2, 241<<4, 0, 0),  // ReadFrame frame 2
+		physOp(9, 3, 241<<4, 0, 9),  // WriteFrame the memory's last frame
+		physOp(10, 0, 0, 0, 0),      // Reset
+		physOp(4, 1, 4064, 0, 0),    // Bit: a hole again
+		physOp(0, 1, 8, 0, 1),       // Write8 re-materializes frame 1
+	))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if msg := runPhysOps(data); msg != "" {
-			t.Fatal(msg)
+		for _, shape := range physShapes {
+			if msg := runPhysOps(shape, data); msg != "" {
+				t.Fatal(msg)
+			}
 		}
 	})
 }
@@ -247,13 +283,17 @@ func FuzzPhys(f *testing.F) {
 // doubles its capacity, so at N = 255 (256 entries with the sentinel
 // New allocated) the arrays it outgrew sum to fewer entries than its
 // final size, another N × (256 + 64) B; plus 2N × 8 B for the owner
-// list the same way and 4 KiB for the runtime. TotalAlloc is
-// process-wide and the writes allocate the same bytes every run, so
-// the smallest delta of five runs is theirs, as dram's
-// TestNewFootprint measures New.
+// list the same way and 4 KiB for the runtime. The frames written, 0
+// to 2(N−1), also span k chunks of slots, each materialized on its
+// first frame: the chunk slab doubles the same way from its sentinel,
+// so its final capacity is at most 2k and what it outgrew sums to less,
+// 4k chunks of slack. TotalAlloc is process-wide and the writes
+// allocate the same bytes every run, so the smallest delta of five
+// runs is theirs, as dram's TestNewFootprint measures New.
 func TestWriteFootprint(t *testing.T) {
 	const n = 255
-	limit := uint64(n*(256+64)) + uint64(n*(256+64)+2*n*8+4<<10)
+	const chunks = 2*(n-1)/sparse.ChunkLen + 1
+	limit := uint64(n*(256+64)) + uint64(n*(256+64)+2*n*8+4<<10) + 4*chunks*sparse.ChunkLen*4
 	least := uint64(math.MaxUint64)
 	for range 5 {
 		m := MustNew(2 * n * FrameSize)

@@ -1,18 +1,22 @@
 // Package phys models the machine's physical memory as a sparse array of
 // 4 KiB frames whose bytes are held in 64-byte lines. A frame
 // materializes on its first write and a line on the first write into
-// it; every other byte reads as zero. The host cost is 4 B per modelled
-// frame, 264 B per materialized frame (a 256 B line table and an owner
-// entry) and 64 B per written line, in pointer-free slices the GC never
-// scans. All simulated state that must survive a rowhammer bit flip —
-// most importantly page tables — lives in these bytes: the DRAM flip
-// engine mutates them directly and the MMU later reads the corrupted
-// values back, exactly as on real hardware.
+// it; every other byte reads as zero. The host cost is 4 B per
+// sparse.ChunkLen modelled frames (the frame directory), 512 B per
+// chunk of sparse.ChunkLen frames the simulation writes into, 264 B per
+// materialized frame (a 256 B line table and an owner entry) and 64 B
+// per written line, in pointer-free slices the GC never scans. All
+// simulated state that must survive a rowhammer bit flip — most
+// importantly page tables — lives in these bytes: the DRAM flip engine
+// mutates them directly and the MMU later reads the corrupted values
+// back, exactly as on real hardware.
 package phys
 
 import (
 	"fmt"
 	"math"
+
+	"pthammer/internal/sparse"
 )
 
 // FrameSize is the size of a physical frame in bytes (x86 4 KiB pages).
@@ -53,29 +57,36 @@ func Offset(a Addr) uint64 { return uint64(a) & (FrameSize - 1) }
 // Memory is a sparse physical memory of a fixed size. The zero value is
 // not usable; create one with New.
 //
-// A byte is found in three dependent loads and no branch: the frame's
-// slot, the line's entry in that frame's line table, and the line's
-// bytes. Entry 0 of each slab is a sentinel: a hole's slot is 0, which
-// names an all-unwritten line table, and an unwritten line's entry is
-// 0, which names an all-zero line that nothing ever writes. The frame
-// table is a flat per-frame slot array rather than a map: a frame
-// lookup sits under every simulated page-table read, so it must cost
-// one indexed load, not a hash probe. Slots and line-table entries are
-// uint32 indices, not pointers: the slot array costs 4 B per frame
-// (1 MiB for a 1 GiB machine), a materialized frame's line table 256 B,
-// a written line 64 B, and Memory holds no pointer but its four slice
+// A byte is found in four dependent loads and no branch past the
+// frame's bound check: the frame directory's entry, the frame's slot
+// in that chunk of slots, the line's entry in the frame's line table,
+// and the line's bytes. Every level has a sentinel: the directory entry
+// of a chunk of frames never written names the all-zero sentinel chunk,
+// so its frames' slots read 0; slot 0 names an all-unwritten line table;
+// and an unwritten line's entry is 0, which names an all-zero line that
+// nothing ever writes. The frame table is a two-level array rather than
+// a map: a frame lookup sits under every simulated page-table read, so
+// it must cost indexed loads, not a hash probe. Slots, chunk indices
+// and line-table entries are uint32 indices, not pointers: the frame
+// directory costs 4 B per sparse.ChunkLen frames (8 KiB for a 1 GiB
+// machine), a chunk of slots 512 B, a materialized frame's line table
+// 256 B, a written line 64 B, and Memory holds no pointer but its slice
 // headers, so the GC never scans its contents. A sprayed page table
 // with a handful of written entries thus costs a few hundred bytes,
-// not 4 KiB.
+// not 4 KiB, and a frame no one writes costs nothing past its share of
+// the directory.
 //
 // Materializing appends to the tables and lines slabs, and appending
 // may move a slab: no code may hold a line pointer across a call that
 // can materialize one.
 type Memory struct {
 	size uint64
+	// frames is size / FrameSize, the bound every frame is checked
+	// against: slot's directory rounds up to whole chunks.
+	frames uint64
 	// slot maps each frame to its line table's index in tables: 0 for
 	// a hole.
-	slot []uint32
+	slot sparse.Array
 	// tables lists the sentinel and then the materialized frames' line
 	// tables in first-touch order; tables[i] belongs to frame
 	// owner[i-1]. A line table maps each of its frame's lines to the
@@ -94,7 +105,9 @@ type Memory struct {
 
 // New creates a physical memory of size bytes. Size must be a non-zero
 // multiple of FrameSize, and at most math.MaxUint32 frames, the most a
-// uint32 slot can index.
+// uint32 slot can index. It allocates the frame directory, 4 B per
+// sparse.ChunkLen frames, and the slabs' sentinels; frames cost host
+// memory only once written.
 func New(size uint64) (*Memory, error) {
 	if size == 0 || size%FrameSize != 0 {
 		return nil, fmt.Errorf("phys: size %d is not a positive multiple of %d", size, FrameSize)
@@ -105,7 +118,8 @@ func New(size uint64) (*Memory, error) {
 	}
 	return &Memory{
 		size:   size,
-		slot:   make([]uint32, frames),
+		frames: frames,
+		slot:   sparse.Make(frames),
 		tables: make([][linesPerFrame]uint32, 1),
 		lines:  make([][lineBytes]byte, 1),
 	}, nil
@@ -127,7 +141,7 @@ func (m *Memory) Size() uint64 { return m.size }
 // Frames returns the number of physical frames.
 //
 //pthammer:noalloc
-func (m *Memory) Frames() uint64 { return m.size / FrameSize }
+func (m *Memory) Frames() uint64 { return m.frames }
 
 // Contains reports whether the address is inside the memory.
 //
@@ -146,7 +160,7 @@ func (m *Memory) frame(f Frame) uint32 {
 		s = uint32(len(m.tables))
 		m.tables = append(m.tables, [linesPerFrame]uint32{}) //pthammer:alloc-ok amortized slab growth, capacity kept across Reset
 		m.owner = append(m.owner, f)                         //pthammer:alloc-ok amortized growth, capacity kept across Reset
-		m.slot[f] = s
+		*m.slot.Ref(uint64(f)) = s
 	}
 	return s
 }
@@ -157,18 +171,22 @@ func (m *Memory) frame(f Frame) uint32 {
 //
 //pthammer:noalloc
 func (m *Memory) peek(f Frame) uint32 {
-	if uint64(f) >= uint64(len(m.slot)) {
-		panic(m.outOfRange(f))
+	if uint64(f) >= m.frames {
+		panic(frameRangeError{f, m.frames})
 	}
-	return m.slot[f]
+	return m.slot.Get(uint64(f))
 }
 
-// outOfRange is peek's panic message, built out of line so peek
-// inlines into the read paths.
-//
-//go:noinline
-func (m *Memory) outOfRange(f Frame) string {
-	return fmt.Sprintf("phys: frame %#x out of range (%d frames)", uint64(f), m.Frames())
+// frameRangeError is peek's panic value. The message is formatted only
+// when printed, so the panic costs peek no call and peek inlines into
+// the read paths.
+type frameRangeError struct {
+	f      Frame
+	frames uint64
+}
+
+func (e frameRangeError) Error() string {
+	return fmt.Sprintf("phys: frame %#x out of range (%d frames)", uint64(e.f), e.frames)
 }
 
 // line returns the line holding a for writing, materializing its
@@ -311,10 +329,11 @@ func (m *Memory) ScrubFrame(f Frame) {
 // Cost is one slot store per materialized frame, O(live state) rather
 // than O(capacity), and no allocation. The slabs keep their capacity,
 // and materializing appends zeroed entries, so re-materializing up to
-// the previous counts allocates nothing either.
+// the previous counts allocates nothing either; the chunks of slots
+// stay materialized, all zero again.
 func (m *Memory) Reset() {
 	for _, f := range m.owner {
-		m.slot[f] = 0
+		m.slot.Clear(uint64(f))
 	}
 	m.tables = m.tables[:1]
 	m.owner = m.owner[:0]

@@ -1,9 +1,12 @@
 package phys
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
+
+	"pthammer/internal/sparse"
 )
 
 func TestNewRejectsBadSizes(t *testing.T) {
@@ -193,5 +196,45 @@ func TestWriteCount(t *testing.T) {
 	want := uint64(1 + 8 + 1 + FrameSize + 16)
 	if got := m.WriteCount(); got != want {
 		t.Fatalf("WriteCount = %d, want %d", got, want)
+	}
+}
+
+// TestFramePastEndPanics: the frame directory rounds up to whole
+// chunks of slots, so a memory whose frame count is not a multiple of
+// sparse.ChunkLen has directory room for frames past its end. Every
+// access to such a frame must still panic with a message naming the
+// frame and the frame count, not read a hole or materialize a frame —
+// even once the partial last chunk has been materialized.
+func TestFramePastEndPanics(t *testing.T) {
+	const frames = sparse.ChunkLen + 3
+	m := MustNew(frames * FrameSize)
+	m.Write64(Frame(frames-1).Addr(), 1)
+	past := Frame(frames)
+	a := past.Addr() + 64
+	want := fmt.Sprintf("phys: frame %#x out of range (%d frames)", uint64(past), frames)
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"Read8", func() { m.Read8(a) }},
+		{"Read64", func() { m.Read64(a) }},
+		{"Bit", func() { m.Bit(a, 1) }},
+		{"FlipBit", func() { m.FlipBit(a, 1) }},
+		{"ReadFrame", func() { m.ReadFrame(past, make([]byte, FrameSize)) }},
+		{"ScrubFrame", func() { m.ScrubFrame(past) }},
+		{"Write8", func() { m.Write8(a, 1) }},
+		{"ZeroFrame", func() { m.ZeroFrame(past) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != want {
+					t.Errorf("%s of frame %d panicked with %v, want %q", tc.name, past, r, want)
+				}
+			}()
+			tc.f()
+		}()
+	}
+	if m.Materialized() != 1 {
+		t.Errorf("Materialized = %d after the rejected accesses, want 1", m.Materialized())
 	}
 }
