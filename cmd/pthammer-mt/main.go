@@ -21,19 +21,18 @@
 //
 // A machine's cores take their quanta as plain calls on one goroutine,
 // granted lowest-clock-first with a fixed tiebreak; the population
-// runs' units run in parallel, but share no simulated state. So the
-// output bytes are a pure function of the flags — in particular
-// independent of -procs (GOMAXPROCS) and of -pool (the population
-// runs' front-end count). CI asserts this by diffing runs at -procs 1,
-// 2 and 4, twice each, and the population table additionally across
-// -pool sizes, one of them a single unit.
+// runs' units — one two-core machine per GOMAXPROCS, so GOMAXPROCS
+// also sets the pool size — run in parallel, but share no simulated
+// state. So the output bytes are a pure function of the flags, and in
+// particular independent of GOMAXPROCS. CI asserts this by diffing
+// runs at GOMAXPROCS 1, 2 and 4, twice each, and the population table
+// additionally at GOMAXPROCS 32: pools of 1, 2, 4 and 32 units.
 //
 // Usage:
 //
 //	pthammer-mt [-scenario all|amplify|noisy|cross-tenant|population]
 //	            [-seed N] [-windows N] [-xt-seed N] [-xt-windows N]
-//	            [-pool N] [-pop-tenants N] [-pop-seed N] [-pop-windows N]
-//	            [-procs N] [-o FILE]
+//	            [-pop-tenants N] [-pop-seed N] [-pop-windows N] [-o FILE]
 //
 // Exit codes: 0 success, 1 simulation failure, 2 usage error, 3 output
 // write failure.
@@ -117,15 +116,17 @@ func renderCrossTenant(buf *bytes.Buffer, seed int64, maxWindows int) error {
 // interleaved striping must breach for class A and split the
 // population between diluted and undiluted tenants, blocked striping
 // must be fully defensive.
-func renderPopulation(buf *bytes.Buffer, frontEnds, tenants int, seed int64, windows int) error {
+func renderPopulation(buf *bytes.Buffer, tenants int, seed int64, windows int) error {
 	fmt.Fprintf(buf, "# table 4: mt-population — tenant populations over a bounded core pool, rates per 10^6 tenants (tenants=%d/row windows=%d seed=%d)\n",
 		tenants, windows, seed)
 	fmt.Fprintf(buf, "layout\tclass\ttenants\tbreached_per_M\tdiluted_per_M\ttable_flips_per_M\tmean_peak_pressure\tmax_peak_pressure\tmean_iters\n")
+	// One two-core unit per GOMAXPROCS. Units draw tenants from one
+	// shared index, one tenant per draw, so at most one unit per tenant
+	// ever runs: a unit past the tenant count would be built and never
+	// run.
+	frontEnds := min(2*runtime.GOMAXPROCS(0), 2*tenants, cohort.MaxFrontEnds)
 	for _, layout := range []machine.TableLayout{machine.LayoutInterleaved, machine.LayoutBlocked} {
-		// Units draw tenants from one shared index, one tenant per draw,
-		// so at most one unit per tenant ever runs: a unit past the
-		// tenant count would be built and never run.
-		pool, err := cohort.NewPool(min(frontEnds, 2*tenants), layout)
+		pool, err := cohort.NewPool(frontEnds, layout)
 		if err != nil {
 			return fmt.Errorf("population: %w", err)
 		}
@@ -162,15 +163,13 @@ func renderPopulation(buf *bytes.Buffer, frontEnds, tenants int, seed int64, win
 }
 
 // params is one render's full input: the output bytes are a pure
-// function of it (minus procs, which only sets GOMAXPROCS, and pool,
-// which only sizes the population runs' front-end pool).
+// function of it.
 type params struct {
 	scenario   string
 	seed       int64
 	windows    int
 	xtSeed     int64
 	xtWindows  int
-	pool       int
 	popTenants int
 	popSeed    int64
 	popWindows int
@@ -178,9 +177,9 @@ type params struct {
 
 // render produces the full deterministic report for the selected
 // scenario(s).
-// The header deliberately omits -procs and -pool: CI diffs the bytes
-// across both, so nothing scheduling- or pool-shape-dependent may
-// appear in them.
+// The header deliberately omits GOMAXPROCS: CI diffs the bytes across
+// it, so nothing scheduling- or pool-shape-dependent may appear in
+// them.
 func render(p params) ([]byte, error) {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "# pthammer-mt preset=SandyBridge(escalation scale) scenario=%s\n", p.scenario)
@@ -200,7 +199,7 @@ func render(p params) ([]byte, error) {
 		}
 	}
 	if p.scenario == "all" || p.scenario == "population" {
-		if err := renderPopulation(&buf, p.pool, p.popTenants, p.popSeed, p.popWindows); err != nil {
+		if err := renderPopulation(&buf, p.popTenants, p.popSeed, p.popWindows); err != nil {
 			return nil, err
 		}
 	}
@@ -218,11 +217,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	windows := fs.Int("windows", 4, "refresh windows per arm for the amplify and noisy scenarios")
 	xtSeed := fs.Int64("xt-seed", 1, "flip-model seed for the cross-tenant escalation")
 	xtWindows := fs.Int("xt-windows", 60, "refresh-window budget for the cross-tenant escalation")
-	pool := fs.Int("pool", 8, fmt.Sprintf("front-ends in the population runs' core pool, at most %d (two per unit, ~34 KB each) and capped at 2 x -pop-tenants (one two-core unit per tenant); the output must not depend on it", cohort.MaxFrontEnds))
 	popTenants := fs.Int("pop-tenants", 2000, "tenants per population row (6 rows: 3 classes x 2 layouts)")
 	popSeed := fs.Int64("pop-seed", 1, "population seed; per-tenant seeds are mixed from it")
 	popWindows := fs.Int("pop-windows", 3, "refresh windows per tenant slice in the population runs")
-	procs := fs.Int("procs", 0, "GOMAXPROCS for the run (0 keeps the runtime default); the output must not depend on it")
 	out := fs.String("o", "", "output path (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		// The flag set already printed the parse error and usage.
@@ -243,17 +240,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pthammer-mt: window counts must be positive (got %d, %d, %d)\n", *windows, *xtWindows, *popWindows)
 		return exitUsage
 	}
-	if *pool < 2 || *pool > cohort.MaxFrontEnds || *popTenants < 1 || *popTenants > cohort.MaxTenants {
-		fmt.Fprintf(stderr, "pthammer-mt: population needs 2 <= -pool <= %d and 1 <= -pop-tenants <= %d (got %d, %d)\n",
-			cohort.MaxFrontEnds, cohort.MaxTenants, *pool, *popTenants)
+	if *popTenants < 1 || *popTenants > cohort.MaxTenants {
+		fmt.Fprintf(stderr, "pthammer-mt: population needs 1 <= -pop-tenants <= %d (got %d)\n", cohort.MaxTenants, *popTenants)
 		return exitUsage
-	}
-	if *procs < 0 {
-		fmt.Fprintf(stderr, "pthammer-mt: -procs must be non-negative (got %d)\n", *procs)
-		return exitUsage
-	}
-	if *procs > 0 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(*procs))
 	}
 
 	report, err := render(params{
@@ -262,7 +251,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		windows:    *windows,
 		xtSeed:     *xtSeed,
 		xtWindows:  *xtWindows,
-		pool:       *pool,
 		popTenants: *popTenants,
 		popSeed:    *popSeed,
 		popWindows: *popWindows,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,7 @@ func fullReport(t *testing.T) []byte {
 	t.Helper()
 	out, err := render(params{
 		scenario: "all", seed: 4, windows: 4, xtSeed: 1, xtWindows: 60,
-		pool: 8, popTenants: 200, popSeed: 1, popWindows: 3,
+		popTenants: 200, popSeed: 1, popWindows: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +26,8 @@ func fullReport(t *testing.T) []byte {
 
 // TestReportDeterministic is the command's contract: two renders
 // produce bit-identical bytes — the property the CI multicore leg
-// asserts by diffing full invocations across reruns and -procs values.
+// asserts by diffing full invocations across reruns and GOMAXPROCS
+// values.
 func TestReportDeterministic(t *testing.T) {
 	a := fullReport(t)
 	b := fullReport(t)
@@ -60,8 +62,8 @@ func TestReportLayout(t *testing.T) {
 		}
 	}
 	// Nothing scheduling-dependent may leak into the bytes.
-	if strings.Contains(out, "procs") {
-		t.Errorf("report mentions procs; its bytes must be -procs-independent:\n%s", out)
+	if strings.Contains(strings.ToLower(out), "procs") {
+		t.Errorf("report mentions procs; its bytes must be GOMAXPROCS-independent:\n%s", out)
 	}
 }
 
@@ -112,17 +114,20 @@ func TestRunSingleScenario(t *testing.T) {
 }
 
 // TestRunPopulationScenario: -scenario population emits only table 4,
-// and its bytes are independent of the pool's front-end count.
+// and its bytes are independent of GOMAXPROCS, which sets the pool's
+// unit count.
 func TestRunPopulationScenario(t *testing.T) {
-	render := func(pool string) string {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	render := func(procs int) string {
+		runtime.GOMAXPROCS(procs)
 		var stdout, stderr bytes.Buffer
-		args := []string{"-scenario", "population", "-pop-tenants", "120", "-pool", pool}
+		args := []string{"-scenario", "population", "-pop-tenants", "120"}
 		if code := run(args, &stdout, &stderr); code != exitOK {
 			t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 		}
 		return stdout.String()
 	}
-	out := render("8")
+	out := render(4)
 	if !strings.Contains(out, "# table 4: mt-population") {
 		t.Errorf("population table missing:\n%s", out)
 	}
@@ -131,19 +136,19 @@ func TestRunPopulationScenario(t *testing.T) {
 			t.Errorf("unexpected %s in -scenario population output:\n%s", absent, out)
 		}
 	}
-	if narrow := render("4"); narrow != out {
-		t.Errorf("population bytes depend on the pool size:\n--- pool 8 ---\n%s--- pool 4 ---\n%s", out, narrow)
+	if narrow := render(2); narrow != out {
+		t.Errorf("population bytes depend on the pool size:\n--- GOMAXPROCS 4 ---\n%s--- GOMAXPROCS 2 ---\n%s", out, narrow)
 	}
 	// At most one unit per tenant ever draws a tenant, so a pool past
-	// two front-ends per tenant is capped before any unit is built:
-	// -pool 1024, the largest accepted, builds 120 units here, not 512.
-	// (A pool past 1024 is a usage error; see TestRunUsageErrors.)
-	if huge := render("1024"); huge != out {
-		t.Errorf("population bytes depend on a pool past the tenant count:\n--- pool 8 ---\n%s--- pool 1024 ---\n%s", out, huge)
+	// one unit per tenant is capped before any unit is built:
+	// GOMAXPROCS 128 builds 120 units here, not 128.
+	if huge := render(128); huge != out {
+		t.Errorf("population bytes depend on a pool past the tenant count:\n--- GOMAXPROCS 4 ---\n%s--- GOMAXPROCS 128 ---\n%s", out, huge)
 	}
 }
 
-// TestRunWritesFile: -o writes the report to the given path.
+// TestRunWritesFile: -o writes the report to the given path, and a
+// path that cannot be written exits 3.
 func TestRunWritesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mt.tsv")
 	var stdout, stderr bytes.Buffer
@@ -156,6 +161,11 @@ func TestRunWritesFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "# table 2: mt-noisy-neighbour") {
 		t.Errorf("file missing the noisy table:\n%s", data)
+	}
+	stderr.Reset()
+	bad := filepath.Join(t.TempDir(), "missing", "mt.tsv")
+	if code := run([]string{"-scenario", "noisy", "-o", bad}, &stdout, &stderr); code != exitWrite || !strings.Contains(stderr.String(), "no such file or directory") {
+		t.Errorf("unwritable -o: exit %d, want %d (stderr: %s)", code, exitWrite, stderr.String())
 	}
 }
 
@@ -174,16 +184,11 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-windows", "0"}, exitUsage, ""},
 		{[]string{"-xt-windows", "-1"}, exitUsage, ""},
 		{[]string{"-pop-windows", "0"}, exitUsage, ""},
-		{[]string{"-pool", "1"}, exitUsage, ""},
 		{[]string{"-pop-tenants", "0"}, exitUsage, ""},
 		// 2^61 tenants once panicked allocating the outcomes, 2^62
 		// overflowed the pool cap; both are past the tenant cap.
 		{[]string{"-scenario", "population", "-pop-tenants", "2305843009213693952"}, exitUsage, "-pop-tenants <= 1048576"},
 		{[]string{"-scenario", "population", "-pop-tenants", "4611686018427387904"}, exitUsage, "-pop-tenants <= 1048576"},
-		// At the tenant cap, 2 x -pop-tenants once admitted 2^20 units,
-		// all built up front before any tenant ran.
-		{[]string{"-scenario", "population", "-pop-tenants", "1048576", "-pool", "2097152"}, exitUsage, "-pool <= 1024"},
-		{[]string{"-procs", "-2"}, exitUsage, ""},
 		{[]string{"stray"}, exitUsage, ""},
 		{[]string{"-not-a-flag"}, exitUsage, ""},
 		{[]string{"-scenario", "amplify", "-windows", wrap}, exitRuntime, wrap + " windows of 350000 cycles overflow"},

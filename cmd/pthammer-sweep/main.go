@@ -13,22 +13,22 @@
 // baseline for comparison.
 //
 // Output is a pure function of the spec (machine preset, padding
-// range, reps, seed, mode): the sweep engine's merged histograms are
-// bit-identical for any worker count, and the tables are derived only
-// from them, so -workers changes wall-clock time and nothing else —
-// asserted by this package's tests.
+// range, reps, seed, mode): the sweep runs GOMAXPROCS workers, its
+// merged histograms are bit-identical for any worker count, and the
+// tables are derived only from them, so GOMAXPROCS changes wall-clock
+// time and nothing else — asserted by this package's tests.
 //
 // Usage:
 //
 //	pthammer-sweep [-mode evict|flush] [-padmin N] [-padmax N]
 //	               [-padstep N] [-reps N] [-targets N] [-noise P]
-//	               [-seed N] [-workers N] [-o FILE]
+//	               [-seed N] [-o FILE]
 //
 // Exit codes: 0 success; 1 the sweep engine rejected the spec or
 // failed (a -reps, -padstep or padding range it refuses, a target past
 // the machine's memory); 2 usage error (an unknown flag, a stray
-// argument, or a bad -mode, -targets, -noise or -workers value);
-// 3 output write failure.
+// argument, or a bad -mode, -targets or -noise value); 3 output write
+// failure.
 package main
 
 import (
@@ -55,8 +55,9 @@ const (
 
 // buildSpec assembles the sweep from the command's knobs. Targets are
 // spread one per 2 MiB region so every page has its own leaf page
-// table — the same layout the hammer scenarios use.
-func buildSpec(mode string, targets, padMin, padMax, padStep, reps, workers int, noise float64, seed int64) (sweep.Spec, error) {
+// table — the same layout the hammer scenarios use. The spec leaves
+// Workers at 0: the sweep runs GOMAXPROCS workers.
+func buildSpec(mode string, targets, padMin, padMax, padStep, reps int, noise float64, seed int64) (sweep.Spec, error) {
 	if targets <= 0 {
 		return sweep.Spec{}, fmt.Errorf("targets must be positive (got %d)", targets)
 	}
@@ -65,16 +66,16 @@ func buildSpec(mode string, targets, padMin, padMax, padStep, reps, workers int,
 	if !(noise >= 0 && noise < 1) {
 		return sweep.Spec{}, fmt.Errorf("noise %v outside [0,1)", noise)
 	}
-	if workers < 0 {
-		return sweep.Spec{}, fmt.Errorf("workers must be non-negative (got %d)", workers)
-	}
 	cfg := machine.SandyBridge()
 	if noise > 0 {
 		cfg.NoiseProb = noise
 		cfg.NoiseMin = 100
 		cfg.NoiseMax = 500
 	}
-	addrs := make([]phys.Addr, targets)
+	// Every target past memory is rejected by the sweep, so the list
+	// stops one past the last that fits: a huge count costs one error,
+	// not an allocation of that many addresses.
+	addrs := make([]phys.Addr, min(uint64(targets), cfg.DRAM.Capacity()/pagetable.Span(2)+1))
 	for i := range addrs {
 		addrs[i] = phys.Addr(uint64(i) * pagetable.Span(2))
 	}
@@ -85,7 +86,6 @@ func buildSpec(mode string, targets, padMin, padMax, padStep, reps, workers int,
 		PadMax:   padMax,
 		PadStep:  padStep,
 		Reps:     reps,
-		Workers:  workers,
 		BaseSeed: seed,
 	}
 	switch mode {
@@ -143,7 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	targets := fs.Int("targets", 2, "number of target pages (one per 2 MiB region)")
 	noise := fs.Float64("noise", 0.05, "per-load latency-spike probability (0 = fully deterministic)")
 	seed := fs.Int64("seed", 1, "base seed for the per-shard noise streams")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never affects the tables")
 	out := fs.String("o", "", "output path (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		// The flag set already printed the parse error and usage.
@@ -154,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return exitUsage
 	}
-	spec, err := buildSpec(*mode, *targets, *padMin, *padMax, *padStep, *reps, *workers, *noise, *seed)
+	spec, err := buildSpec(*mode, *targets, *padMin, *padMax, *padStep, *reps, *noise, *seed)
 	if err != nil {
 		fmt.Fprintln(stderr, "pthammer-sweep:", err)
 		return exitUsage

@@ -12,9 +12,9 @@ import (
 
 // smallSpec keeps the determinism matrix fast: two targets, three
 // padding points, light noise so the seeds matter.
-func smallSpec(t *testing.T, mode string, workers int) []byte {
+func smallSpec(t *testing.T, mode string) []byte {
 	t.Helper()
-	spec, err := buildSpec(mode, 2, 0, 20, 10, 3, workers, 0.1, 42)
+	spec, err := buildSpec(mode, 2, 0, 20, 10, 3, 0.1, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,18 +26,21 @@ func smallSpec(t *testing.T, mode string, workers int) []byte {
 }
 
 // TestTablesDeterministicAcrossWorkers is the command's contract: the
-// Figure 5/6 tables are bit-identical for 1, 2, 4 and NumCPU workers,
-// in both measurement modes. The CI race leg runs this same test under
-// -race, so the guarantee holds with the scheduler interleaving shards
-// adversarially.
+// Figure 5/6 tables are bit-identical for 1, 2, 4 and NumCPU workers
+// (GOMAXPROCS sets the count), in both measurement modes. The CI race
+// leg runs this same test under -race, so the guarantee holds with the
+// scheduler interleaving shards adversarially.
 func TestTablesDeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, mode := range []string{"evict", "flush"} {
-		serial := smallSpec(t, mode, 1)
+		runtime.GOMAXPROCS(1)
+		serial := smallSpec(t, mode)
 		if len(serial) == 0 {
 			t.Fatalf("%s: empty tables", mode)
 		}
 		for _, workers := range []int{2, 4, runtime.NumCPU()} {
-			if got := smallSpec(t, mode, workers); !bytes.Equal(got, serial) {
+			runtime.GOMAXPROCS(workers)
+			if got := smallSpec(t, mode); !bytes.Equal(got, serial) {
 				t.Fatalf("%s tables differ between 1 and %d workers:\n--- 1 worker ---\n%s--- %d workers ---\n%s",
 					mode, workers, serial, workers, got)
 			}
@@ -48,7 +51,7 @@ func TestTablesDeterministicAcrossWorkers(t *testing.T) {
 // TestTablesContainBothFigures pins the output layout downstream
 // tooling parses.
 func TestTablesContainBothFigures(t *testing.T) {
-	out := smallSpec(t, "evict", 1)
+	out := smallSpec(t, "evict")
 	for _, want := range []string{
 		"# figure5: load latency (cycles) vs padding NOPs",
 		"padding\tsamples\tmin\tp25\tp50\tp90\tmax\tmean",
@@ -64,24 +67,21 @@ func TestTablesContainBothFigures(t *testing.T) {
 
 // TestBuildSpecRejectsBadInput covers the knobs main passes through.
 func TestBuildSpecRejectsBadInput(t *testing.T) {
-	if _, err := buildSpec("warp", 2, 0, 10, 10, 1, 0, 0, 1); err == nil {
+	if _, err := buildSpec("warp", 2, 0, 10, 10, 1, 0, 1); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if _, err := buildSpec("evict", 0, 0, 10, 10, 1, 0, 0, 1); err == nil {
+	if _, err := buildSpec("evict", 0, 0, 10, 10, 1, 0, 1); err == nil {
 		t.Error("zero targets accepted")
 	}
 	for _, noise := range []float64{-1, 1, 2, math.NaN()} {
-		if _, err := buildSpec("evict", 2, 0, 10, 10, 1, 0, noise, 1); err == nil {
+		if _, err := buildSpec("evict", 2, 0, 10, 10, 1, noise, 1); err == nil {
 			t.Errorf("noise %v accepted", noise)
 		}
-	}
-	if _, err := buildSpec("evict", 2, 0, 10, 10, 1, -1, 0, 1); err == nil {
-		t.Error("negative workers accepted")
 	}
 	// 513 targets put the last one at 1 GiB, past the preset's memory:
 	// the tables come back as an error in both modes, never a panic.
 	for _, mode := range []string{"evict", "flush"} {
-		spec, err := buildSpec(mode, 513, 0, 10, 10, 1, 0, 0, 1)
+		spec, err := buildSpec(mode, 513, 0, 10, 10, 1, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,8 +92,10 @@ func TestBuildSpecRejectsBadInput(t *testing.T) {
 }
 
 // TestRunExitCodes: every failure surface of the command has its own
-// exit code, and flags after a stray argument are rejected rather than
-// silently dropped.
+// exit code, flags after a stray argument are rejected rather than
+// silently dropped, and every failure but the write one is refused
+// before a machine is built, so it allocates next to nothing — in
+// particular not one address per requested target.
 func TestRunExitCodes(t *testing.T) {
 	small := []string{"-mode", "flush", "-padmax", "10", "-reps", "1", "-targets", "1"}
 	cases := []struct {
@@ -108,9 +110,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown mode", []string{"-mode", "warp"}, exitUsage, "unknown mode"},
 		{"zero targets", []string{"-targets", "0"}, exitUsage, "targets must be positive"},
 		{"noise out of range", []string{"-noise", "1"}, exitUsage, "outside [0,1)"},
-		{"negative workers", []string{"-workers", "-1"}, exitUsage, "workers must be non-negative"},
 		{"zero reps", []string{"-reps", "0"}, exitRuntime, "reps must be positive"},
 		{"target past memory", []string{"-targets", "513", "-reps", "1", "-padmax", "0"}, exitRuntime, "outside 1073741824-byte memory"},
+		// 8 MiB of addresses if every requested target were listed.
+		{"targets far past memory", []string{"-targets", "1048576", "-reps", "1", "-padmax", "0"}, exitRuntime, "address 0x40000000 outside 1073741824-byte memory"},
 		{"huge padding range", []string{"-padmax", "9223372036854775807", "-padstep", "2"}, exitRuntime, "4611686018427387904 paddings exceed the 65536-padding cap"},
 		{"padding count overflow", []string{"-padmax", "9223372036854775807", "-padstep", "1"}, exitRuntime, "9223372036854775808 paddings exceed"},
 		{"unwritable output", append(small, "-o", "/nonexistent-dir/sweep.tsv"), exitWrite, "no such file or directory"},
@@ -118,12 +121,18 @@ func TestRunExitCodes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			code := run(tc.args, &stdout, &stderr)
+			runtime.ReadMemStats(&after)
 			if code != tc.code {
 				t.Fatalf("exit code = %d, want %d (stderr: %s)", code, tc.code, stderr.String())
 			}
 			if !strings.Contains(stderr.String(), tc.stderr) {
 				t.Fatalf("stderr missing %q:\n%s", tc.stderr, stderr.String())
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; tc.code != exitWrite && alloc >= 1<<20 {
+				t.Fatalf("rejected run allocated %d bytes, want under 1 MiB", alloc)
 			}
 		})
 	}
@@ -133,7 +142,7 @@ func TestRunExitCodes(t *testing.T) {
 // stdout or to -o.
 func TestRunWritesTables(t *testing.T) {
 	args := []string{"-mode", "flush", "-padmax", "10", "-reps", "1", "-targets", "1"}
-	spec, err := buildSpec("flush", 1, 0, 10, 10, 1, 0, 0.05, 1)
+	spec, err := buildSpec("flush", 1, 0, 10, 10, 1, 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +182,7 @@ func TestRunWritesTables(t *testing.T) {
 // engine, not only against a rerun of itself. Never regenerate them to
 // make a refactor pass; only a deliberate change of simulated output
 // may touch them. Flags not listed are the command's defaults (-padmin
-// 0 -padmax 100 -padstep 10 -noise 0.05; -workers never affects the
-// bytes).
+// 0 -padmax 100 -padstep 10 -noise 0.05).
 var goldenTables = []struct {
 	file          string
 	mode          string
@@ -193,7 +201,7 @@ func TestGoldenTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := buildSpec(g.mode, g.targets, 0, 100, 10, g.reps, 0, 0.05, g.seed)
+		spec, err := buildSpec(g.mode, g.targets, 0, 100, 10, g.reps, 0.05, g.seed)
 		if err != nil {
 			t.Fatal(err)
 		}

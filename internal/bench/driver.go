@@ -54,23 +54,26 @@ const (
 	ReasonTiersExhausted Reason = "tiers-exhausted"
 )
 
-// Budget bounds one resilient escalation run. Every knob is in refresh
-// windows or tier counts; the driver never exceeds MaxWindows total.
+// The escalation tiers' bounds. Each no-exploit attempt with progress
+// doubles the attempt length (exponential backoff) up to
+// AttemptWindows << maxBackoff. maxRebuilds bounds tier 1: re-verify +
+// rebuild the eviction sets for the current pair. maxReplans bounds
+// tier 2: lay out the next-ranked aggressor pair and rebuild for it.
+const (
+	maxBackoff  = 4
+	maxRebuilds = 2
+	maxReplans  = 3
+)
+
+// Budget bounds one resilient escalation run in refresh windows; the
+// driver never exceeds MaxWindows total.
 type Budget struct {
 	// MaxWindows is the hard ceiling on refresh windows spent across
 	// all attempts, measured on the simulated clock (hammering,
 	// detection scans, verification and rebuild traffic all count).
 	MaxWindows uint64
-	// AttemptWindows is the length of the first hammer attempt; each
-	// no-exploit attempt with progress doubles it (exponential backoff)
-	// up to AttemptWindows << MaxBackoff.
+	// AttemptWindows is the length of the first hammer attempt.
 	AttemptWindows uint64
-	MaxBackoff     uint
-	// MaxRebuilds bounds tier 1: re-verify + rebuild the eviction sets
-	// for the current pair. MaxReplans bounds tier 2: lay out the
-	// next-ranked aggressor pair and rebuild for it.
-	MaxRebuilds uint
-	MaxReplans  uint
 }
 
 // DefaultBudget is sized from the demo machine's measured behaviour:
@@ -79,13 +82,7 @@ type Budget struct {
 // worth of slack, while the backoff ladder (64·2⁰‥2⁴) keeps early
 // aborts cheap when nothing lands at all.
 func DefaultBudget() Budget {
-	return Budget{
-		MaxWindows:     4000,
-		AttemptWindows: 64,
-		MaxBackoff:     4,
-		MaxRebuilds:    2,
-		MaxReplans:     3,
-	}
+	return Budget{MaxWindows: 4000, AttemptWindows: 64}
 }
 
 // Validate reports an error for a degenerate budget.
@@ -95,8 +92,6 @@ func (b Budget) Validate() error {
 		return fmt.Errorf("bench: budget needs a positive attempt length")
 	case b.MaxWindows < b.AttemptWindows:
 		return fmt.Errorf("bench: window budget %d smaller than one attempt (%d)", b.MaxWindows, b.AttemptWindows)
-	case b.MaxBackoff > 32:
-		return fmt.Errorf("bench: backoff exponent %d would overflow the attempt length", b.MaxBackoff)
 	}
 	return nil
 }
@@ -165,8 +160,9 @@ func RunEscalationResilient(profile flip.Profile, seed int64, fcfg *fault.Config
 
 // driveEscalation is the state machine proper, on an already-built
 // machine; tests drive hand-configured machines through it. A budget
-// with AttemptWindows == MaxWindows is one attempt with no backoff and
-// no tiers: the plain pte-flip escalation.
+// with AttemptWindows == MaxWindows is one attempt that runs to the
+// window ceiling, so it never backs off or reaches a tier: the plain
+// pte-flip escalation.
 //
 // Detection is attacker-side and incremental. The attacker schedules
 // one rescan of the sprayed translations per refresh window from the
@@ -285,7 +281,7 @@ func driveEscalation(m *machine.Machine, budget Budget) (Verdict, error) {
 			// Back off — longer attempts amortize scan traffic and give
 			// the jackpot surface more draws before the next escalation
 			// decision.
-			if backoff < budget.MaxBackoff {
+			if backoff < maxBackoff {
 				backoff++
 			}
 			continue
@@ -300,7 +296,7 @@ func driveEscalation(m *machine.Machine, budget Budget) (Verdict, error) {
 		// No flip landed in the whole attempt. Tier 1: if the eviction
 		// sets no longer evict (decayed members, drifted thresholds),
 		// rebuild them for the same pair.
-		if v.Rebuilds < budget.MaxRebuilds && !h.Verify(m) {
+		if v.Rebuilds < maxRebuilds && !h.Verify(m) {
 			v.Phase = PhaseRebuild
 			v.Rebuilds++
 			if h2, err := NewImplicitHammerForPair(m, plan.Pair, plan.Exclude, evset.Options{}); err == nil {
@@ -318,7 +314,7 @@ func driveEscalation(m *machine.Machine, budget Budget) (Verdict, error) {
 		// just barren). Move to the next-ranked pair; a failed build
 		// consumes the replan and tries the one after.
 		replanned := false
-		for v.Replans < budget.MaxReplans {
+		for v.Replans < maxReplans {
 			v.Phase = PhaseReplan
 			v.Replans++
 			p2, err := planner.Next()

@@ -6,6 +6,7 @@ import (
 
 	"pthammer/internal/fault"
 	"pthammer/internal/flip"
+	"pthammer/internal/machine"
 )
 
 func TestBudgetValidate(t *testing.T) {
@@ -17,7 +18,6 @@ func TestBudgetValidate(t *testing.T) {
 		{"default", DefaultBudget(), true},
 		{"zero attempt", Budget{MaxWindows: 100}, false},
 		{"budget below one attempt", Budget{MaxWindows: 10, AttemptWindows: 64}, false},
-		{"overflowing backoff", Budget{MaxWindows: 100, AttemptWindows: 64, MaxBackoff: 40}, false},
 		{"tight but legal", Budget{MaxWindows: 64, AttemptWindows: 64}, true},
 	}
 	for _, tc := range cases {
@@ -43,6 +43,9 @@ func TestResilientMisuseErrors(t *testing.T) {
 	bad := &fault.Config{Class: "cosmic-ray"}
 	if _, err := RunEscalationResilient(flip.ClassA(), 1, bad, DefaultBudget()); err == nil {
 		t.Fatal("unknown fault class accepted")
+	}
+	if _, err := driveEscalation(machine.MustNew(machine.SandyBridge()), DefaultBudget()); err == nil {
+		t.Fatal("machine without a flip model accepted")
 	}
 	// 2^60 windows of 350,000 cycles wrap the driver's ceiling to its
 	// start cycle: unchecked, that was budget-exhausted after 0 windows.
@@ -127,6 +130,9 @@ func TestResilientUnrecoverableAborts(t *testing.T) {
 	if v.Reason != ReasonTiersExhausted {
 		t.Fatalf("abort reason = %q, want %q", v.Reason, ReasonTiersExhausted)
 	}
+	if v.Rebuilds != 0 || v.Replans != maxReplans {
+		t.Fatalf("tiers taken: %d rebuilds, %d replans; want 0 and every replan (%d) — the sets still evict, the pairs are dead", v.Rebuilds, v.Replans, maxReplans)
+	}
 	if v.Windows > DefaultBudget().MaxWindows {
 		t.Fatalf("abort spent %d windows, budget %d", v.Windows, DefaultBudget().MaxWindows)
 	}
@@ -141,11 +147,30 @@ func TestResilientUnrecoverableAborts(t *testing.T) {
 	}
 }
 
+// TestResilientDepletedBudgetSkipsTiers: when a flipless attempt
+// leaves less than two attempts' worth of windows, a tier's traffic
+// could blow the ceiling, so the driver aborts budget-exhausted without
+// entering one.
+func TestResilientDepletedBudgetSkipsTiers(t *testing.T) {
+	fc := &fault.Config{Class: fault.TRRSuppress, SuppressRate: 1}
+	budget := Budget{MaxWindows: 100, AttemptWindows: 64}
+	v, err := RunEscalationResilient(flip.ClassA(), escalationSeed, fc, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Success || v.Reason != ReasonBudgetExhausted || v.Rebuilds != 0 || v.Replans != 0 {
+		t.Fatalf("verdict %+v, want budget-exhausted with no tier taken", v)
+	}
+	if v.Windows < budget.AttemptWindows || v.Windows > budget.MaxWindows {
+		t.Fatalf("spent %d windows, want one full attempt (%d) within the ceiling (%d)", v.Windows, budget.AttemptWindows, budget.MaxWindows)
+	}
+}
+
 // TestResilientBudgetCeiling: with flips landing but never exploitable
 // (total misland), the driver must stop at the window ceiling exactly.
 func TestResilientBudgetCeiling(t *testing.T) {
 	fc := &fault.Config{Class: fault.FlipMisland, MislandRate: 1}
-	budget := Budget{MaxWindows: 200, AttemptWindows: 64, MaxBackoff: 2, MaxRebuilds: 1, MaxReplans: 1}
+	budget := Budget{MaxWindows: 200, AttemptWindows: 64}
 	v, err := RunEscalationResilient(flip.ClassA(), escalationSeed, fc, budget)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"pthammer/internal/dram"
 	"pthammer/internal/evset"
+	"pthammer/internal/flip"
 	"pthammer/internal/machine"
 	"pthammer/internal/perf"
 	"pthammer/internal/phys"
@@ -302,4 +304,43 @@ func TestFullPresetWindowPressure(t *testing.T) {
 		m.Load(a1)
 		m.Load(a3)
 	}), 941_988)
+}
+
+// TestEscalationIterationVector pins the per-iteration event vector of
+// BuildEscalation(ClassA, 1)'s hammer — 5-page TLB sets and 16-line
+// LLC sets on EscalationConfig — over its first 3,000 iterations, as a
+// histogram of (cycles, walks, LLC references, LLC misses, ACTs, row
+// conflicts, leaf-PTE DRAM fetches). After a cold first iteration,
+// every iteration costs 7,024 cycles with 34 ACTs, all row conflicts,
+// except one per refresh window: the window's closing precharge turns
+// one access that would conflict (190 cycles) into a closed-row
+// activation (135 cycles).
+func TestEscalationIterationVector(t *testing.T) {
+	m, _, h, err := BuildEscalation(flip.ClassA(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := [4]int{len(h.TLB1.Pages), len(h.TLB2.Pages), len(h.LLC1.Addrs), len(h.LLC2.Addrs)}; got != [4]int{5, 5, 16, 16} {
+		t.Fatalf("eviction set sizes (TLB1, TLB2, LLC1, LLC2) = %v, want [5 5 16 16]", got)
+	}
+	events := []perf.Event{perf.DTLBLoadMissesWalk, perf.LLCReference, perf.LongestLatCacheMiss,
+		perf.DRAMActivate, perf.DRAMRowConflicts, perf.L1PTEMemoryFetch}
+	got := make(map[[7]uint64]int)
+	for i := 0; i < 3000; i++ {
+		snap := m.Counters().Snapshot()
+		var v [7]uint64
+		v[0] = uint64(h.HammerOnce(m).Cycles)
+		for k, ev := range events {
+			v[k+1] = snap.Delta(m.Counters(), ev)
+		}
+		got[v]++
+	}
+	want := map[[7]uint64]int{
+		{2_169, 44, 34, 4, 4, 3, 2}:    1,
+		{7_024, 44, 34, 34, 34, 34, 2}: 2_939,
+		{6_969, 44, 34, 34, 34, 33, 2}: 60,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("iteration vectors [cycles walks LLC-refs LLC-misses ACTs row-conflicts leaf-PTE-fetches]: count\n got %v\nwant %v", got, want)
+	}
 }

@@ -58,7 +58,7 @@ const (
 // hammer iterations, not tens of thousands) at the scenario's hammer
 // threshold, and the scenario's budget of windows refresh windows in
 // cycles (an error when that does not fit in timing.Cycles).
-func newMTMachine(seed int64, threshold uint64, windows, cores int, tenants []int) (mm *machine.MultiMachine, model *flip.Model, budget timing.Cycles, err error) {
+func newMTMachine(seed int64, threshold uint64, windows, cores, tenants int) (mm *machine.MultiMachine, model *flip.Model, budget timing.Cycles, err error) {
 	if model, err = flip.NewModel(flip.ClassA(), seed); err != nil {
 		return nil, nil, 0, err
 	}
@@ -100,7 +100,7 @@ type ColocatedAmplifyResult struct {
 // windows. It returns the peak per-window pressure, flip count and
 // total iterations.
 func amplifyArm(seed int64, cores, windows int) (pressure uint64, flips int, iters uint64, err error) {
-	mm, model, budget, err := newMTMachine(seed, amplifyThreshold, windows, cores, nil)
+	mm, model, budget, err := newMTMachine(seed, amplifyThreshold, windows, cores, 1)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -190,7 +190,7 @@ const bystanderBase = phys.Addr(256 << 20)
 // noisyArm runs the attacker for the given number of refresh windows
 // next to a bystander that is either streaming (noisy) or idle.
 func noisyArm(seed int64, noisy bool, windows int) (pressure uint64, flips int, iters, loads uint64, err error) {
-	mm, model, budget, err := newMTMachine(seed, noisyThreshold, windows, 2, []int{0, 1})
+	mm, model, budget, err := newMTMachine(seed, noisyThreshold, windows, 2, 2)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -331,7 +331,7 @@ func xtFindPair(mm *machine.MultiMachine, cands []regionCand) (ImplicitPair, boo
 // Deterministic per seed.
 func RunCrossTenantEscalation(seed int64, maxWindows int) (CrossTenantResult, error) {
 	var res CrossTenantResult
-	mm, model, budget, err := newMTMachine(seed, crossTenantThreshold, maxWindows, 2, []int{0, 1})
+	mm, model, budget, err := newMTMachine(seed, crossTenantThreshold, maxWindows, 2, 2)
 	if err != nil {
 		return res, err
 	}

@@ -189,7 +189,7 @@ func NewPool(frontEnds int, layout machine.TableLayout) (*Pool, error) {
 		mm, err := machine.NewMulti(machine.MultiConfig{
 			Config:  tenantConfig(model),
 			Cores:   2,
-			Tenants: []int{0, 1},
+			Tenants: 2,
 			Layout:  layout,
 		})
 		if err != nil {

@@ -172,8 +172,7 @@ func New(cfg Config) (*Machine, error) {
 // frame pool per tenant — the only difference between New and
 // NewMulti: physical memory and every tenant's tables, the DRAM and
 // shared LLC, one front-end per core attached to its tenant's tables,
-// and last the flip/fault model bindings. A nil cfg.Tenants puts every
-// core in tenant 0.
+// and last the flip/fault model bindings.
 func wire(cfg MultiConfig, pools [][]phys.Frame) (*MultiMachine, error) {
 	pmem, err := phys.New(cfg.DRAM.Capacity())
 	if err != nil {
@@ -194,16 +193,12 @@ func wire(cfg MultiConfig, pools [][]phys.Frame) (*MultiMachine, error) {
 		return nil, err
 	}
 	mm := &MultiMachine{
-		cfg:     cfg,
-		mem:     pmem,
-		dram:    d,
-		shared:  shared,
-		cores:   make([]*Machine, cfg.Cores),
-		tenants: cfg.Tenants,
-		tables:  tables,
-	}
-	if mm.tenants == nil {
-		mm.tenants = make([]int, cfg.Cores)
+		cfg:    cfg,
+		mem:    pmem,
+		dram:   d,
+		shared: shared,
+		cores:  make([]*Machine, cfg.Cores),
+		tables: tables,
 	}
 	for i := range mm.cores {
 		if mm.cores[i], err = buildCore(mm, i); err != nil {
@@ -222,7 +217,7 @@ func wire(cfg MultiConfig, pools [][]phys.Frame) (*MultiMachine, error) {
 // tables, charging everything to the core's own clock and counters.
 func buildCore(mm *MultiMachine, i int) (*Machine, error) {
 	cfg := mm.cfg.Config
-	tables := mm.tables[mm.tenants[i]]
+	tables := mm.tables[mm.Tenant(i)]
 	clock := &timing.Clock{}
 	counters := &perf.Counters{}
 	// Offset the seed per core so noisy cores draw independent spike

@@ -19,12 +19,10 @@ type MultiConfig struct {
 	// Cores is the number of per-core front-ends.
 	Cores int
 
-	// Tenants assigns each core an address space: cores with the same
-	// tenant index share one set of page tables (threads of one
-	// process), cores with different indices get disjoint table pools
-	// (co-located users). Nil means every core is tenant 0. Tenant
-	// indices must be dense: every index in [0, max+1) must own at
-	// least one core.
+	// Tenants is the number of address spaces, at most Cores; 0 means
+	// one. Core i belongs to tenant i mod Tenants: cores of one tenant
+	// share one set of page tables (threads of one process), and
+	// different tenants get disjoint table pools (co-located users).
 	//
 	// Tenant table pools are striped across DRAM row indices at the top
 	// of physical memory — tenant t owns the row indices congruent to t
@@ -34,7 +32,7 @@ type MultiConfig struct {
 	// tables' rows puts disturbance pressure on a victim tenant's PTEs
 	// one row away (PAPER.md §II's threat model, which the single-core
 	// machine cannot express).
-	Tenants []int
+	Tenants int
 
 	// Layout selects how the reserved table rows are divided among
 	// tenants; the zero value is the interleaved striping described
@@ -77,43 +75,12 @@ func (l TableLayout) String() string {
 // drive them with Run, which serialises quanta under a deterministic
 // interleaver.
 type MultiMachine struct {
-	cfg     MultiConfig
-	mem     *phys.Memory
-	dram    *dram.DRAM
-	shared  *cache.SharedLLC
-	cores   []*Machine
-	tenants []int
-	tables  []*pagetable.Tables
-}
-
-// tenantCount validates the tenant assignment and returns the number
-// of tenants.
-func tenantCount(cores int, tenants []int) (int, error) {
-	if tenants == nil {
-		return 1, nil
-	}
-	if len(tenants) != cores {
-		return 0, fmt.Errorf("machine: %d tenant assignments for %d cores", len(tenants), cores)
-	}
-	max := 0
-	for i, t := range tenants {
-		if t < 0 {
-			return 0, fmt.Errorf("machine: core %d has negative tenant %d", i, t)
-		}
-		if t > max {
-			max = t
-		}
-	}
-	seen := make([]bool, max+1)
-	for _, t := range tenants {
-		seen[t] = true
-	}
-	for t, ok := range seen {
-		if !ok {
-			return 0, fmt.Errorf("machine: tenant indices not dense: %d unused below max %d", t, max)
-		}
-	}
-	return max + 1, nil
+	cfg    MultiConfig
+	mem    *phys.Memory
+	dram   *dram.DRAM
+	shared *cache.SharedLLC
+	cores  []*Machine
+	tables []*pagetable.Tables
 }
 
 // tenantPools carves the top of physical memory into per-tenant
@@ -177,11 +144,10 @@ func NewMulti(cfg MultiConfig) (*MultiMachine, error) {
 	if cfg.Cores < 1 {
 		return nil, fmt.Errorf("machine: need at least one core (got %d)", cfg.Cores)
 	}
-	tenantN, err := tenantCount(cfg.Cores, cfg.Tenants)
-	if err != nil {
-		return nil, err
+	if cfg.Tenants < 0 || cfg.Tenants > cfg.Cores {
+		return nil, fmt.Errorf("machine: %d tenants on %d cores (want 0 to %d)", cfg.Tenants, cfg.Cores, cfg.Cores)
 	}
-	pools, err := tenantPools(cfg.Config, tenantN, cfg.Layout)
+	pools, err := tenantPools(cfg.Config, max(cfg.Tenants, 1), cfg.Layout)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +172,7 @@ func (mm *MultiMachine) NumCores() int { return len(mm.cores) }
 func (mm *MultiMachine) Core(i int) *Machine { return mm.cores[i] }
 
 // Tenant returns the tenant index core i belongs to.
-func (mm *MultiMachine) Tenant(i int) int { return mm.tenants[i] }
+func (mm *MultiMachine) Tenant(i int) int { return i % len(mm.tables) }
 
 // Tenants returns how many tenants the machine hosts.
 func (mm *MultiMachine) Tenants() int { return len(mm.tables) }

@@ -15,7 +15,7 @@ import (
 )
 
 func TestNewMultiWiring(t *testing.T) {
-	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 3, Tenants: []int{0, 1, 0}})
+	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 3, Tenants: 2})
 	if mm.NumCores() != 3 || mm.Tenants() != 2 {
 		t.Fatalf("got %d cores / %d tenants, want 3 / 2", mm.NumCores(), mm.Tenants())
 	}
@@ -52,10 +52,8 @@ func TestNewMultiRejectsBadConfigs(t *testing.T) {
 	cases := []MultiConfig{
 		{Config: badDRAM, Cores: 2},
 		{Config: base, Cores: 0},
-		{Config: base, Cores: 2, Tenants: []int{0}},     // wrong length
-		{Config: base, Cores: 2, Tenants: []int{0, -1}}, // negative
-		{Config: base, Cores: 2, Tenants: []int{0, 2}},  // not dense
-		{Config: base, Cores: 2, Tenants: []int{1, 1}},  // tenant 0 unused
+		{Config: base, Cores: 2, Tenants: -1}, // negative
+		{Config: base, Cores: 2, Tenants: 3},  // a tenant with no core
 		{Config: base, Cores: 2, Layout: TableLayout(7)},
 		{Config: tinyConfig(), Cores: 1}, // no room for a table pool
 	}
@@ -253,7 +251,7 @@ func TestMultiMachineDeterministic(t *testing.T) {
 	cfg := SandyBridge()
 	cfg.DRAM.RefreshWindow = 50_000
 	build := func() *MultiMachine {
-		return MustNewMulti(MultiConfig{Config: cfg, Cores: 3, Tenants: []int{0, 1, 0}})
+		return MustNewMulti(MultiConfig{Config: cfg, Cores: 3, Tenants: 2})
 	}
 
 	prev := runtime.GOMAXPROCS(0)
@@ -275,7 +273,7 @@ func TestMultiMachineDeterministic(t *testing.T) {
 // its original value from mm.Run on the caller's goroutine; the
 // machine stays usable afterwards.
 func TestMultiRunPanicTeardown(t *testing.T) {
-	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 3, Tenants: []int{0, 1, 0}})
+	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 3, Tenants: 2})
 	func() {
 		defer func() {
 			if r := recover(); r != "core 1 body blew up" {
@@ -328,7 +326,7 @@ func TestMultiFlipMislandInvariant(t *testing.T) {
 	}
 	cfg.FaultModel = fm
 
-	mm := MustNewMulti(MultiConfig{Config: cfg, Cores: 2, Tenants: []int{0, 1}})
+	mm := MustNewMulti(MultiConfig{Config: cfg, Cores: 2, Tenants: 2})
 	geom := mm.Config().DRAM
 	// Core 0 hammers rows 100/102 (victim 101); core 1 probes row 101's
 	// frames while hammering its own pair two banks over — the row a
@@ -386,7 +384,7 @@ func TestMultiFlipMislandInvariant(t *testing.T) {
 // maximum and opens a fresh refresh window there, so the measured
 // phase starts from zero activation pressure.
 func TestAlignClocks(t *testing.T) {
-	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 3, Tenants: []int{0, 1, 1}})
+	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 3, Tenants: 2})
 	mm.Core(0).Load(0)
 	for k := 0; k < 8; k++ {
 		mm.Core(1).Load(phys.Addr(k) << 21)
@@ -413,7 +411,7 @@ func TestAlignClocks(t *testing.T) {
 // tenant 1's table frames reports tenant 1's tables, and tenant 0's
 // table row — one row index away — does not.
 func TestTablesInRow(t *testing.T) {
-	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 2, Tenants: []int{0, 1}})
+	mm := MustNewMulti(MultiConfig{Config: SandyBridge(), Cores: 2, Tenants: 2})
 	mm.Core(1).Load(0)
 	geom := mm.Config().DRAM
 	own := geom.Map(mm.Tables(1).Frames()[0].Addr())

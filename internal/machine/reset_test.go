@@ -191,7 +191,7 @@ func TestMultiResetEquivalence(t *testing.T) {
 		cfg.DRAM.HammerThreshold = 24
 		cfg.DRAM.RefreshWindow = 25_000
 		cfg.FlipModel = flip.MustNewModel(flip.ClassB(), 4)
-		return MustNewMulti(MultiConfig{Config: cfg, Cores: 2, Tenants: []int{0, 1}})
+		return MustNewMulti(MultiConfig{Config: cfg, Cores: 2, Tenants: 2})
 	}
 	run := func(mm *MultiMachine) ([]int, []resetTrace, []int) {
 		var log []int

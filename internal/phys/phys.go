@@ -197,7 +197,7 @@ func (e frameRangeError) Error() string {
 //pthammer:noalloc
 func (m *Memory) line(a Addr) *[lineBytes]byte {
 	t := &m.tables[m.frame(FrameOf(a))]
-	i := Offset(a) >> lineShift
+	i := uint64(a) >> lineShift & (linesPerFrame - 1)
 	if t[i] == 0 {
 		t[i] = uint32(len(m.lines))
 		m.lines = append(m.lines, [lineBytes]byte{}) //pthammer:alloc-ok amortized slab growth, capacity kept across Reset
@@ -211,7 +211,7 @@ func (m *Memory) line(a Addr) *[lineBytes]byte {
 //
 //pthammer:noalloc
 func (m *Memory) peekLine(a Addr) *[lineBytes]byte {
-	return &m.lines[m.tables[m.peek(FrameOf(a))][Offset(a)>>lineShift]]
+	return &m.lines[m.tables[m.peek(FrameOf(a))][uint64(a)>>lineShift&(linesPerFrame-1)]]
 }
 
 // zeroLines clears the written lines of the frame in slot s in place.
