@@ -114,6 +114,32 @@ func TestResilientPairInvalidateReplans(t *testing.T) {
 	}
 }
 
+// TestResilientRejectsUnexploitableCandidate reaches the exploit
+// rejection path. At seed 14 under pair-invalidate, the first detected
+// candidate maps onto table 0x3ff7e, a fully sprayed victim table with
+// no free slot, so exploit fails; the driver must reject that
+// (page, table), keep hammering, and escalate through a later
+// candidate. The pins are the trajectory of that recovery: aborting on
+// the failed exploit, or never recording the rejection, ends elsewhere.
+func TestResilientRejectsUnexploitableCandidate(t *testing.T) {
+	fc := &fault.Config{Class: fault.PairInvalidate}
+	v, err := RunEscalationResilient(flip.ClassA(), 14, fc, DefaultBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Success || v.Result == nil {
+		t.Fatalf("run did not escalate past the rejected candidate: %+v", v)
+	}
+	if v.Replans != 1 || v.Windows != 794 || v.Iterations != 37752 || v.Flips != 601 {
+		t.Fatalf("verdict %d replans, %d windows, %d iterations, %d flips; want 1, 794, 37752, 601",
+			v.Replans, v.Windows, v.Iterations, v.Flips)
+	}
+	if v.Result.CorruptVA != 0x2ff01000 || v.Result.TableFrame != 0x3ff01 {
+		t.Fatalf("escalated through %#x -> table %#x, want 0x2ff01000 -> 0x3ff01",
+			uint64(v.Result.CorruptVA), uint64(v.Result.TableFrame))
+	}
+}
+
 // TestResilientUnrecoverableAborts pins the structured-abort contract:
 // a perfect TRR mitigation can never flip, so the driver must walk its
 // tiers and return a tiers-exhausted verdict within budget — no hang,
