@@ -115,11 +115,11 @@ func render(seed int64, iters uint64, robustSeeds int, budget bench.Budget) ([]b
 func renderRobustness(buf *bytes.Buffer, robustSeeds int, budget bench.Budget) error {
 	fmt.Fprintf(buf, "# table 3: resilient escalation under injected faults (class A, budget=%d windows, seeds 1..%d)\n",
 		budget.MaxWindows, robustSeeds)
-	fmt.Fprintf(buf, "fault_class\tkind\tseeds\tsuccesses\tsuccess_rate\tmean_windows\tmax_windows\tmean_iters\trebuilds\treplans\tfaults_observed\tpriv_ops\tabort_reasons\n")
+	fmt.Fprintf(buf, "fault_class\tkind\tseeds\tsuccesses\tsuccess_rate\tmean_windows\tmax_windows\tmean_iters\treplans\tfaults_observed\tpriv_ops\tabort_reasons\n")
 	for _, sc := range fault.Matrix() {
 		var succ int
 		var sumWindows, maxWindows, sumIters, faults, privOps uint64
-		var rebuilds, replans uint
+		var replans uint
 		reasons := make(map[string]bool)
 		for s := 1; s <= robustSeeds; s++ {
 			v, err := bench.RunEscalationResilient(flip.ClassA(), int64(s), sc.Config, budget)
@@ -136,7 +136,6 @@ func renderRobustness(buf *bytes.Buffer, robustSeeds int, budget bench.Budget) e
 				maxWindows = v.Windows
 			}
 			sumIters += v.Iterations
-			rebuilds += v.Rebuilds
 			replans += v.Replans
 			faults += v.Faults.Total()
 			privOps += v.PrivFlushes + v.PrivInvlpgs
@@ -155,10 +154,10 @@ func renderRobustness(buf *bytes.Buffer, robustSeeds int, budget bench.Budget) e
 			abortReasons = strings.Join(rs, ",")
 		}
 		n := float64(robustSeeds)
-		fmt.Fprintf(buf, "%s\t%s\t%d\t%d\t%.2f\t%.1f\t%d\t%.1f\t%d\t%d\t%d\t%d\t%s\n",
+		fmt.Fprintf(buf, "%s\t%s\t%d\t%d\t%.2f\t%.1f\t%d\t%.1f\t%d\t%d\t%d\t%s\n",
 			sc.Name, kind, robustSeeds, succ, float64(succ)/n,
 			float64(sumWindows)/n, maxWindows, float64(sumIters)/n,
-			rebuilds, replans, faults, privOps, abortReasons)
+			replans, faults, privOps, abortReasons)
 	}
 	return nil
 }

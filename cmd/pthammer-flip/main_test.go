@@ -53,7 +53,7 @@ func TestReportLayout(t *testing.T) {
 		"# table 2: pte-flip-escalation (class A)",
 		"iterations\twindows\tflips\tfirst_flip_iter\tsim_ms\tcorrupt_va\ttable_frame\trewritten_va\tsecret_frame",
 		"# table 3: resilient escalation under injected faults",
-		"fault_class\tkind\tseeds\tsuccesses\tsuccess_rate\tmean_windows\tmax_windows\tmean_iters\trebuilds\treplans\tfaults_observed\tpriv_ops\tabort_reasons",
+		"fault_class\tkind\tseeds\tsuccesses\tsuccess_rate\tmean_windows\tmax_windows\tmean_iters\treplans\tfaults_observed\tpriv_ops\tabort_reasons",
 		"\nnone\trecoverable\t", "\neviction-decay\trecoverable\t",
 		"\nthreshold-drift\trecoverable\t", "\ntrr-suppress\trecoverable\t",
 		"\nflip-misland\trecoverable\t", "\npair-invalidate\trecoverable\t",

@@ -2,13 +2,12 @@
 // single-shot escalation pipeline into an attack that can fail,
 // diagnose, and retry. Real PThammer runs lose eviction sets to noise,
 // lose flips to in-DRAM mitigations, and lose aggressor pairs to OS
-// activity; the driver answers each with a tier — keep hammering with
-// exponential backoff while flips still land, re-verify and rebuild
-// the eviction sets when they stop, replan onto the next-ranked
-// aggressor pair when rebuilding does not help — and accounts every
-// move against one window budget. It always terminates: either the
-// exploit lands within budget or the caller gets a structured Verdict
-// saying how far the attack got, what it spent, and why it stopped.
+// activity; the driver keeps hammering with exponential backoff while
+// flips still land, replans onto the next-ranked aggressor pair when
+// they stop, and accounts every move against one window budget. It
+// always terminates: either the exploit lands within budget or the
+// caller gets a structured Verdict saying how far the attack got, what
+// it spent, and why it stopped.
 package bench
 
 import (
@@ -29,7 +28,6 @@ const (
 	PhasePlan    Phase = "plan"
 	PhaseBuild   Phase = "build"
 	PhaseHammer  Phase = "hammer"
-	PhaseRebuild Phase = "rebuild"
 	PhaseReplan  Phase = "replan"
 	PhaseExploit Phase = "exploit"
 )
@@ -49,20 +47,17 @@ const (
 	// before the window budget ran out.
 	ReasonBudgetExhausted Reason = "budget-exhausted"
 	// ReasonTiersExhausted: hammering stopped producing flips and every
-	// escalation tier (rebuilds, replans) was spent without restoring
-	// progress.
+	// replan was spent without restoring progress.
 	ReasonTiersExhausted Reason = "tiers-exhausted"
 )
 
 // The escalation tiers' bounds. Each no-exploit attempt with progress
 // doubles the attempt length (exponential backoff) up to
-// AttemptWindows << maxBackoff. maxRebuilds bounds tier 1: re-verify +
-// rebuild the eviction sets for the current pair. maxReplans bounds
-// tier 2: lay out the next-ranked aggressor pair and rebuild for it.
+// AttemptWindows << maxBackoff. maxReplans bounds the replan tier: lay
+// out the next-ranked aggressor pair and build its eviction sets.
 const (
-	maxBackoff  = 4
-	maxRebuilds = 2
-	maxReplans  = 3
+	maxBackoff = 4
+	maxReplans = 3
 )
 
 // Budget bounds one resilient escalation run in refresh windows; the
@@ -70,7 +65,7 @@ const (
 type Budget struct {
 	// MaxWindows is the hard ceiling on refresh windows spent across
 	// all attempts, measured on the simulated clock (hammering,
-	// detection scans, verification and rebuild traffic all count).
+	// detection scans and replan traffic all count).
 	MaxWindows uint64
 	// AttemptWindows is the length of the first hammer attempt.
 	AttemptWindows uint64
@@ -113,7 +108,9 @@ type Verdict struct {
 	// Flips is every disturbance error the model recorded during the
 	// driven phase, exploitable or not.
 	Flips int
-	// Rebuilds and Replans count the escalation tiers actually taken.
+	// Replans counts the replan tiers actually taken. Rebuilds is
+	// always 0: the driver has no rebuild tier, and the field stays
+	// only because perfbench still reads it.
 	Rebuilds uint
 	Replans  uint
 	// Faults is the fault model's injected-fault accounting (zero when
@@ -286,33 +283,17 @@ func driveEscalation(m *machine.Machine, budget Budget) (Verdict, error) {
 			}
 			continue
 		}
-		// Tier traffic (verification probes, eviction-set rebuilds,
-		// respraying a new pair) costs tens of windows; entering a tier
-		// without room for it plus one attempt would blow the ceiling,
-		// so a too-depleted budget aborts here instead.
+		// Tier traffic (respraying a new pair and building its eviction
+		// sets) costs tens of windows; entering the tier without room
+		// for it plus one attempt would blow the ceiling, so a
+		// too-depleted budget aborts here instead.
 		if budget.MaxWindows-spent() < 2*budget.AttemptWindows {
 			break
 		}
-		// No flip landed in the whole attempt. Tier 1: if the eviction
-		// sets no longer evict (decayed members, drifted thresholds),
-		// rebuild them for the same pair.
-		if v.Rebuilds < maxRebuilds && !h.Verify(m) {
-			v.Phase = PhaseRebuild
-			v.Rebuilds++
-			if h2, err := NewImplicitHammerForPair(m, plan.Pair, plan.Exclude, evset.Options{}); err == nil {
-				h = h2
-				plan.ptOf = leafPTs(m)
-				backoff = 0
-				v.Phase = PhaseHammer
-				continue
-			}
-			// Rebuild construction failed outright: fall through to
-			// replanning onto a different pair.
-		}
-		// Tier 2: the sets are fine (or unrebuildable) yet nothing
-		// flips — the pair itself is dead (invalidated, mitigated, or
-		// just barren). Move to the next-ranked pair; a failed build
-		// consumes the replan and tries the one after.
+		// No flip landed in the whole attempt: the pair itself is dead
+		// (invalidated, mitigated, or just barren). Move to the
+		// next-ranked pair; a failed build consumes the replan and
+		// tries the one after.
 		replanned := false
 		for v.Replans < maxReplans {
 			v.Phase = PhaseReplan

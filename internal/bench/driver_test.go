@@ -141,9 +141,9 @@ func TestResilientRejectsUnexploitableCandidate(t *testing.T) {
 }
 
 // TestResilientUnrecoverableAborts pins the structured-abort contract:
-// a perfect TRR mitigation can never flip, so the driver must walk its
-// tiers and return a tiers-exhausted verdict within budget — no hang,
-// no panic, no error.
+// a perfect TRR mitigation can never flip, so the driver must spend
+// every replan and return a tiers-exhausted verdict within budget — no
+// hang, no panic, no error.
 func TestResilientUnrecoverableAborts(t *testing.T) {
 	fc := &fault.Config{Class: fault.TRRSuppress, SuppressRate: 1}
 	v, err := RunEscalationResilient(flip.ClassA(), escalationSeed, fc, DefaultBudget())
@@ -156,8 +156,8 @@ func TestResilientUnrecoverableAborts(t *testing.T) {
 	if v.Reason != ReasonTiersExhausted {
 		t.Fatalf("abort reason = %q, want %q", v.Reason, ReasonTiersExhausted)
 	}
-	if v.Rebuilds != 0 || v.Replans != maxReplans {
-		t.Fatalf("tiers taken: %d rebuilds, %d replans; want 0 and every replan (%d) — the sets still evict, the pairs are dead", v.Rebuilds, v.Replans, maxReplans)
+	if v.Replans != maxReplans {
+		t.Fatalf("replans taken: %d; want every replan (%d) — the pairs are dead", v.Replans, maxReplans)
 	}
 	if v.Windows > DefaultBudget().MaxWindows {
 		t.Fatalf("abort spent %d windows, budget %d", v.Windows, DefaultBudget().MaxWindows)
@@ -184,7 +184,7 @@ func TestResilientDepletedBudgetSkipsTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Success || v.Reason != ReasonBudgetExhausted || v.Rebuilds != 0 || v.Replans != 0 {
+	if v.Success || v.Reason != ReasonBudgetExhausted || v.Replans != 0 {
 		t.Fatalf("verdict %+v, want budget-exhausted with no tier taken", v)
 	}
 	if v.Windows < budget.AttemptWindows || v.Windows > budget.MaxWindows {

@@ -208,19 +208,6 @@ func NewImplicitHammerForPair(m *machine.Machine, pair ImplicitPair, extraExclud
 	return &ImplicitHammer{Pair: pair, TLB1: tlb1, TLB2: tlb2, LLC1: llc1, LLC2: llc2}, nil
 }
 
-// Verify re-measures all four eviction sets against their calibrated
-// verdicts: do the minimized streams still evict their targets? A
-// false answer is the escalation driver's diagnostic that the sets
-// decayed (noise dropped members, thresholds drifted) and a rebuild is
-// worth a replan tier. Verification issues the same loads and timed
-// probes as construction — no privileged operation.
-func (h *ImplicitHammer) Verify(m *machine.Machine) bool {
-	return h.TLB1.Evicts(m, h.TLB1.Pages) &&
-		h.TLB2.Evicts(m, h.TLB2.Pages) &&
-		h.LLC1.Evicts(m, h.LLC1.Addrs) &&
-		h.LLC2.Evicts(m, h.LLC2.Addrs)
-}
-
 // HammerOnce runs one flush-free iteration: per side, walk the TLB
 // eviction set (unprivileged invlpg), walk the PTE-line LLC eviction
 // set (unprivileged clflush), then probe the page — the walk's

@@ -88,8 +88,6 @@ type TLBSet struct {
 	Target phys.Addr
 	Pages  []phys.Addr
 	Cal    Calibration
-
-	trials int
 }
 
 // Evict walks the set — the unprivileged invlpg — returning the cycles
@@ -98,13 +96,6 @@ type TLBSet struct {
 //pthammer:noalloc
 func (s *TLBSet) Evict(m *machine.Machine) timing.Cycles {
 	return m.Prime(s.Pages)
-}
-
-// Evicts reports whether the given page stream evicts the target's
-// translation, using the set's calibrated verdict — the measurement
-// the reduction step queries. Exposed so tests can check minimality.
-func (s *TLBSet) Evicts(m *machine.Machine, pages []phys.Addr) bool {
-	return evictsTLB(m, s.Target, pages, s.Cal.Threshold, s.trials)
 }
 
 // LLCSet is a minimized LLC eviction set for the cache line holding a
@@ -118,11 +109,6 @@ type LLCSet struct {
 	PTE    phys.Addr
 	Addrs  []phys.Addr
 	Cal    Calibration
-
-	// tlbPages force the probe load to walk; verdicts need a walk to
-	// observe where the leaf PTE was served from.
-	tlbPages []phys.Addr
-	trials   int
 }
 
 // Evict walks the set — the unprivileged clflush of the PTE line —
@@ -131,12 +117,6 @@ type LLCSet struct {
 //pthammer:noalloc
 func (s *LLCSet) Evict(m *machine.Machine) timing.Cycles {
 	return m.Prime(s.Addrs)
-}
-
-// Evicts reports whether the given address stream evicts the target's
-// leaf-PTE line, using the set's calibrated verdict.
-func (s *LLCSet) Evicts(m *machine.Machine, addrs []phys.Addr) bool {
-	return evictsLLC(m, s.Target, s.tlbPages, addrs, s.Cal.Threshold, s.trials)
 }
 
 // userLimit returns the first address past the attacker-reachable
@@ -395,7 +375,6 @@ func BuildTLB(m *machine.Machine, target phys.Addr, exclude []phys.Addr, opt Opt
 		Target: target,
 		Pages:  minimize(pool, assoc, evicts),
 		Cal:    cal,
-		trials: opt.Trials,
 	}, nil
 }
 
@@ -453,11 +432,9 @@ func BuildLLCPTE(m *machine.Machine, target phys.Addr, tlb *TLBSet, exclude []ph
 		return nil, fmt.Errorf("evset: LLC candidate pool (%d lines) does not evict PTE %#x", len(pool), uint64(pte))
 	}
 	return &LLCSet{
-		Target:   target,
-		PTE:      pte,
-		Addrs:    minimize(pool, assoc, evicts),
-		Cal:      cal,
-		tlbPages: tlb.Pages,
-		trials:   opt.Trials,
+		Target: target,
+		PTE:    pte,
+		Addrs:  minimize(pool, assoc, evicts),
+		Cal:    cal,
 	}, nil
 }

@@ -61,27 +61,30 @@ func TestMinimizedSetsLoseEvictionWithoutAnyElement(t *testing.T) {
 		target := phys.Addr((2 + r.Uint64()%(pages/4)) << phys.FrameShift)
 		target += phys.Addr(uint64(r.Intn(64)) * 64)
 
+		trials := Options{}.withDefaults().Trials
 		tlbSet, err := BuildTLB(m, target, nil, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: BuildTLB: %v", seed, err)
 		}
-		if !tlbSet.Evicts(m, tlbSet.Pages) {
+		tlbEvicts := func(pages []phys.Addr) bool {
+			return evictsTLB(m, target, pages, tlbSet.Cal.Threshold, trials)
+		}
+		if !tlbEvicts(tlbSet.Pages) {
 			t.Fatalf("seed %d: minimized TLB set does not evict", seed)
 		}
-		checkMinimal(t, seed, "TLB", tlbSet.Pages, func(sub []phys.Addr) bool {
-			return tlbSet.Evicts(m, sub)
-		})
+		checkMinimal(t, seed, "TLB", tlbSet.Pages, tlbEvicts)
 
 		llcSet, err := BuildLLCPTE(m, target, tlbSet, nil, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: BuildLLCPTE: %v", seed, err)
 		}
-		if !llcSet.Evicts(m, llcSet.Addrs) {
+		llcEvicts := func(addrs []phys.Addr) bool {
+			return evictsLLC(m, target, tlbSet.Pages, addrs, llcSet.Cal.Threshold, trials)
+		}
+		if !llcEvicts(llcSet.Addrs) {
 			t.Fatalf("seed %d: minimized LLC set does not evict", seed)
 		}
-		checkMinimal(t, seed, "LLC", llcSet.Addrs, func(sub []phys.Addr) bool {
-			return llcSet.Evicts(m, sub)
-		})
+		checkMinimal(t, seed, "LLC", llcSet.Addrs, llcEvicts)
 	}
 }
 
