@@ -292,8 +292,8 @@ func driveEscalation(m *machine.Machine, budget Budget) (Verdict, error) {
 		}
 		// No flip landed in the whole attempt: the pair itself is dead
 		// (invalidated, mitigated, or just barren). Move to the
-		// next-ranked pair; a failed build consumes the replan and
-		// tries the one after.
+		// next-ranked pair, whose eviction sets are built fresh; a
+		// failed build consumes the replan and tries the one after.
 		replanned := false
 		for v.Replans < maxReplans {
 			v.Phase = PhaseReplan
