@@ -1,7 +1,7 @@
 // Package clockcharge makes the latency-accounting invariant structural:
 // every mem.Device/mem.Translator implementation — a Lookup or Translate
-// method taking a mem.Access and returning a mem.Result — must advance
-// the shared timing.Clock on every path that returns a Result. The
+// method that returns a mem.Result — must advance the shared
+// timing.Clock on every path that returns a Result. The
 // simulator's entire measurement story (Figure 5/6 latency histograms,
 // Probe verdicts) is cycle differences on that one clock, so a device
 // that reports a latency without charging it silently skews every
@@ -57,32 +57,23 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// isMemType reports whether t is the named type name from a package
-// whose import path ends in internal/mem.
-func isMemType(t types.Type, name string) bool {
+// isMemResult reports whether t is the Result type of a package whose
+// import path ends in internal/mem.
+func isMemResult(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil &&
+	return obj.Name() == "Result" && obj.Pkg() != nil &&
 		framework.PathMatches(obj.Pkg().Path(), "internal/mem")
 }
 
-// isDeviceSig matches the mem.Device/mem.Translator access shape: a
-// mem.Access parameter and a mem.Result among the results.
+// isDeviceSig matches the mem.Device/mem.Translator result shape: a
+// mem.Result among the results. Callers check the method name.
 func isDeviceSig(sig *types.Signature) bool {
-	hasAccess := false
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isMemType(sig.Params().At(i).Type(), "Access") {
-			hasAccess = true
-		}
-	}
-	if !hasAccess {
-		return false
-	}
 	for i := 0; i < sig.Results().Len(); i++ {
-		if isMemType(sig.Results().At(i).Type(), "Result") {
+		if isMemResult(sig.Results().At(i).Type()) {
 			return true
 		}
 	}

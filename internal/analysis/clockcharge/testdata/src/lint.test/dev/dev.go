@@ -14,8 +14,8 @@ type Good struct {
 }
 
 // Lookup is fully charged.
-func (g *Good) Lookup(a mem.Access) mem.Result {
-	if a.Kind == 0 {
+func (g *Good) Lookup(a uint64) mem.Result {
+	if a == 0 {
 		g.clock.Advance(4)
 		return mem.Result{Latency: 4, Hit: true}
 	}
@@ -29,8 +29,8 @@ type Bad struct {
 }
 
 // Lookup forgets to charge the early-out.
-func (b *Bad) Lookup(a mem.Access) mem.Result {
-	if a.Kind == 0 {
+func (b *Bad) Lookup(a uint64) mem.Result {
+	if a == 0 {
 		return mem.Result{Hit: true} // want `Bad\.Lookup returns a mem\.Result without advancing the clock`
 	}
 	b.clock.Advance(90)
@@ -43,16 +43,16 @@ type Walker struct {
 }
 
 // Translate charges the walk cost before returning.
-func (w *Walker) Translate(a mem.Access) (uint64, mem.Result) {
+func (w *Walker) Translate(a uint64) (uint64, mem.Result) {
 	w.clock.Advance(3)
-	return a.Addr >> 12, mem.Result{Latency: 3}
+	return a >> 12, mem.Result{Latency: 3}
 }
 
 // LazyWalker never charges.
 type LazyWalker struct{}
 
 // Translate is uncharged on its only path.
-func (w *LazyWalker) Translate(a mem.Access) (uint64, mem.Result) {
+func (w *LazyWalker) Translate(a uint64) (uint64, mem.Result) {
 	return 0, mem.Result{} // want `LazyWalker\.Translate returns a mem\.Result without advancing the clock`
 }
 
@@ -61,20 +61,20 @@ func (w *LazyWalker) Translate(a mem.Access) (uint64, mem.Result) {
 type Free struct{}
 
 // Lookup is exempted.
-func (f *Free) Lookup(a mem.Access) mem.Result {
+func (f *Free) Lookup(a uint64) mem.Result {
 	return mem.Result{Hit: true} //pthammer:nocharge-ok zero-cost fixture device
 }
 
-// NotADevice has the method names but not the signature shape: its
-// returns are not checked.
+// NotADevice has a mem.Result under another method name, and a
+// Translate without one: its returns are not checked.
 type NotADevice struct{}
 
-// Lookup takes a raw address, not a mem.Access.
-func (n *NotADevice) Lookup(addr uint64) mem.Result {
+// Find returns a mem.Result but is neither Lookup nor Translate.
+func (n *NotADevice) Find(addr uint64) mem.Result {
 	return mem.Result{}
 }
 
 // Translate returns no mem.Result.
-func (n *NotADevice) Translate(a mem.Access) uint64 {
-	return a.Addr
+func (n *NotADevice) Translate(a uint64) uint64 {
+	return a
 }

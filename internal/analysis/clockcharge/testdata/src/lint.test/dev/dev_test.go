@@ -7,6 +7,6 @@ import "lint.test/internal/mem"
 type Fake struct{}
 
 // Lookup is uncharged but unflagged (test file).
-func (f *Fake) Lookup(a mem.Access) mem.Result {
+func (f *Fake) Lookup(a uint64) mem.Result {
 	return mem.Result{Hit: true}
 }

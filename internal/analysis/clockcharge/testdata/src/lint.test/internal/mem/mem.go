@@ -3,15 +3,6 @@ package mem
 
 import "lint.test/internal/timing"
 
-// Kind distinguishes access kinds.
-type Kind int
-
-// Access is one memory access.
-type Access struct {
-	Addr uint64
-	Kind Kind
-}
-
 // Result is what a device reports for one access.
 type Result struct {
 	Latency timing.Cycles
@@ -20,10 +11,10 @@ type Result struct {
 
 // Device serves accesses.
 type Device interface {
-	Lookup(Access) Result
+	Lookup(uint64) Result
 }
 
-// Translator resolves accesses to frames.
+// Translator resolves addresses to frames.
 type Translator interface {
-	Translate(Access) (uint64, Result)
+	Translate(uint64) (uint64, Result)
 }

@@ -2,8 +2,8 @@
 // activations without ever loading the aggressor rows explicitly. Each
 // iteration evicts one page's translation (TLB + paging-structure
 // caches) and the cache line holding its leaf PTE, then loads the
-// page — the hardware walk's KindPTEFetch to the PT frame is what
-// reaches DRAM. Alternating two pages whose PTEs sit in the same bank
+// page — the walker's PTE fetch from the PT frame is what reaches
+// DRAM. Alternating two pages whose PTEs sit in the same bank
 // two rows apart turns those fetches into row conflicts that hammer
 // the sandwiched victim row, which holds page-table bytes.
 //
@@ -210,8 +210,8 @@ func NewImplicitHammerForPair(m *machine.Machine, pair ImplicitPair, extraExclud
 
 // HammerOnce runs one flush-free iteration: per side, walk the TLB
 // eviction set (unprivileged invlpg), walk the PTE-line LLC eviction
-// set (unprivileged clflush), then probe the page — the walk's
-// KindPTEFetch to the PT frame is the only access that reaches the
+// set (unprivileged clflush), then probe the page — the walker's PTE
+// fetch from the PT frame is the only access that reaches the
 // aggressor rows. Allocation-free in steady state.
 //
 //pthammer:noalloc

@@ -24,7 +24,7 @@ func hammerConfig() machine.Config {
 
 // TestPrivilegedHammerReachesThreshold is the privileged baseline: a
 // invlpg-clflush-load loop whose only DRAM traffic to the aggressor
-// rows is the page walker's KindPTEFetch accesses drives the
+// rows is the walker's PTE fetches drives the
 // page-table victim row past the hammer threshold, while the shared
 // clock, the per-access Results, and the perf counters stay in exact
 // agreement.

@@ -109,7 +109,7 @@ func Scenarios() []Scenario {
 		{
 			// PThammer's actual attack loop: walk the measured TLB and
 			// leaf-PTE LLC eviction sets, then load — the page walk's
-			// implicit KindPTEFetch accesses are the only thing reaching
+			// implicit PTE fetches are the only thing reaching
 			// the aggressor rows, and no privileged operation is issued.
 			// LoadsPerOp counts the two hammer probes, not the eviction
 			// streams, so loads/sec reads as hammer activations per
@@ -354,9 +354,9 @@ func Scenarios() []Scenario {
 				if err != nil {
 					b.Fatal(err)
 				}
-				addrs := make([]mem.Access, 64)
+				addrs := make([]phys.Addr, 64)
 				for r := range addrs {
-					addrs[r] = mem.Access{Addr: cfg.AddrOf(dram.Location{Row: uint64(r) * 11})}
+					addrs[r] = cfg.AddrOf(dram.Location{Row: uint64(r) * 11})
 				}
 				// Warm the per-bank touched-slice capacity so the
 				// measured loop is allocation-free.

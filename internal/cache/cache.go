@@ -217,8 +217,8 @@ func (h *Hierarchy) lineOf(a phys.Addr) uint64 { return uint64(a) / LineBytes }
 // arbitration — is charged to this core's clock.
 //
 //pthammer:noalloc
-func (h *Hierarchy) Lookup(a mem.Access) mem.Result {
-	ln := h.lineOf(a.Addr)
+func (h *Hierarchy) Lookup(a phys.Addr) mem.Result {
+	ln := h.lineOf(a)
 	if hit, _, _ := h.l1.LookupInsert(ln); hit {
 		h.clock.Advance(h.l1Hit)
 		return mem.Result{Latency: h.l1Hit, Hit: true, Source: mem.LevelL1}

@@ -17,7 +17,7 @@ type fakeDRAM struct {
 	lookups int
 }
 
-func (f *fakeDRAM) Lookup(mem.Access) mem.Result {
+func (f *fakeDRAM) Lookup(phys.Addr) mem.Result {
 	f.lookups++
 	f.clock.Advance(f.lat)
 	return mem.Result{Latency: f.lat, Hit: false, Source: mem.LevelDRAM}
@@ -119,7 +119,7 @@ func TestMissFillsAndHitsDescendLevels(t *testing.T) {
 	addr := phys.Addr(0x1000)
 
 	// Cold miss goes to DRAM and fills every level.
-	res := h.Lookup(mem.Access{Addr: addr})
+	res := h.Lookup(addr)
 	if res.Hit || res.Source != mem.LevelDRAM || res.Latency != 200 {
 		t.Fatalf("cold lookup = %+v", res)
 	}
@@ -134,7 +134,7 @@ func TestMissFillsAndHitsDescendLevels(t *testing.T) {
 	}
 
 	// Warm repeat: L1 hit, no DRAM traffic, no LLC reference.
-	res = h.Lookup(mem.Access{Addr: addr + 63}) // same line
+	res = h.Lookup(addr + 63) // same line
 	if !res.Hit || res.Source != mem.LevelL1 || res.Latency != lat.L1Hit {
 		t.Fatalf("warm lookup = %+v", res)
 	}
@@ -155,16 +155,16 @@ func TestL2AndLLCHitPaths(t *testing.T) {
 	// L1 has 2 sets × 2 ways. Lines 0, 2, 4 (even line numbers) all
 	// index L1 set 0; loading three of them evicts line 0 from L1 only.
 	a0, a2, a4 := phys.Addr(0), phys.Addr(2*64), phys.Addr(4*64)
-	h.Lookup(mem.Access{Addr: a0})
-	h.Lookup(mem.Access{Addr: a2})
-	h.Lookup(mem.Access{Addr: a4})
+	h.Lookup(a0)
+	h.Lookup(a2)
+	h.Lookup(a4)
 	if in1, _, _ := h.Contains(a0); in1 {
 		t.Fatal("line 0 still in L1 after two conflicting fills")
 	}
 
 	// a0 now hits in L2 (L2 set 0 holds lines 0 and 4; line 2 went to
 	// L2 set 2).
-	res := h.Lookup(mem.Access{Addr: a0})
+	res := h.Lookup(a0)
 	if !res.Hit || res.Source != mem.LevelL2 || res.Latency != lat.L2Hit {
 		t.Fatalf("expected L2 hit, got %+v", res)
 	}
@@ -177,9 +177,9 @@ func TestInclusiveLLCBackInvalidates(t *testing.T) {
 	// Fill five such lines: the LRU one (line 0) is evicted from the
 	// LLC and must be back-invalidated from L1/L2 too.
 	target := phys.Addr(0)
-	h.Lookup(mem.Access{Addr: target})
+	h.Lookup(target)
 	for i := 1; i <= 4; i++ {
-		h.Lookup(mem.Access{Addr: phys.Addr(i * 4 * 64)})
+		h.Lookup(phys.Addr(i * 4 * 64))
 	}
 	if in1, in2, in3 := h.Contains(target); in1 || in2 || in3 {
 		t.Fatalf("line survived inclusive eviction: L1 %v L2 %v LLC %v", in1, in2, in3)
@@ -187,7 +187,7 @@ func TestInclusiveLLCBackInvalidates(t *testing.T) {
 
 	// The next access must go to DRAM again.
 	before := d.lookups
-	res := h.Lookup(mem.Access{Addr: target})
+	res := h.Lookup(target)
 	if res.Hit || d.lookups != before+1 {
 		t.Fatalf("evicted line did not refetch from DRAM: %+v", res)
 	}
@@ -198,7 +198,7 @@ func TestFlush(t *testing.T) {
 	lat := timing.DefaultLatencies()
 	addr := phys.Addr(0x2000)
 
-	h.Lookup(mem.Access{Addr: addr})
+	h.Lookup(addr)
 	start := clock.Now()
 	if got := h.Flush(addr); got != lat.CLFlushCost {
 		t.Fatalf("Flush cost = %d, want %d", got, lat.CLFlushCost)
@@ -210,7 +210,7 @@ func TestFlush(t *testing.T) {
 		t.Fatal("Flush left the line cached")
 	}
 	before := d.lookups
-	if res := h.Lookup(mem.Access{Addr: addr}); res.Hit || d.lookups != before+1 {
+	if res := h.Lookup(addr); res.Hit || d.lookups != before+1 {
 		t.Fatal("flushed line did not refetch from DRAM")
 	}
 
@@ -225,10 +225,10 @@ func TestLRUWithinSet(t *testing.T) {
 	// L1 set 0, 2 ways: load lines 0 and 2, touch 0, then load 4.
 	// The LRU victim must be 2, not 0.
 	a0, a2, a4 := phys.Addr(0), phys.Addr(2*64), phys.Addr(4*64)
-	h.Lookup(mem.Access{Addr: a0})
-	h.Lookup(mem.Access{Addr: a2})
-	h.Lookup(mem.Access{Addr: a0}) // refresh a0
-	h.Lookup(mem.Access{Addr: a4})
+	h.Lookup(a0)
+	h.Lookup(a2)
+	h.Lookup(a0) // refresh a0
+	h.Lookup(a4)
 	if in1, _, _ := h.Contains(a0); !in1 {
 		t.Fatal("recently used line evicted from L1")
 	}
@@ -271,7 +271,7 @@ func TestLLCArbitrationChargesSwitchingCore(t *testing.T) {
 	}
 	var spent [2]timing.Cycles
 	for i, st := range steps {
-		if got := cores[st.core].Lookup(mem.Access{Addr: st.addr}).Latency; got != st.want {
+		if got := cores[st.core].Lookup(st.addr).Latency; got != st.want {
 			t.Fatalf("step %d (core %d, %#x): latency %d, want %d", i, st.core, uint64(st.addr), got, st.want)
 		}
 		spent[st.core] += st.want

@@ -19,7 +19,7 @@ func TestResetSplitsPrivateAndShared(t *testing.T) {
 	h, d, _, _ := newTestHierarchy(t)
 	addr := phys.Addr(0x2000)
 
-	h.Lookup(mem.Access{Addr: addr})
+	h.Lookup(addr)
 	if d.lookups != 1 {
 		t.Fatalf("cold fill: DRAM lookups = %d, want 1", d.lookups)
 	}
@@ -28,7 +28,7 @@ func TestResetSplitsPrivateAndShared(t *testing.T) {
 	if in1, in2, in3 := h.Contains(addr); in1 || in2 || !in3 {
 		t.Fatalf("post private Reset Contains = %v %v %v, want false false true", in1, in2, in3)
 	}
-	res := h.Lookup(mem.Access{Addr: addr})
+	res := h.Lookup(addr)
 	if !res.Hit || res.Source != mem.LevelLLC || d.lookups != 1 {
 		t.Fatalf("post private Reset lookup = %+v (DRAM lookups %d), want LLC hit without DRAM traffic", res, d.lookups)
 	}
@@ -38,7 +38,7 @@ func TestResetSplitsPrivateAndShared(t *testing.T) {
 	if in1, in2, in3 := h.Contains(addr); in1 || in2 || in3 {
 		t.Fatalf("line survived full reset: %v %v %v", in1, in2, in3)
 	}
-	res = h.Lookup(mem.Access{Addr: addr})
+	res = h.Lookup(addr)
 	if res.Hit || res.Source != mem.LevelDRAM || d.lookups != 2 {
 		t.Fatalf("post full reset lookup = %+v (DRAM lookups %d), want fresh cold miss", res, d.lookups)
 	}

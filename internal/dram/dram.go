@@ -440,10 +440,10 @@ func (d *DRAM) Config() Config { return d.cfg }
 // Hit for row-buffer hits.
 //
 //pthammer:noalloc
-func (p *Port) Lookup(a mem.Access) mem.Result {
+func (p *Port) Lookup(a phys.Addr) mem.Result {
 	d := p.d
 	d.rotateWindow(p.clock.Now(), p.core)
-	gb, row, _ := d.dec.decode(a.Addr)
+	gb, row, _ := d.dec.decode(a)
 	b := &d.banks[gb]
 
 	var lat timing.Cycles

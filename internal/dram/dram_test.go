@@ -137,7 +137,7 @@ func TestRowBufferOutcomes(t *testing.T) {
 	row1 := cfg.AddrOf(Location{Row: 1}) // same bank, different row
 
 	// Cold bank: closed-row activation.
-	res := p.Lookup(mem.Access{Addr: row0, Kind: mem.KindLoad})
+	res := p.Lookup(row0)
 	if res.Latency != lat.DRAMRowClosed || res.Hit || res.Source != mem.LevelDRAM {
 		t.Fatalf("cold access = %+v", res)
 	}
@@ -146,7 +146,7 @@ func TestRowBufferOutcomes(t *testing.T) {
 	}
 
 	// Same row again: row-buffer hit, no new activation.
-	res = p.Lookup(mem.Access{Addr: row0 + 64, Kind: mem.KindLoad})
+	res = p.Lookup(row0 + 64)
 	if res.Latency != lat.DRAMRowHit || !res.Hit {
 		t.Fatalf("row hit access = %+v", res)
 	}
@@ -155,7 +155,7 @@ func TestRowBufferOutcomes(t *testing.T) {
 	}
 
 	// Different row in the same bank: conflict.
-	res = p.Lookup(mem.Access{Addr: row1, Kind: mem.KindLoad})
+	res = p.Lookup(row1)
 	if res.Latency != lat.DRAMRowConflict || res.Hit {
 		t.Fatalf("conflict access = %+v", res)
 	}
@@ -180,8 +180,8 @@ func TestHammerStatsDoubleSided(t *testing.T) {
 
 	// 4 alternations = 8 activations total: below threshold.
 	for i := 0; i < 4; i++ {
-		p.Lookup(mem.Access{Addr: above})
-		p.Lookup(mem.Access{Addr: below})
+		p.Lookup(above)
+		p.Lookup(below)
 	}
 	if s := p.HammerStats(); len(s.Victims) != 0 {
 		t.Fatalf("victims before threshold: %+v", s.Victims)
@@ -189,8 +189,8 @@ func TestHammerStatsDoubleSided(t *testing.T) {
 
 	// One more alternation crosses the threshold for row 6
 	// (5 activations each side = 10 combined).
-	p.Lookup(mem.Access{Addr: above})
-	p.Lookup(mem.Access{Addr: below})
+	p.Lookup(above)
+	p.Lookup(below)
 	s := p.HammerStats()
 	if s.Activations != 10 {
 		t.Fatalf("total activations = %d, want 10", s.Activations)
@@ -216,8 +216,8 @@ func TestHammerStatsSingleSidedAndOrdering(t *testing.T) {
 	other := cfg.AddrOf(Location{Row: 9}) // forces conflicts to re-activate row 2
 	aggr := cfg.AddrOf(Location{Row: 2})
 	for i := 0; i < 4; i++ {
-		p.Lookup(mem.Access{Addr: aggr})
-		p.Lookup(mem.Access{Addr: other})
+		p.Lookup(aggr)
+		p.Lookup(other)
 	}
 	s := p.HammerStats()
 	// Row 2 hammered 4×, row 9 hammered 4×: victims 1,3 (pressure 4)
@@ -249,8 +249,8 @@ func TestHammerStatsTiedVictimsDeterministicOrder(t *testing.T) {
 	// location order every time.
 	for i := 0; i < 2; i++ {
 		for _, ch := range []int{1, 0} {
-			p.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Channel: ch, Row: 5})})
-			p.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Channel: ch, Row: 7})})
+			p.Lookup(cfg.AddrOf(Location{Channel: ch, Row: 5}))
+			p.Lookup(cfg.AddrOf(Location{Channel: ch, Row: 7}))
 		}
 	}
 	s := p.HammerStats()
@@ -272,8 +272,8 @@ func TestRefreshWindowResets(t *testing.T) {
 	aggr1 := cfg.AddrOf(Location{Row: 5})
 	aggr2 := cfg.AddrOf(Location{Row: 7})
 	for i := 0; i < 6; i++ {
-		p.Lookup(mem.Access{Addr: aggr1})
-		p.Lookup(mem.Access{Addr: aggr2})
+		p.Lookup(aggr1)
+		p.Lookup(aggr2)
 	}
 	if s := p.HammerStats(); len(s.Victims) == 0 {
 		t.Fatal("expected victims before refresh")
@@ -291,7 +291,7 @@ func TestRefreshWindowResets(t *testing.T) {
 
 	// Banks were precharged: next access is a closed-row activation,
 	// not a row hit or conflict.
-	res := p.Lookup(mem.Access{Addr: aggr1})
+	res := p.Lookup(aggr1)
 	if res.Latency != timing.DefaultLatencies().DRAMRowClosed {
 		t.Fatalf("post-refresh access latency = %d", res.Latency)
 	}
@@ -365,8 +365,8 @@ func TestHammerStatsVictimsDoNotAliasScratch(t *testing.T) {
 		aggr := cfg.AddrOf(Location{Row: row})
 		other := cfg.AddrOf(Location{Row: row + 2})
 		for i := 0; i < times; i++ {
-			p.Lookup(mem.Access{Addr: aggr})
-			p.Lookup(mem.Access{Addr: other})
+			p.Lookup(aggr)
+			p.Lookup(other)
 		}
 	}
 	hammer(5, 3)
@@ -401,8 +401,8 @@ func TestActivationsLazyResetAcrossWindows(t *testing.T) {
 	aggr := cfg.AddrOf(Location{Row: 3})
 	conflict := cfg.AddrOf(Location{Row: 8})
 	for i := 0; i < 3; i++ {
-		p.Lookup(mem.Access{Addr: aggr})
-		p.Lookup(mem.Access{Addr: conflict})
+		p.Lookup(aggr)
+		p.Lookup(conflict)
 	}
 	if got := p.Activations(Location{Row: 3}); got != 3 {
 		t.Fatalf("activations = %d, want 3", got)
@@ -412,7 +412,7 @@ func TestActivationsLazyResetAcrossWindows(t *testing.T) {
 		t.Fatalf("activations after rotation = %d, want 0", got)
 	}
 	// Re-activating in the new window starts counting from scratch.
-	p.Lookup(mem.Access{Addr: aggr})
+	p.Lookup(aggr)
 	if got := p.Activations(Location{Row: 3}); got != 1 {
 		t.Fatalf("activations in new window = %d, want 1", got)
 	}
@@ -434,8 +434,8 @@ func BenchmarkLookupRowConflict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Lookup(mem.Access{Addr: a1})
-		p.Lookup(mem.Access{Addr: a2})
+		p.Lookup(a1)
+		p.Lookup(a2)
 	}
 }
 
@@ -455,8 +455,8 @@ func BenchmarkHammerStats(b *testing.B) {
 		far := cfg.AddrOf(Location{Row: row + 4096})
 		aggr := cfg.AddrOf(Location{Row: row})
 		for i := 0; i < 4; i++ {
-			p.Lookup(mem.Access{Addr: aggr})
-			p.Lookup(mem.Access{Addr: far})
+			p.Lookup(aggr)
+			p.Lookup(far)
 		}
 	}
 	b.ReportAllocs()
@@ -525,11 +525,11 @@ func TestWindowHookReceivesEndedWindow(t *testing.T) {
 	aggr1 := cfg.AddrOf(Location{Row: 5})
 	aggr2 := cfg.AddrOf(Location{Row: 7})
 	for i := 0; i < 6; i++ {
-		p.Lookup(mem.Access{Addr: aggr1})
-		p.Lookup(mem.Access{Addr: aggr2})
+		p.Lookup(aggr1)
+		p.Lookup(aggr2)
 	}
 	clock.Advance(20_000)
-	p.Lookup(mem.Access{Addr: aggr1}) // triggers the lazy rotation
+	p.Lookup(aggr1) // triggers the lazy rotation
 	if len(reports) != 1 {
 		t.Fatalf("hook fired %d times, want 1", len(reports))
 	}
@@ -551,7 +551,7 @@ func TestWindowHookReceivesEndedWindow(t *testing.T) {
 	// window) reports once more for that access; a crossing with no
 	// activity at all stays silent.
 	clock.Advance(20_000)
-	p.Lookup(mem.Access{Addr: aggr1})
+	p.Lookup(aggr1)
 	if len(reports) != 2 {
 		t.Fatalf("hook fired %d times after second crossing, want 2", len(reports))
 	}
@@ -583,8 +583,8 @@ func TestResetWindowDiscardsWithoutFiring(t *testing.T) {
 	aggr1 := cfg.AddrOf(Location{Row: 5})
 	aggr2 := cfg.AddrOf(Location{Row: 7})
 	for i := 0; i < 6; i++ {
-		p.Lookup(mem.Access{Addr: aggr1})
-		p.Lookup(mem.Access{Addr: aggr2})
+		p.Lookup(aggr1)
+		p.Lookup(aggr2)
 	}
 	if s := p.HammerStats(); len(s.Victims) == 0 {
 		t.Fatal("expected victims before reset")
@@ -601,7 +601,7 @@ func TestResetWindowDiscardsWithoutFiring(t *testing.T) {
 		t.Fatalf("row 5 activations after reset = %d, want 0", got)
 	}
 	// Banks precharged: the next access is a closed-row activation.
-	res := p.Lookup(mem.Access{Addr: aggr1})
+	res := p.Lookup(aggr1)
 	if res.Latency != timing.DefaultLatencies().DRAMRowClosed {
 		t.Fatalf("post-reset access latency = %d, want closed-row", res.Latency)
 	}
@@ -614,8 +614,8 @@ func TestResetWindowWorksWithWindowingDisabled(t *testing.T) {
 	p, _, _ := newTestDRAM(t, cfg)
 	a := cfg.AddrOf(Location{Row: 2})
 	for i := 0; i < 4; i++ {
-		p.Lookup(mem.Access{Addr: a})
-		p.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Row: 4})})
+		p.Lookup(a)
+		p.Lookup(cfg.AddrOf(Location{Row: 4}))
 	}
 	if p.Activations(Location{Row: 2}) == 0 {
 		t.Fatal("no activations recorded")
@@ -739,8 +739,8 @@ func TestActivationsRejectsLocationsOutsideGeometry(t *testing.T) {
 		p, _, _ := newTestDRAM(t, cfg)
 		hot := Location{Bank: 1, Row: 5}
 		for range 10 {
-			p.Lookup(mem.Access{Addr: cfg.AddrOf(hot)})
-			p.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Bank: 1, Row: 9})})
+			p.Lookup(cfg.AddrOf(hot))
+			p.Lookup(cfg.AddrOf(Location{Bank: 1, Row: 9}))
 		}
 		if got := p.Activations(hot); got != 10 {
 			t.Fatalf("%d rows: Activations(%+v) = %d, want 10", cfg.Rows, hot, got)

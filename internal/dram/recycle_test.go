@@ -3,8 +3,8 @@ package dram
 import (
 	"testing"
 
-	"pthammer/internal/mem"
 	"pthammer/internal/perf"
+	"pthammer/internal/phys"
 	"pthammer/internal/timing"
 )
 
@@ -24,26 +24,26 @@ func TestRecycleResetClearsArbitration(t *testing.T) {
 
 	// Reference: on a fresh device the very first access is a plain
 	// closed-row activation, no arbitration.
-	if got := p0.Lookup(mem.Access{Addr: addr}).Latency; got != lat.DRAMRowClosed {
+	if got := p0.Lookup(addr).Latency; got != lat.DRAMRowClosed {
 		t.Fatalf("fresh first access latency = %d, want %d", got, lat.DRAMRowClosed)
 	}
 	// Hand the bank to core 1 so lastCore is non-zero state to leak.
-	if got := p1.Lookup(mem.Access{Addr: addr}).Latency; got != lat.DRAMRowHit+lat.DRAMBankArbitration {
+	if got := p1.Lookup(addr).Latency; got != lat.DRAMRowHit+lat.DRAMBankArbitration {
 		t.Fatalf("cross-core hit latency = %d, want %d", got, lat.DRAMRowHit+lat.DRAMBankArbitration)
 	}
 
 	// After a window discard the arbitration state survives: core 0
 	// re-entering the bank still pays for displacing core 1.
 	p0.ResetWindow()
-	if got := p0.Lookup(mem.Access{Addr: addr}).Latency; got != lat.DRAMRowClosed+lat.DRAMBankArbitration {
+	if got := p0.Lookup(addr).Latency; got != lat.DRAMRowClosed+lat.DRAMBankArbitration {
 		t.Fatalf("post-ResetWindow cross-core latency = %d, want %d", got, lat.DRAMRowClosed+lat.DRAMBankArbitration)
 	}
 
 	// After a recycle it must not: the first access matches the fresh
 	// device's, whichever core issues it.
-	p1.Lookup(mem.Access{Addr: addr})
+	p1.Lookup(addr)
 	p0.Reset()
-	if got := p0.Lookup(mem.Access{Addr: addr}).Latency; got != lat.DRAMRowClosed {
+	if got := p0.Lookup(addr).Latency; got != lat.DRAMRowClosed {
 		t.Errorf("post-Reset first access latency = %d, want fresh-device %d", got, lat.DRAMRowClosed)
 	}
 }
@@ -59,8 +59,8 @@ func TestRecycleResetIsEpochLazy(t *testing.T) {
 	a := cfg.AddrOf(Location{Row: 4})
 	b := cfg.AddrOf(Location{Row: 6})
 	for i := 0; i < 5; i++ {
-		p.Lookup(mem.Access{Addr: a})
-		p.Lookup(mem.Access{Addr: b})
+		p.Lookup(a)
+		p.Lookup(b)
 	}
 	if got := p.Activations(Location{Row: 4}); got != 5 {
 		t.Fatalf("pre-recycle activations = %d, want 5", got)
@@ -73,7 +73,7 @@ func TestRecycleResetIsEpochLazy(t *testing.T) {
 	if st := p.HammerStats(); st.Activations != 0 || len(st.Victims) != 0 {
 		t.Errorf("stats leaked across recycle: %+v", st)
 	}
-	p.Lookup(mem.Access{Addr: a})
+	p.Lookup(a)
 	if got := p.Activations(Location{Row: 4}); got != 1 {
 		t.Errorf("post-recycle activation count = %d, want 1", got)
 	}
@@ -91,7 +91,7 @@ func TestRecycleResetNoAlloc(t *testing.T) {
 	p, _, _ := newTestDRAM(t, cfg)
 	touch := func() {
 		for r := uint64(0); r < 64; r++ {
-			p.Lookup(mem.Access{Addr: cfg.AddrOf(Location{Row: r * 11})})
+			p.Lookup(cfg.AddrOf(Location{Row: r * 11}))
 		}
 	}
 	touch() // warm the touched-slice capacity once
@@ -116,9 +116,9 @@ func BenchmarkRecycleReset(b *testing.B) {
 		HammerThreshold: 100,
 	}
 	p, _, _ := newTestDRAM(b, cfg)
-	addrs := make([]mem.Access, 64)
+	addrs := make([]phys.Addr, 64)
 	for r := range addrs {
-		addrs[r] = mem.Access{Addr: cfg.AddrOf(Location{Row: uint64(r) * 11})}
+		addrs[r] = cfg.AddrOf(Location{Row: uint64(r) * 11})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

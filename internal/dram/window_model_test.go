@@ -243,7 +243,7 @@ func (l *windowLockstep) step(op windowOp) string {
 	case opAccess:
 		l.rotate(op.port)
 		want := l.model.lookup(op.port, op.loc)
-		if got := p.Lookup(mem.Access{Addr: l.cfg.AddrOf(op.loc)}); got != want {
+		if got := p.Lookup(l.cfg.AddrOf(op.loc)); got != want {
 			return fmt.Sprintf("%v: result %+v, model %+v", op, got, want)
 		}
 	case opJump:
@@ -419,13 +419,13 @@ func TestActivationCountSaturates(t *testing.T) {
 	p, _, _ := newTestDRAM(t, cfg)
 	row := Location{Row: 5}
 	other := cfg.AddrOf(Location{Row: 9})
-	p.Lookup(mem.Access{Addr: cfg.AddrOf(row)})
+	p.Lookup(cfg.AddrOf(row))
 	d := p.DRAM()
 	b := &d.banks[cfg.globalBank(row)]
 	*d.acts.Ref(b.base + row.Row) = math.MaxUint32 - 2
 	for i := 0; i < 3; i++ {
-		p.Lookup(mem.Access{Addr: other})
-		p.Lookup(mem.Access{Addr: cfg.AddrOf(row)})
+		p.Lookup(other)
+		p.Lookup(cfg.AddrOf(row))
 	}
 	if got := p.Activations(row); got != math.MaxUint32 {
 		t.Fatalf("Activations = %d, want %d", got, uint64(math.MaxUint32))

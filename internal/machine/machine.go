@@ -12,7 +12,7 @@
 // Translation is real: the machine reserves the top of physical
 // memory as the kernel's page-table pool, identity-maps pages there on
 // first touch (demand paging), and the walker fetches the actual PTE
-// bytes through the cache hierarchy as mem.KindPTEFetch accesses — so
+// bytes through the cache hierarchy (the walker's PTE fetches) — so
 // a TLB-missing load opens DRAM rows in the table region exactly the
 // way PThammer's implicit accesses do.
 package machine
@@ -311,17 +311,17 @@ func MustNew(cfg Config) *Machine {
 // translation that resolves outside memory.
 //
 //pthammer:noalloc
-func (m *Machine) access(a phys.Addr, kind mem.Kind) (phys.Addr, mem.Result) {
+func (m *Machine) access(a phys.Addr) (phys.Addr, mem.Result) {
 	if !m.mem.Contains(a) {
-		panic(fmt.Sprintf("machine: %v at %#x outside %d-byte memory", kind, uint64(a), m.mem.Size()))
+		panic(fmt.Sprintf("machine: access at %#x outside %d-byte memory", uint64(a), m.mem.Size()))
 	}
-	frame, tres := m.tlb.Translate(mem.Access{Addr: a, Kind: kind})
+	frame, tres := m.tlb.Translate(a)
 	pa := frame.Addr() + phys.Addr(phys.Offset(a))
 	if !m.mem.Contains(pa) {
 		panic(fmt.Sprintf("machine: %#x translates to %#x outside %d-byte memory (corrupted page tables?)",
 			uint64(a), uint64(pa), m.mem.Size()))
 	}
-	cres := m.caches.Lookup(mem.Access{Addr: pa, Kind: kind})
+	cres := m.caches.Lookup(pa)
 	total := tres.Latency + cres.Latency
 	if m.noisy {
 		if spike := m.noise.Sample(); spike > 0 {
@@ -337,7 +337,7 @@ func (m *Machine) access(a phys.Addr, kind mem.Kind) (phys.Addr, mem.Result) {
 //
 //pthammer:noalloc
 func (m *Machine) Load(a phys.Addr) mem.Result {
-	_, res := m.access(a, mem.KindLoad)
+	_, res := m.access(a)
 	return res
 }
 
@@ -352,7 +352,7 @@ func (m *Machine) Load(a phys.Addr) mem.Result {
 //
 //pthammer:noalloc
 func (m *Machine) Store64(a phys.Addr, v uint64) mem.Result {
-	pa, res := m.access(a, mem.KindStore)
+	pa, res := m.access(a)
 	m.mem.Write64(pa, v)
 	return res
 }
@@ -366,7 +366,8 @@ func (m *Machine) Translate(a phys.Addr) (phys.Frame, mem.Result) {
 	if !m.mem.Contains(a) {
 		panic(fmt.Sprintf("machine: translate at %#x outside %d-byte memory", uint64(a), m.mem.Size()))
 	}
-	return m.tlb.Translate(mem.Access{Addr: a, Kind: mem.KindLoad})
+	frame, res := m.tlb.Translate(a)
+	return frame, res
 }
 
 // InvalidatePage is the simulated invlpg: it drops the page's

@@ -3,9 +3,13 @@
 // traverses the hierarchy — dTLB → sTLB → page walk, then L1 → L2 → LLC
 // → DRAM — and each hop is a Device that answers a Lookup with a Result
 // carrying where the access was served and how many cycles it cost.
-// Devices chain through the same interface, so the machine facade,
-// future page walker, and eviction-set algorithms all program against
-// one surface.
+// Devices chain through the same interface, so the machine facade, the
+// page walker and the eviction-set algorithms all program against one
+// surface. An access is a bare address: no device treats a demand load
+// differently from the walker's PTE fetch, so what makes a fetch
+// implicit is only who issues it (ptwalk.Walker sends each level's
+// entry address down the same cache chain as a load). A device is a
+// Lookup or Translate method that returns a Result.
 //
 // Contract: a Device advances the shared timing.Clock by exactly the
 // Latency it reports (devices that forward a miss report the serving
@@ -25,36 +29,6 @@ import (
 	"pthammer/internal/phys"
 	"pthammer/internal/timing"
 )
-
-// Kind classifies what an access is, which matters to devices that
-// treat demand loads and implicit (page-walker) fetches differently —
-// the distinction at the heart of PThammer.
-type Kind int
-
-const (
-	// KindLoad is an explicit demand load issued by the program.
-	KindLoad Kind = iota
-	// KindStore is an explicit demand store.
-	KindStore
-	// KindPTEFetch is an implicit access issued by the hardware page
-	// walker to fetch a page-table entry. These are the accesses
-	// PThammer turns into hammer activations.
-	KindPTEFetch
-)
-
-// String returns a short human-readable name for the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindLoad:
-		return "load"
-	case KindStore:
-		return "store"
-	case KindPTEFetch:
-		return "pte-fetch"
-	default:
-		return fmt.Sprintf("mem.Kind(%d)", int(k))
-	}
-}
 
 // Level identifies which device in the hierarchy served an access.
 type Level int
@@ -102,12 +76,6 @@ func (l Level) String() string {
 	}
 }
 
-// Access is one request travelling down the hierarchy.
-type Access struct {
-	Addr phys.Addr
-	Kind Kind
-}
-
 // Result is a device's answer: how long the access took, whether this
 // chain served it from a hit, and which level the data came from.
 type Result struct {
@@ -117,18 +85,19 @@ type Result struct {
 }
 
 // Device is one level (or chain of levels) of the simulated hierarchy.
-// Lookup services the access, charges its cost to the shared clock and
-// performance counters, and reports where it was served.
+// Lookup services an access to the physical address, charges its cost
+// to the shared clock and performance counters, and reports where it
+// was served.
 type Device interface {
-	Lookup(Access) Result
+	Lookup(phys.Addr) Result
 }
 
 // Translator is the translation side of the hierarchy: it resolves a
-// virtual access to the physical frame it maps to, charging the cost
+// virtual address to the physical frame it maps to, charging the cost
 // of however it learned that (TLB hit, paging-structure cache hit, or
 // a full page walk fetching PTE bytes through the data hierarchy).
 // The same clock contract as Device applies: the shared clock advances
 // by exactly the reported Latency.
 type Translator interface {
-	Translate(Access) (phys.Frame, Result)
+	Translate(phys.Addr) (phys.Frame, Result)
 }

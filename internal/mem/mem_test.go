@@ -6,22 +6,6 @@ import (
 	"testing"
 )
 
-func TestKindStrings(t *testing.T) {
-	want := map[Kind]string{
-		KindLoad:     "load",
-		KindStore:    "store",
-		KindPTEFetch: "pte-fetch",
-	}
-	for k, s := range want {
-		if got := k.String(); got != s {
-			t.Errorf("Kind %d String = %q, want %q", int(k), got, s)
-		}
-	}
-	if got := Kind(99).String(); !strings.Contains(got, "99") {
-		t.Errorf("unknown kind String = %q", got)
-	}
-}
-
 func TestLevelStrings(t *testing.T) {
 	want := map[Level]string{
 		LevelNone:     "none",

@@ -13,8 +13,8 @@
 // The walker traverses the radix tables owned by internal/pagetable:
 // four levels (PML4 → PDPT → PD → PT), one 4 KiB frame per table, 512
 // little-endian 8-byte entries per frame. For a virtual address va the
-// walk starts at the root (CR3) frame and, per level, issues a
-// mem.KindPTEFetch access for the 8-byte entry at
+// walk starts at the root (CR3) frame and, per level, issues a PTE
+// fetch for the 8-byte entry at
 //
 //	table.Addr() + Index(va, level)*8
 //
@@ -141,8 +141,7 @@ func (w *Walker) Reset() {
 // PTE-fetch memory access plus the fixed PageWalkStep.
 //
 //pthammer:noalloc
-func (w *Walker) Translate(a mem.Access) (phys.Frame, mem.Result) {
-	va := a.Addr
+func (w *Walker) Translate(va phys.Addr) (phys.Frame, mem.Result) {
 	table := w.tables.Root()
 	start := pagetable.Levels
 	var total timing.Cycles
@@ -161,7 +160,7 @@ func (w *Walker) Translate(a mem.Access) (phys.Frame, mem.Result) {
 
 	for level := start; level >= 1; level-- {
 		entryAddr := pagetable.EntryAddrIn(table, va, level)
-		res := w.memory.Lookup(mem.Access{Addr: entryAddr, Kind: mem.KindPTEFetch}) //pthammer:alloc-ok interface dispatch to the wired cache hierarchy, itself noalloc
+		res := w.memory.Lookup(entryAddr) //pthammer:alloc-ok interface dispatch to the wired cache hierarchy, itself noalloc
 		w.clock.Advance(w.stepCost)
 		w.counters.Inc(walkStepEvent[level-1])
 		if level == 1 && res.Source == mem.LevelDRAM {

@@ -17,10 +17,10 @@ type fakeMem struct {
 	clock    *timing.Clock
 	lat      timing.Cycles
 	source   mem.Level
-	accesses []mem.Access
+	accesses []phys.Addr
 }
 
-func (f *fakeMem) Lookup(a mem.Access) mem.Result {
+func (f *fakeMem) Lookup(a phys.Addr) mem.Result {
 	f.accesses = append(f.accesses, a)
 	f.clock.Advance(f.lat)
 	return mem.Result{Latency: f.lat, Hit: false, Source: f.source}
@@ -81,7 +81,7 @@ func TestFullWalkFetchesEveryLevel(t *testing.T) {
 	f.tables.Map(va, phys.Frame(7))
 
 	start := f.clock.Now()
-	frame, res := f.w.Translate(mem.Access{Addr: va, Kind: mem.KindLoad})
+	frame, res := f.w.Translate(va)
 	if frame != 7 {
 		t.Fatalf("frame = %d, want 7", frame)
 	}
@@ -89,7 +89,7 @@ func TestFullWalkFetchesEveryLevel(t *testing.T) {
 		t.Fatalf("result = %+v, want page-walk miss", res)
 	}
 
-	// One KindPTEFetch per level, aimed exactly at the entries the
+	// The walker's PTE fetch, once per level, aimed exactly at the entries the
 	// layout says the walk consults, in root-to-leaf order.
 	if len(f.dev.accesses) != 4 {
 		t.Fatalf("walk issued %d accesses, want 4", len(f.dev.accesses))
@@ -100,8 +100,8 @@ func TestFullWalkFetchesEveryLevel(t *testing.T) {
 			t.Fatalf("EntryAddr(level %d) missing", level)
 		}
 		got := f.dev.accesses[i]
-		if got.Addr != want || got.Kind != mem.KindPTEFetch {
-			t.Fatalf("access %d = %+v, want pte-fetch at %#x", i, got, uint64(want))
+		if got != want {
+			t.Fatalf("access %d = %#x, want pte-fetch at %#x", i, uint64(got), uint64(want))
 		}
 	}
 
@@ -132,14 +132,14 @@ func TestPSCacheSkipsUpperLevels(t *testing.T) {
 	f := newFixture(t)
 	va := phys.Addr(0x42000)
 	f.tables.Map(va, phys.Frame(7))
-	f.w.Translate(mem.Access{Addr: va})
+	f.w.Translate(va)
 	if pde, pdpte, pml4e := f.w.PSContains(va); !pde || !pdpte || !pml4e {
 		t.Fatalf("PS caches = %v %v %v after full walk, want all true", pde, pdpte, pml4e)
 	}
 
 	f.dev.accesses = nil
 	start := f.clock.Now()
-	frame, res := f.w.Translate(mem.Access{Addr: va})
+	frame, res := f.w.Translate(va)
 	if frame != 7 {
 		t.Fatalf("frame = %d, want 7", frame)
 	}
@@ -147,8 +147,8 @@ func TestPSCacheSkipsUpperLevels(t *testing.T) {
 	if len(f.dev.accesses) != 1 {
 		t.Fatalf("partial walk issued %d accesses, want 1", len(f.dev.accesses))
 	}
-	if pte, _ := f.tables.EntryAddr(va, 1); f.dev.accesses[0].Addr != pte {
-		t.Fatalf("partial walk fetched %#x, want the PTE at %#x", uint64(f.dev.accesses[0].Addr), uint64(pte))
+	if pte, _ := f.tables.EntryAddr(va, 1); f.dev.accesses[0] != pte {
+		t.Fatalf("partial walk fetched %#x, want the PTE at %#x", uint64(f.dev.accesses[0]), uint64(pte))
 	}
 	want := f.lat.PSCacheHit + f.dev.lat + f.lat.PageWalkStep
 	if res.Latency != want || f.clock.Now()-start != want {
@@ -165,7 +165,7 @@ func TestPSCacheSkipsUpperLevels(t *testing.T) {
 	va2 := va + phys.FrameSize
 	f.tables.Map(va2, phys.Frame(9))
 	f.dev.accesses = nil
-	if frame, _ := f.w.Translate(mem.Access{Addr: va2}); frame != 9 || len(f.dev.accesses) != 1 {
+	if frame, _ := f.w.Translate(va2); frame != 9 || len(f.dev.accesses) != 1 {
 		t.Fatalf("same-region walk: frame %d, %d accesses", frame, len(f.dev.accesses))
 	}
 }
@@ -174,7 +174,7 @@ func TestInvalidateDropsPSEntries(t *testing.T) {
 	f := newFixture(t)
 	va := phys.Addr(0x42000)
 	f.tables.Map(va, phys.Frame(7))
-	f.w.Translate(mem.Access{Addr: va})
+	f.w.Translate(va)
 
 	if !f.w.Invalidate(va) {
 		t.Fatal("Invalidate found nothing after a walk")
@@ -186,7 +186,7 @@ func TestInvalidateDropsPSEntries(t *testing.T) {
 		t.Fatal("second Invalidate reported entries")
 	}
 	f.dev.accesses = nil
-	f.w.Translate(mem.Access{Addr: va})
+	f.w.Translate(va)
 	if len(f.dev.accesses) != 4 {
 		t.Fatalf("post-invalidate walk issued %d accesses, want full 4", len(f.dev.accesses))
 	}
@@ -197,7 +197,7 @@ func TestL1PTEMemoryFetchCountsOnlyDRAMServedPTEs(t *testing.T) {
 	va := phys.Addr(0x42000)
 	f.tables.Map(va, phys.Frame(7))
 	f.dev.source = mem.LevelL1 // every fetch served by the cache
-	f.w.Translate(mem.Access{Addr: va})
+	f.w.Translate(va)
 	if got := f.ctrs.Read(perf.L1PTEMemoryFetch); got != 0 {
 		t.Fatalf("L1PTEMemoryFetch = %d for cache-served walk, want 0", got)
 	}
@@ -217,7 +217,7 @@ func TestFaultHandlerMapsOnDemand(t *testing.T) {
 		}
 		f.tables.Map(fva, phys.FrameOf(fva))
 	}
-	frame, _ := f.w.Translate(mem.Access{Addr: va})
+	frame, _ := f.w.Translate(va)
 	if frame != phys.FrameOf(va) {
 		t.Fatalf("demand-mapped frame = %d, want identity %d", frame, phys.FrameOf(va))
 	}
@@ -227,7 +227,7 @@ func TestFaultHandlerMapsOnDemand(t *testing.T) {
 	}
 	// Walk again: everything mapped, no further faults.
 	f.w.Invalidate(va)
-	f.w.Translate(mem.Access{Addr: va})
+	f.w.Translate(va)
 	if faults != 1 {
 		t.Fatalf("faults after remap walk = %d, want still 1", faults)
 	}
@@ -240,14 +240,14 @@ func TestNonPresentWithoutHandlerPanics(t *testing.T) {
 			t.Fatal("unmapped walk without handler did not panic")
 		}
 	}()
-	f.w.Translate(mem.Access{Addr: 0x42000})
+	f.w.Translate(0x42000)
 }
 
 func TestCorruptedEntryRedirectsWalk(t *testing.T) {
 	f := newFixture(t)
 	va := phys.Addr(0x42000)
 	f.tables.Map(va, phys.FrameOf(va))
-	f.w.Translate(mem.Access{Addr: va})
+	f.w.Translate(va)
 
 	// Flip the lowest frame bit of the leaf PTE (byte 1, bit 4 = entry
 	// bit 12) — the disturbance a hammered PT row suffers.
@@ -256,7 +256,7 @@ func TestCorruptedEntryRedirectsWalk(t *testing.T) {
 
 	// PS caches cover only upper levels, so even without invalidation
 	// the next walk re-reads the corrupted PTE.
-	frame, _ := f.w.Translate(mem.Access{Addr: va})
+	frame, _ := f.w.Translate(va)
 	if want := phys.FrameOf(va) ^ 1; frame != want {
 		t.Fatalf("corrupted walk = %d, want %d", frame, want)
 	}

@@ -3,7 +3,6 @@ package ptwalk
 import (
 	"testing"
 
-	"pthammer/internal/mem"
 	"pthammer/internal/phys"
 )
 
@@ -18,13 +17,13 @@ func TestResetColdPagingStructureCaches(t *testing.T) {
 	va := phys.Addr(0x42000)
 	f.tables.Map(va, phys.Frame(7))
 
-	f.w.Translate(mem.Access{Addr: va, Kind: mem.KindLoad})
+	f.w.Translate(va)
 	coldAccesses := len(f.dev.accesses)
 
 	// Warm walk: the upper levels are served from the PSCs, so fewer
 	// memory fetches are issued. (Guards the reset assertion below
 	// against vacuity.)
-	f.w.Translate(mem.Access{Addr: va, Kind: mem.KindLoad})
+	f.w.Translate(va)
 	warmAccesses := len(f.dev.accesses) - coldAccesses
 	if warmAccesses >= coldAccesses {
 		t.Fatalf("warm walk fetched %d levels, cold fetched %d; PSCs not caching", warmAccesses, coldAccesses)
@@ -32,7 +31,7 @@ func TestResetColdPagingStructureCaches(t *testing.T) {
 
 	f.w.Reset()
 	f.dev.accesses = f.dev.accesses[:0]
-	frame, res := f.w.Translate(mem.Access{Addr: va, Kind: mem.KindLoad})
+	frame, res := f.w.Translate(va)
 	if frame != 7 || res.Hit {
 		t.Fatalf("post-Reset translate = (%d, %+v), want full-walk miss to frame 7", frame, res)
 	}

@@ -105,8 +105,8 @@ func vpnOf(a phys.Addr) uint64 { return uint64(a) >> phys.FrameShift }
 // noise next to the walk it just paid for.
 //
 //pthammer:noalloc
-func (t *TLB) Translate(a mem.Access) (phys.Frame, mem.Result) {
-	vpn := vpnOf(a.Addr)
+func (t *TLB) Translate(a phys.Addr) (phys.Frame, mem.Result) {
+	vpn := vpnOf(a)
 	if v, hit := t.l1.LookupV(vpn); hit {
 		t.clock.Advance(t.l1Hit)
 		return phys.Frame(v), mem.Result{Latency: t.l1Hit, Hit: true, Source: mem.LevelTLB1}

@@ -23,10 +23,10 @@ type fakeWalker struct {
 // != vpn and value plumbing bugs show up.
 func frameFor(vpn uint64) phys.Frame { return phys.Frame(vpn + 1000) }
 
-func (w *fakeWalker) Translate(a mem.Access) (phys.Frame, mem.Result) {
+func (w *fakeWalker) Translate(a phys.Addr) (phys.Frame, mem.Result) {
 	w.walks++
 	w.clock.Advance(w.cost)
-	vpn := uint64(a.Addr) >> phys.FrameShift
+	vpn := uint64(a) >> phys.FrameShift
 	return frameFor(vpn), mem.Result{Latency: w.cost, Hit: false, Source: mem.LevelPageWalk}
 }
 
@@ -96,7 +96,7 @@ func TestMissWalkThenHits(t *testing.T) {
 	a := pageAddr(5)
 
 	// Cold: full miss, walk, install.
-	frame, res := tl.Translate(mem.Access{Addr: a})
+	frame, res := tl.Translate(a)
 	if res.Hit || res.Source != mem.LevelPageWalk || res.Latency != 50 {
 		t.Fatalf("cold translate = %+v", res)
 	}
@@ -108,7 +108,7 @@ func TestMissWalkThenHits(t *testing.T) {
 	}
 
 	// Warm: dTLB hit, same page different offset, same frame.
-	frame, res = tl.Translate(mem.Access{Addr: a + 123})
+	frame, res = tl.Translate(a + 123)
 	if !res.Hit || res.Source != mem.LevelTLB1 || res.Latency != lat.TLBL1Hit {
 		t.Fatalf("warm translate = %+v", res)
 	}
@@ -133,13 +133,13 @@ func TestSTLBHitRefillsDTLB(t *testing.T) {
 	// 2 ways, evicting vpn 0 from the dTLB while the 8-set sTLB still
 	// holds all three.
 	for _, vpn := range []uint64{0, 2, 4} {
-		tl.Translate(mem.Access{Addr: pageAddr(vpn)})
+		tl.Translate(pageAddr(vpn))
 	}
 	if in1, in2 := tl.Contains(pageAddr(0)); in1 || !in2 {
 		t.Fatalf("expected sTLB-only residence, got dTLB %v sTLB %v", in1, in2)
 	}
 
-	frame, res := tl.Translate(mem.Access{Addr: pageAddr(0)})
+	frame, res := tl.Translate(pageAddr(0))
 	if !res.Hit || res.Source != mem.LevelTLB2 || res.Latency != lat.TLBL2Hit {
 		t.Fatalf("sTLB translate = %+v", res)
 	}
@@ -153,7 +153,7 @@ func TestSTLBHitRefillsDTLB(t *testing.T) {
 		t.Fatalf("walks = %d, want 3", w.walks)
 	}
 	// Refilled: now a dTLB hit, frame preserved through the refill.
-	if frame, res := tl.Translate(mem.Access{Addr: pageAddr(0)}); res.Source != mem.LevelTLB1 || frame != frameFor(0) {
+	if frame, res := tl.Translate(pageAddr(0)); res.Source != mem.LevelTLB1 || frame != frameFor(0) {
 		t.Fatalf("after refill, source = %v frame = %d", res.Source, frame)
 	}
 }
@@ -161,7 +161,7 @@ func TestSTLBHitRefillsDTLB(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	tl, w, _, _ := newTestTLB(t)
 	a := pageAddr(9)
-	tl.Translate(mem.Access{Addr: a})
+	tl.Translate(a)
 	if !tl.Invalidate(a) {
 		t.Fatal("Invalidate missed a cached translation")
 	}
@@ -173,7 +173,7 @@ func TestInvalidate(t *testing.T) {
 	}
 	// Next lookup walks again.
 	before := w.walks
-	if _, res := tl.Translate(mem.Access{Addr: a}); res.Hit || w.walks != before+1 {
+	if _, res := tl.Translate(a); res.Hit || w.walks != before+1 {
 		t.Fatal("invalidated page did not re-walk")
 	}
 }
@@ -182,12 +182,12 @@ func TestSTLBEvictionForcesRewalk(t *testing.T) {
 	tl, w, _, counters := newTestTLB(t)
 	// sTLB set 0 (2 ways) holds vpns ≡ 0 (mod 8): 0, 8, 16 overflow it.
 	for _, vpn := range []uint64{0, 8, 16} {
-		tl.Translate(mem.Access{Addr: pageAddr(vpn)})
+		tl.Translate(pageAddr(vpn))
 	}
 	before := counters.Read(perf.DTLBLoadMissesWalk)
 	// vpn 0 was LRU in sTLB set 0; its dTLB copy was also evicted by
 	// the dTLB set-0 overflow (0, 8, 16 share dTLB set 0 as well).
-	_, res := tl.Translate(mem.Access{Addr: pageAddr(0)})
+	_, res := tl.Translate(pageAddr(0))
 	if res.Hit {
 		t.Fatalf("expected full miss, got %+v", res)
 	}
