@@ -150,18 +150,15 @@ func (t *Tables) alloc() phys.Frame {
 	return f
 }
 
-// Reset recycles the address space: every handed-out table frame is
-// scrubbed (zeroed in place when materialized, left a hole when the
-// backing memory was reset first) and returned to the bump allocator,
-// then a fresh zeroed root is allocated — the pool is
-// re-bump-allocatable exactly as after NewWithFrames. Cost is
-// O(allocated frames); frames the previous tenant never allocated are
-// not visited. Part of the Reset/Recycle contract: no mapping, and no
-// flipped table bit, survives into the next cohort.
+// Reset recycles the address space: every handed-out table frame goes
+// back to the bump allocator and a fresh root is allocated, so the
+// pool is re-bump-allocatable exactly as after NewWithFrames. No frame
+// is scrubbed here: alloc zeroes each frame again as it hands it out,
+// and the machine resets physical memory before its tables, so the
+// recycled frames are holes by then. Part of the Reset/Recycle
+// contract: no mapping, and no flipped table bit, survives into the
+// next cohort.
 func (t *Tables) Reset() {
-	for _, f := range t.pool[:t.next] {
-		t.mem.ScrubFrame(f)
-	}
 	t.next = 0
 	t.root = t.alloc()
 }

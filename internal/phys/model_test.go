@@ -16,7 +16,7 @@ import (
 // Memory pays 64 B for. Its rules are Memory's contract: a store
 // materializes its frame and line; a flip into an unmaterialized frame
 // is a no-op miss and into a materialized one lands, written line or
-// not; zeroing and scrubbing clear bytes but not the line set; reads
+// not; zeroing clears bytes but not the line set; reads
 // materialize nothing.
 type refMemory struct {
 	bytes  map[uint64]byte
@@ -81,7 +81,7 @@ const physOpBytes = 5
 
 // runPhysOps decodes data into ops and runs them on a Memory of
 // shape's size and a refMemory in lockstep. Each op is five bytes: the
-// op (b0 % 11), the frame (shape.pick[b1 % 4]), a 16-byte chunk of the
+// op (b0 % 10), the frame (shape.pick[b1 % 4]), a 16-byte chunk of the
 // frame (b2) and a
 // byte within it (b3 & 15), a bit (b3 >> 4 & 7) and a value (b4).
 // ReadFrame and WriteFrame take 17 × b2 bytes, 0 to 4,335, so lengths
@@ -93,7 +93,7 @@ func runPhysOps(shape physShape, data []byte) string {
 	r := newRefMemory()
 	for i := 0; i+physOpBytes <= len(data); i += physOpBytes {
 		b := data[i : i+physOpBytes]
-		code, f := b[0]%11, shape.pick[b[1]%4]
+		code, f := b[0]%10, shape.pick[b[1]%4]
 		a := f*4096 + (uint64(b[2])<<4 | uint64(b[3]&15))
 		a8 := a &^ 7
 		bit := uint(b[3] >> 4 & 7)
@@ -133,11 +133,6 @@ func runPhysOps(shape physShape, data []byte) string {
 			r.frames[f] = true
 			r.clearFrame(f)
 		case 7:
-			m.ScrubFrame(Frame(f))
-			if r.frames[f] {
-				r.clearFrame(f)
-			}
-		case 8:
 			dst := make([]byte, n)
 			for k := range dst {
 				dst[k] = 0xA5
@@ -153,7 +148,7 @@ func runPhysOps(shape physShape, data []byte) string {
 					break
 				}
 			}
-		case 9:
+		case 8:
 			src := make([]byte, n)
 			for k := range src {
 				src[k] = byte(k) ^ v
@@ -163,7 +158,7 @@ func runPhysOps(shape physShape, data []byte) string {
 			for k := uint64(0); k < want; k++ {
 				r.store(f*4096+k, src[k])
 			}
-		case 10:
+		case 9:
 			m.Reset()
 			r.reset()
 		}
@@ -180,7 +175,7 @@ func runPhysOps(shape physShape, data []byte) string {
 		}
 		if diff != "" {
 			names := [...]string{"Write8", "Write64", "Read8", "Read64", "Bit", "FlipBit",
-				"ZeroFrame", "ScrubFrame", "ReadFrame", "WriteFrame", "Reset"}
+				"ZeroFrame", "ReadFrame", "WriteFrame", "Reset"}
 			return fmt.Sprintf("%s: op %d %s(addr %#x, frame %d, bit %d, value %#x, %d bytes): %s",
 				shape.name, i/physOpBytes, names[code], a, f, bit, v, n, diff)
 		}
@@ -229,28 +224,28 @@ func FuzzPhys(f *testing.F) {
 		physOp(2, 1, 5*64+3, 0, 0), // Read8 it back
 		physOp(4, 1, 5*64+3, 3, 0), // Bit
 		physOp(3, 1, 5*64, 0, 0),   // Read64 of the flipped word
-		physOp(8, 1, 241<<4, 0, 0), // ReadFrame, whole frame
+		physOp(7, 1, 241<<4, 0, 0), // ReadFrame, whole frame
 	))
 	// A flip into a hole frame is a no-op miss that materializes nothing.
 	f.Add(seed(
 		physOp(0, 0, 8, 0, 0xFF),   // Write8 frame 0
 		physOp(5, 2, 17, 6, 0),     // FlipBit into hole frame 2
 		physOp(4, 2, 17, 6, 0),     // Bit there
-		physOp(8, 2, 241<<4, 0, 0), // ReadFrame of the hole
+		physOp(7, 2, 241<<4, 0, 0), // ReadFrame of the hole
 	))
-	// ScrubFrame, then Reset, then re-materialize: the new frame and
+	// ZeroFrame, then Reset, then re-materialize: the new frame and
 	// lines read as zero, the old ones are holes again.
 	f.Add(seed(
 		physOp(1, 3, 64, 0, 0xAB),    // Write64 frame 3 line 1
 		physOp(0, 3, 200*16, 0, 7),   // Write8 frame 3 line 50
-		physOp(7, 3, 0, 0, 0),        // ScrubFrame 3
+		physOp(6, 3, 0, 0, 0),        // ZeroFrame 3
 		physOp(3, 3, 64, 0, 0),       // Read64: zero, frame still there
-		physOp(10, 0, 0, 0, 0),       // Reset
+		physOp(9, 0, 0, 0, 0),        // Reset
 		physOp(5, 3, 64, 0, 0),       // FlipBit into the released frame
 		physOp(0, 1, 16, 0, 9),       // Write8 frame 1 line 0
-		physOp(9, 2, 60<<4, 0, 0x5A), // WriteFrame frame 2, 60 × 17 bytes
-		physOp(8, 1, 241<<4, 0, 0),   // ReadFrame frame 1
-		physOp(8, 3, 241<<4, 0, 0),   // ReadFrame frame 3
+		physOp(8, 2, 60<<4, 0, 0x5A), // WriteFrame frame 2, 60 × 17 bytes
+		physOp(7, 1, 241<<4, 0, 0),   // ReadFrame frame 1
+		physOp(7, 3, 241<<4, 0, 0),   // ReadFrame frame 3
 	))
 	// Frames 1 and 2 of the chunk-straddling shape sit in different
 	// chunks of slots: a write into each, then reads, flips and frame
@@ -261,9 +256,9 @@ func FuzzPhys(f *testing.F) {
 		physOp(0, 2, 0, 0, 0x77),    // Write8 the first byte of frame 2
 		physOp(3, 1, 4064, 0, 0),    // Read64 back on the far side
 		physOp(5, 2, 3, 2, 0),       // FlipBit into frame 2 lands now
-		physOp(8, 2, 241<<4, 0, 0),  // ReadFrame frame 2
-		physOp(9, 3, 241<<4, 0, 9),  // WriteFrame the memory's last frame
-		physOp(10, 0, 0, 0, 0),      // Reset
+		physOp(7, 2, 241<<4, 0, 0),  // ReadFrame frame 2
+		physOp(8, 3, 241<<4, 0, 9),  // WriteFrame the memory's last frame
+		physOp(9, 0, 0, 0, 0),       // Reset
 		physOp(4, 1, 4064, 0, 0),    // Bit: a hole again
 		physOp(0, 1, 8, 0, 1),       // Write8 re-materializes frame 1
 	))

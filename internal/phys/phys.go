@@ -306,19 +306,6 @@ func (m *Memory) ZeroFrame(f Frame) {
 	m.writes += FrameSize
 }
 
-// ScrubFrame zeroes frame f's written lines in place if the frame has
-// been materialized, counting the writes; a hole is left untouched.
-// Recycling paths (pagetable.Tables.Reset) use this instead of ZeroFrame
-// so that scrubbing a pool never materializes frames the simulation has
-// not defined — a hole already reads as zero, and materializing it
-// would silently change FlipBit's hole semantics for the next cohort.
-func (m *Memory) ScrubFrame(f Frame) {
-	if s := m.peek(f); s != 0 {
-		m.zeroLines(s)
-		m.writes += FrameSize
-	}
-}
-
 // Reset returns the memory to its just-built state: every materialized
 // frame is released back to hole status and the write/materialization
 // accounting rewinds to zero. Releasing (rather than zeroing in place)

@@ -221,7 +221,6 @@ func TestFramePastEndPanics(t *testing.T) {
 		{"Bit", func() { m.Bit(a, 1) }},
 		{"FlipBit", func() { m.FlipBit(a, 1) }},
 		{"ReadFrame", func() { m.ReadFrame(past, make([]byte, FrameSize)) }},
-		{"ScrubFrame", func() { m.ScrubFrame(past) }},
 		{"Write8", func() { m.Write8(a, 1) }},
 		{"ZeroFrame", func() { m.ZeroFrame(past) }},
 	} {

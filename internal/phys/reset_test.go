@@ -2,39 +2,6 @@ package phys
 
 import "testing"
 
-// TestScrubFrameZeroesInPlaceAndSkipsHoles pins ScrubFrame's two
-// halves of the Reset/Recycle contract: a materialized frame is zeroed
-// in place with its writes counted (a recycled page-table pool really
-// is scrubbed, not just forgotten), while a hole is left untouched —
-// scrubbing must never materialize frames the simulation has not
-// defined, or a recycled machine's FlipBit hole semantics would
-// diverge from a fresh one's.
-func TestScrubFrameZeroesInPlaceAndSkipsHoles(t *testing.T) {
-	m := MustNew(4 * FrameSize)
-	m.Write8(Frame(1).Addr()+5, 0xAB)
-	if m.Materialized() != 1 {
-		t.Fatalf("Materialized = %d, want 1", m.Materialized())
-	}
-	writesBefore := m.WriteCount()
-
-	m.ScrubFrame(1)
-	if got := m.Read8(Frame(1).Addr() + 5); got != 0 {
-		t.Errorf("scrubbed frame reads %#x, want 0", got)
-	}
-	if m.Materialized() != 1 {
-		t.Errorf("scrub changed materialization: %d frames", m.Materialized())
-	}
-	if m.WriteCount() != writesBefore+FrameSize {
-		t.Errorf("scrub writes = %d, want %d", m.WriteCount()-writesBefore, uint64(FrameSize))
-	}
-
-	m.ScrubFrame(2) // hole: must stay a hole, no writes counted
-	if m.Materialized() != 1 || m.WriteCount() != writesBefore+FrameSize {
-		t.Errorf("scrubbing a hole materialized it or counted writes: %d frames, %d writes",
-			m.Materialized(), m.WriteCount())
-	}
-}
-
 // TestMemoryResetRestoresHoles pins Memory.Reset: every materialized
 // frame is released back to hole status (not merely zeroed) and the
 // accounting rewinds, so a recycled machine presents the same
