@@ -140,6 +140,32 @@ func TestResilientRejectsUnexploitableCandidate(t *testing.T) {
 	}
 }
 
+// TestResilientBuildFailedIsAVerdict: under threshold drift at seed 12,
+// the probe spikes make Algorithm 1 judge the first pair's TLB
+// candidate pool non-evicting, so its eviction sets never build. That
+// is an attack-path failure, so it comes back as a build-phase Verdict
+// before any hammering, not as an error.
+func TestResilientBuildFailedIsAVerdict(t *testing.T) {
+	fc := &fault.Config{Class: fault.ThresholdDrift}
+	v, err := RunEscalationResilient(flip.ClassA(), 12, fc, DefaultBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Success || v.Phase != PhaseBuild || v.Reason != ReasonBuildFailed {
+		t.Fatalf("verdict success %v, phase %q, reason %q; want a failed %q verdict in phase %q",
+			v.Success, v.Phase, v.Reason, ReasonBuildFailed, PhaseBuild)
+	}
+	if v.Windows != 0 || v.Iterations != 0 || v.Result != nil {
+		t.Fatalf("build failure hammered: %d windows, %d iterations, result %+v", v.Windows, v.Iterations, v.Result)
+	}
+	if v.Faults.ProbesPerturbed == 0 {
+		t.Fatal("no perturbed probe recorded — the fault never fired")
+	}
+	if v.PrivFlushes != 0 || v.PrivInvlpgs != 0 {
+		t.Fatalf("privileged ops moved: %d flushes, %d invlpgs", v.PrivFlushes, v.PrivInvlpgs)
+	}
+}
+
 // TestResilientUnrecoverableAborts pins the structured-abort contract:
 // a perfect TRR mitigation can never flip, so the driver must spend
 // every replan and return a tiers-exhausted verdict within budget — no
