@@ -116,13 +116,6 @@ func amplifyArm(seed int64, cores, windows int) (pressure uint64, flips int, ite
 	}
 	mm.AlignClocks()
 
-	// Both cores sample pressure through core 0's port, so core 1's
-	// step checks the refresh window against core 0's clock: the one
-	// step that reads another core's front-end (see CONTRIBUTING).
-	// Core 1's own port reads the same counts but rotates windows on
-	// core 1's clock, which moves the duo arm's flips (19 → 18 at
-	// seed 4, 7 windows).
-	sampler := mm.Core(0)
 	var itersN uint64
 	var peak uint64
 	mm.Run(func(i int, m *machine.Machine) func() bool {
@@ -133,7 +126,7 @@ func amplifyArm(seed int64, cores, windows int) (pressure uint64, flips int, ite
 			}
 			hammers[i].HammerOnce(m)
 			itersN++
-			if p := pairPressure(sampler, pair); p > peak {
+			if p := pairPressure(m, pair); p > peak {
 				peak = p
 			}
 			return true

@@ -39,9 +39,9 @@ func TestColocatedAmplify(t *testing.T) {
 
 // TestColocatedAmplifySevenWindows pins both arms at seed 4 and 7
 // windows, a flag set no golden covers: pthammer-mt -scenario amplify
-// -windows 7. Every core samples pressure through core 0's port; a
-// duo arm that samples through each core's own port rotates windows on
-// core 1's clock as well and reads DuoFlips 18.
+// -windows 7. Every core samples pressure through its own port, so
+// core 1's reads rotate windows on core 1's clock; a duo arm that
+// samples both cores through core 0's port reads DuoFlips 19.
 func TestColocatedAmplifySevenWindows(t *testing.T) {
 	got, err := RunColocatedAmplify(4, 7)
 	if err != nil {
@@ -49,7 +49,7 @@ func TestColocatedAmplifySevenWindows(t *testing.T) {
 	}
 	want := ColocatedAmplifyResult{
 		SoloPressure: 100, DuoPressure: 198,
-		SoloFlips: 0, DuoFlips: 19,
+		SoloFlips: 0, DuoFlips: 18,
 		SoloIters: 349, DuoIters: 693,
 	}
 	if got != want {
