@@ -11,10 +11,10 @@
 //
 // Translation is real: the machine reserves the top of physical
 // memory as the kernel's page-table pool, identity-maps pages there on
-// first touch (demand paging), and the walker fetches the actual PTE
-// bytes through the cache hierarchy (the walker's PTE fetches) — so
-// a TLB-missing load opens DRAM rows in the table region exactly the
-// way PThammer's implicit accesses do.
+// first touch (demand paging), and the walker's PTE fetches read the
+// actual entry bytes through the cache hierarchy — so a TLB-missing
+// load opens DRAM rows in the table region exactly the way PThammer's
+// implicit accesses do.
 package machine
 
 import (

@@ -135,10 +135,10 @@ func (w *Walker) Reset() {
 	}
 }
 
-// Translate performs the hardware walk for the access and returns the
-// frame the leaf PTE maps va to. The reported latency is everything
-// the walk charged: an optional PS-cache hit, and per walked level the
-// PTE-fetch memory access plus the fixed PageWalkStep.
+// Translate performs the hardware walk for va and returns the frame
+// the leaf PTE maps it to. The reported latency is everything the walk
+// charged: an optional PS-cache hit, and per walked level the PTE
+// fetch plus the fixed PageWalkStep.
 //
 //pthammer:noalloc
 func (w *Walker) Translate(va phys.Addr) (phys.Frame, mem.Result) {

@@ -96,7 +96,7 @@ func New(cfg Config, walker mem.Translator, clock *timing.Clock, counters *perf.
 //pthammer:noalloc
 func vpnOf(a phys.Addr) uint64 { return uint64(a) >> phys.FrameShift }
 
-// Translate resolves the access's page to its physical frame. A dTLB
+// Translate resolves the address's page to its physical frame. A dTLB
 // hit charges TLBL1Hit; an sTLB hit charges TLBL2Hit, refills the
 // dTLB, and counts dtlb_load_misses.stlb_hit; a full miss counts
 // dtlb_load_misses.miss_causes_a_walk, forwards to the walker, and
